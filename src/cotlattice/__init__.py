@@ -17,7 +17,7 @@ counter.  Failure is loud: impossible inputs raise `DomainError`,
 unreachable accuracy raises `ToleranceError`.
 """
 
-from .closed import KernelTable, RootKernel, kernel_table, u_closed, unit_circle_parts
+from .closed import u_closed, unit_circle_parts
 from .direct import u_direct
 from .dyadic import MAX_LEVEL, phi
 from .errors import (
@@ -43,7 +43,6 @@ from .types import (
 from .verify import (
     ALL_METHODS,
     SCHEMA_VERSION,
-    BenchRow,
     GridSpec,
     MethodRun,
     PairCheck,
@@ -90,9 +89,6 @@ __all__ = [
     "u_direct",
     "u_closed",
     "unit_circle_parts",
-    "RootKernel",
-    "KernelTable",
-    "kernel_table",
     "phi",
     "MAX_LEVEL",
     "psi",
@@ -117,7 +113,6 @@ __all__ = [
     "PairCheck",
     "VerifySummary",
     "VerifyReport",
-    "BenchRow",
     "applicable_methods",
     "evaluate_method",
     "verify_points",

@@ -610,16 +610,10 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config()
         tol = resolve_tolerance(args, config, _BASE_TOLERANCES[args.command])
         records, code = _HANDLERS[args.command](args, tol)
-    except _UsageError as exc:
-        print(f"cotlattice: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"cotlattice: {exc}", file=sys.stderr)
-        return 2
     except ToleranceError as exc:
         print(f"cotlattice: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (_UsageError, DomainError, ValueError) as exc:
         print(f"cotlattice: {exc}", file=sys.stderr)
         return 2
     _emit(records, args.format, sys.stdout)

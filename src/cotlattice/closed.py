@@ -10,10 +10,11 @@ cotangent expansion collapse the lattice sum to n kernel terms:
           / [cosh(2 pi z b_k) - cos(2 pi z a_k)],
 
 with a_k = cos(theta_k), b_k = sin(theta_k).  The identity holds for
-complex z as well: the imaginary cross terms of each conjugate root
-pair (theta, 2 pi - theta) cancel algebraically, and the pairing is
-baked into the table construction so the cancellation is exact in
-floating point too.
+complex z as well.  Since f_k is even in b_k, the conjugate rays theta
+and 2 pi - theta give identical terms, so only the ceil(n/2) rays with
+theta in (0, pi] are evaluated: each conjugate pair counts twice, and
+the axis ray theta = pi of odd n once.  For n = 1 and n = 2 the sum is
+pi cot(pi z) and (pi / z) coth(pi z).
 
 Two stability measures apply to every kernel term:
 
@@ -29,8 +30,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
 from functools import lru_cache
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -48,11 +50,9 @@ from .types import (
 )
 
 __all__ = [
-    "KernelTable",
-    "RootKernel",
+    "RootRay",
     "kernel_table",
     "u_closed",
-    "u_closed_general",
     "unit_circle_parts",
 ]
 
@@ -62,117 +62,86 @@ _BIG = 30.0
 _SING_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class RootKernel:
-    """Direction cosines of one root ray theta = (2k - 1) pi / n."""
+class RootRay(NamedTuple):
+    """One distinct root ray theta = (2k - 1) pi / n with 0 < theta <= pi."""
 
-    index: int
     theta: float
     a: float  # cos(theta)
-    b: float  # sin(theta)
-
-
-@dataclass(frozen=True)
-class KernelTable:
-    """All n root rays of order n, angle-increasing, conjugate-closed."""
-
-    n: int
-    roots: tuple[RootKernel, ...]
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self) -> int:
-        return self.n
+    b: float  # sin(theta), >= 0
+    mult: int  # 2 for a conjugate pair, 1 for the axis ray theta = pi
 
 
 @lru_cache(maxsize=None)
-def kernel_table(n: int) -> KernelTable:
-    """Root-ray table for order n, angles strictly increasing in k.
+def kernel_table(n: int) -> tuple[RootRay, ...]:
+    """The ceil(n/2) distinct root rays of order n, angle-increasing.
 
-    Rays are built for k <= (n + 1) // 2 and mirrored (a, -b) for the
-    rest, so the multiset is exactly closed under conjugation and the
-    realness of the kernel sum for real z survives rounding.  Exact
-    values are snapped at the axis rays: (a, b) = (-1, 0) when
-    2k - 1 = n, (0, +-1) when (2k - 1)/n is 1/2 or 3/2.
+    Ray k <= ceil(n/2) stands for itself and its conjugate at
+    2 pi - theta (multiplicity 2), except the axis ray theta = pi of odd
+    n (multiplicity 1); the multiplicities sum to n.  Exact values are
+    snapped at the axis rays: (a, b) = (-1, 0) when 2k - 1 = n, (0, 1)
+    when (2k - 1)/n = 1/2.
     """
     require_order(n)
-    half = (n + 1) // 2
-    firsts: list[RootKernel] = []
-    for k in range(1, half + 1):
+    rays = []
+    for k in range(1, (n + 1) // 2 + 1):
         num = 2 * k - 1
         theta = num * math.pi / n
         if num == n:
-            a, b = -1.0, 0.0
+            rays.append(RootRay(theta, -1.0, 0.0, 1))
         elif 2 * num == n:
-            a, b = 0.0, 1.0
+            rays.append(RootRay(theta, 0.0, 1.0, 2))
         else:
-            a, b = math.cos(theta), math.sin(theta)
-        firsts.append(RootKernel(index=k, theta=theta, a=a, b=b))
-    roots = list(firsts)
-    for k in range(half + 1, n + 1):
-        src = firsts[n - k]  # partner ray at 2 pi - theta
-        roots.append(
-            RootKernel(index=k, theta=2.0 * math.pi - src.theta, a=src.a, b=-src.b)
-        )
-    return KernelTable(n=n, roots=tuple(roots))
+            rays.append(RootRay(theta, math.cos(theta), math.sin(theta), 2))
+    return tuple(rays)
 
 
-def _kernel_ratio_real(a: float, b: float, x: float, y: float) -> float:
-    """[a sin x + b sinh y] / [cosh y - cos x] for real x, y."""
-    ay = abs(y)
-    if ay <= _BIG:
-        sh = math.sinh(0.5 * y)
-        sn = math.sin(0.5 * x)
-        den = 2.0 * sh * sh + 2.0 * sn * sn
-        scale = 1.0 + math.cosh(y) + abs(math.cos(x))
-        if den < _SING_EPS * scale:
-            raise KernelSingularError(
-                f"kernel denominator cosh - cos vanished (x={x:.6g}, y={y:.6g}); "
-                "the evaluation point sits on or near a pole"
-            )
-        return (a * math.sin(x) + b * math.sinh(y)) / den
-    # Rescale by e^(-|y|): sinh and cosh overflow past ~710 while the
-    # ratio itself stays O(1).
-    e1 = math.exp(-ay)
-    e2 = e1 * e1
-    sgn = 1.0 if y > 0 else -1.0
-    num = 2.0 * a * math.sin(x) * e1 + b * sgn * (1.0 - e2)
-    den = 1.0 + e2 - 2.0 * math.cos(x) * e1
-    return num / den
+def _kernel(a: float, b: float, w: complex, sing: float) -> complex:
+    """[a sin x + b sinh y] / [cosh y - cos x] at x = w a, y = w b.
 
-
-def _kernel_ratio_complex(a: float, b: float, x: complex, y: complex) -> complex:
-    """[a sin x + b sinh y] / [cosh y - cos x] for complex x, y."""
+    ``w`` is 2 pi z, a float for real z (evaluated with ``math``) or a
+    complex (``cmath``).  ``sing`` is the relative size below which the
+    denominator counts as vanished.
+    """
+    x = w * a
+    y = w * b
+    real_in = isinstance(w, float)
+    m = math if real_in else cmath
     scale_exp = max(abs(y.real), abs(x.imag))
     if scale_exp <= _BIG:
-        sh = cmath.sinh(0.5 * y)
-        sn = cmath.sin(0.5 * x)
+        sh = m.sinh(0.5 * y)
+        sn = m.sin(0.5 * x)
         den = 2.0 * sh * sh + 2.0 * sn * sn
-        scale = 1.0 + abs(cmath.cosh(y)) + abs(cmath.cos(x))
-        if abs(den) < _SING_EPS * scale:
-            raise KernelSingularError(
-                f"kernel denominator cosh - cos vanished (x={x:.6g}, y={y:.6g}); "
-                "the evaluation point sits on or near a pole"
-            )
-        return (a * cmath.sin(x) + b * cmath.sinh(y)) / den
+        if abs(den) < sing * (1.0 + abs(m.cosh(y)) + abs(m.cos(x))):
+            _singular(x, y)
+        return (a * m.sin(x) + b * m.sinh(y)) / den
+    if real_in:
+        # Rescale by e^(-|y|): sinh and cosh overflow past ~710 while
+        # the ratio itself stays O(1).
+        e1 = math.exp(-scale_exp)
+        e2 = e1 * e1
+        sgn = 1.0 if y > 0 else -1.0
+        num = 2.0 * a * math.sin(x) * e1 + b * sgn * (1.0 - e2)
+        return num / (1.0 + e2 - 2.0 * math.cos(x) * e1)
     # Express everything through the four exponentials e^(+-y), e^(+-ix)
     # rescaled by e^(-scale_exp); all exponents then have non-positive
     # real part, so nothing overflows and the common factor cancels.
-    m = scale_exp
-    ep = cmath.exp(y - m)
-    em = cmath.exp(-y - m)
-    fp = cmath.exp(1j * x - m)
-    fm = cmath.exp(-1j * x - m)
+    ep = cmath.exp(y - scale_exp)
+    em = cmath.exp(-y - scale_exp)
+    fp = cmath.exp(1j * x - scale_exp)
+    fm = cmath.exp(-1j * x - scale_exp)
     num = a * (fp - fm) / 2j + b * (ep - em) / 2.0
     den = (ep + em - fp - fm) / 2.0
-    scale = (abs(ep) + abs(em) + abs(fp) + abs(fm)) / 2.0 + math.exp(-m)
-    if abs(den) < _SING_EPS * scale:
-        raise KernelSingularError(
-            f"kernel denominator cosh - cos vanished (x={x:.6g}, y={y:.6g}); "
-            "the evaluation point sits on or near a pole"
-        )
+    scale = (abs(ep) + abs(em) + abs(fp) + abs(fm)) / 2.0 + math.exp(-scale_exp)
+    if abs(den) < sing * scale:
+        _singular(x, y)
     return num / den
+
+
+def _singular(x: complex, y: complex) -> NoReturn:
+    raise KernelSingularError(
+        f"kernel denominator cosh - cos vanished (x={x:.6g}, y={y:.6g}); "
+        "the evaluation point sits on or near a pole"
+    )
 
 
 def _require_ok(n: int, z: complex) -> complex:
@@ -208,90 +177,31 @@ def _finish(n: int, z: complex, term_sum: complex, abs_sum: float) -> EvalResult
     return EvalResult(value=value, err_estimate=err, method=Method.CLOSED_FORM, work=n)
 
 
-def u_closed_general(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
-    """Evaluate U_n(z) by the full n-term kernel table for any n >= 1.
-
-    Cost is n kernel terms regardless of |z|; ``work`` reports exactly n.
-    """
-    require_order(n)
-    z = _require_ok(n, z)
-    table = kernel_table(n)
-    if z.imag == 0.0:
-        zr = z.real
-        tot = 0.0
-        abs_tot = 0.0
-        for root in table:
-            f = _kernel_ratio_real(root.a, root.b, 2.0 * math.pi * zr * root.a,
-                                   2.0 * math.pi * zr * root.b)
-            tot += f
-            abs_tot += abs(f)
-        return _finish(n, z, complex(tot, 0.0), abs_tot)
-    tot_c = 0j
-    abs_tot = 0.0
-    for root in table:
-        fc = _kernel_ratio_complex(root.a, root.b, 2.0 * math.pi * z * root.a,
-                                   2.0 * math.pi * z * root.b)
-        tot_c += fc
-        abs_tot += abs(fc)
-    return _finish(n, z, tot_c, abs_tot)
-
-
 def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
-    """Evaluate U_n(z) in closed form.
+    """Evaluate U_n(z) in closed form, for any n >= 1.
 
-    Dispatches to the classical reductions for small orders,
+    One loop over the ceil(n/2) distinct rays of :func:`kernel_table`,
+    each term weighted by its multiplicity.  ``work`` reports n, the
+    number of terms of the closed form, regardless of |z|.
 
-        U_1(z) = pi cot(pi z)
-        U_2(z) = (pi / z) coth(pi z)
-        U_3(z) = pi/(3 z^2) [cot(pi z)
-                 + (sin(pi z) + sqrt(3) sinh(sqrt(3) pi z))
-                   / (cosh(sqrt(3) pi z) - cos(pi z))]
-        U_4(z) = pi/(sqrt(2) z^3) (sin(x) + sinh(x)) / (cosh(x) - cos(x)),
-                 x = sqrt(2) pi z,
-
-    and to :func:`u_closed_general` for n >= 5.  The small-order forms
-    are the kernel table collapsed by hand (cot w = sin 2w / (2 sin^2 w),
-    coth w = sinh 2w / (2 sinh^2 w)), evaluated through the same
-    overflow-safe kernel helper so the near-pole denominator check
-    applies uniformly; they double as regression oracles for the
-    general loop.
+    Near z = 0 every kernel denominator shrinks like |2 pi z|^2 / 2, so
+    the singularity threshold is scaled by min(1, |2 pi z|^2).  That
+    leaves it unchanged for |z| >= 1/(2 pi), and every pole of U_n lies
+    at |z| >= 1.  It never drops below the smallest normal double, so a
+    denominator that has underflowed raises instead of dividing by a
+    zero or subnormal.
     """
     require_order(n)
     z = _require_ok(n, z)
-    real_in = z.imag == 0.0
-    if n == 1:
-        if real_in:
-            t = _kernel_ratio_real(-1.0, 0.0, -2.0 * math.pi * z.real, 0.0)
-            return _finish(1, z, complex(t, 0.0), abs(t))
-        t_c = _kernel_ratio_complex(-1.0, 0.0, -2.0 * math.pi * z, 0j)
-        return _finish(1, z, t_c, abs(t_c))
-    if n == 2:
-        if real_in:
-            t = 2.0 * _kernel_ratio_real(0.0, 1.0, 0.0, 2.0 * math.pi * z.real)
-            return _finish(2, z, complex(t, 0.0), abs(t))
-        t_c = 2.0 * _kernel_ratio_complex(0.0, 1.0, 0j, 2.0 * math.pi * z)
-        return _finish(2, z, t_c, abs(t_c))
-    if n == 3:
-        s3 = math.sqrt(3.0)
-        if real_in:
-            zr = z.real
-            mid = _kernel_ratio_real(-1.0, 0.0, -2.0 * math.pi * zr, 0.0)
-            pair = 2.0 * _kernel_ratio_real(0.5, 0.5 * s3, math.pi * zr, s3 * math.pi * zr)
-            return _finish(3, z, complex(mid + pair, 0.0), abs(mid) + abs(pair))
-        mid_c = _kernel_ratio_complex(-1.0, 0.0, -2.0 * math.pi * z, 0j)
-        pair_c = 2.0 * _kernel_ratio_complex(0.5, 0.5 * s3, math.pi * z, s3 * math.pi * z)
-        return _finish(3, z, mid_c + pair_c, abs(mid_c) + abs(pair_c))
-    if n == 4:
-        c = math.sqrt(2.0) / 2.0
-        if real_in:
-            zr = z.real
-            x = math.sqrt(2.0) * math.pi * zr
-            t = 2.0 * _kernel_ratio_real(c, c, x, x) + 2.0 * _kernel_ratio_real(-c, c, -x, x)
-            return _finish(4, z, complex(t, 0.0), abs(t))
-        xc = math.sqrt(2.0) * math.pi * z
-        t_c = 2.0 * _kernel_ratio_complex(c, c, xc, xc) + 2.0 * _kernel_ratio_complex(-c, c, -xc, xc)
-        return _finish(4, z, t_c, abs(t_c))
-    return u_closed_general(n, z, tol)
+    w = 2.0 * math.pi * (z.real if z.imag == 0.0 else z)
+    sing = max(_SING_EPS * min(1.0, abs(w)) ** 2, sys.float_info.min)
+    tot = 0.0
+    abs_tot = 0.0
+    for _, a, b, mult in kernel_table(n):
+        f = mult * _kernel(a, b, w, sing)
+        tot += f
+        abs_tot += abs(f)
+    return _finish(n, z, complex(tot), abs_tot)
 
 
 # ---------------------------------------------------------------------------

@@ -137,21 +137,6 @@ def require_finite_scalar(z: complex, name: str = "z") -> complex:
     return w
 
 
-def _pole_candidates(az: float) -> list[int]:
-    # A vanishing k^n + z^n forces |k| = |z|, so only integers near |z|
-    # (and near 0 when |z| is small) can witness a pole.
-    hi = az + 2.0
-    if hi <= 64.0:
-        return list(range(-int(hi), int(hi) + 1))
-    lo_band = max(0, int(math.floor(az)) - 2)
-    hi_band = min(int(hi), int(math.ceil(az)) + 2)
-    ks = {0}
-    for k in range(lo_band, hi_band + 1):
-        ks.add(k)
-        ks.add(-k)
-    return sorted(ks)
-
-
 def validate_domain(n: int, z: complex, pole_eps: float = POLE_EPS) -> DomainStatus:
     """Classify the point (n, z) for the lattice sum over 1/(k^n + z^n).
 
@@ -160,9 +145,10 @@ def validate_domain(n: int, z: complex, pole_eps: float = POLE_EPS) -> DomainSta
     (at z = 0 with odd n the k = 0 denominator is the witness), and
     ``OK`` otherwise.
 
-    A pole requires |k| = |z|, so only integers in the window
-    |k| <= |z| + 2 are scanned.  Vanishing is tested relative to the
-    size of the candidate addends,
+    A pole requires |k| = |z|, so only the integers k != 0 in the band
+    |z| - 2 <= |k| <= |z| + 2 are scanned (k > 0 alone for even n, where
+    (-k)^n = k^n).  Vanishing is tested relative to the size of the
+    candidate addends,
 
         |k^n + z^n| < pole_eps * max(|k|^n, |z|^n),
 
@@ -184,13 +170,12 @@ def validate_domain(n: int, z: complex, pole_eps: float = POLE_EPS) -> DomainSta
     s = max(1.0, az)
     zsn = _ipow_complex(z / s, n)
     azn = abs(zsn)
-    for k in _pole_candidates(az):
-        if k == 0 or abs(k) > az + 2.0:
-            continue
-        ksn = _ipow_complex(k / s, n)
-        t = ksn + zsn
-        if abs(t) < pole_eps * max(abs(ksn), azn):
-            return DomainStatus.POLE
+    signs = (1.0,) if n % 2 == 0 else (1.0, -1.0)
+    for k in range(max(1, math.ceil(az - 2.0)), math.floor(az + 2.0) + 1):
+        for sign in signs:
+            ksn = _ipow_complex(sign * k / s, n)
+            if abs(ksn + zsn) < pole_eps * max(abs(ksn), azn):
+                return DomainStatus.POLE
     return DomainStatus.OK
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "PairCheck",
     "VerifySummary",
     "VerifyReport",
-    "BenchRow",
     "applicable_methods",
     "evaluate_method",
     "run_verify",
@@ -99,11 +98,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class MethodRun:
-    """One evaluator applied to one grid point.
+    """One evaluator applied to one grid point, with its wall time.
 
     ``error`` is None on success; otherwise it holds the evaluator's
     message, ``error_kind`` classifies it ("domain", "tolerance", or
     "usage"), and value/err_estimate/work are zeroed placeholders.
+    ``wall_time_ns`` does not take part in equality, so reports of the
+    same inputs compare equal.
     """
 
     n: int
@@ -112,6 +113,7 @@ class MethodRun:
     value: complex
     err_estimate: float
     work: int
+    wall_time_ns: int = field(compare=False)
     error: str | None = None
     error_kind: str | None = None
 
@@ -161,21 +163,6 @@ class VerifyReport:
     summary: VerifySummary
     all_pass: bool
     schema_version: int = field(default=SCHEMA_VERSION)
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    """Timing record for one evaluation; wall time lives only here."""
-
-    n: int
-    z: complex
-    method: Method
-    value: complex
-    err_estimate: float
-    work: int
-    wall_time_ns: int
-    error: str | None = None
-    error_kind: str | None = None
 
 
 def applicable_methods(n: int, z: complex,
@@ -237,6 +224,27 @@ def _error_kind(exc: Exception) -> str:
     return "usage"
 
 
+def _run(method: Method, n: int, z: complex, tol: Tolerance) -> MethodRun:
+    t0 = time.perf_counter_ns()
+    try:
+        res = evaluate_method(method, n, z, tol)
+    except (CotlatticeError, ValueError) as exc:
+        return MethodRun(n=n, z=z, method=method, value=0j, err_estimate=0.0,
+                         work=0, wall_time_ns=time.perf_counter_ns() - t0,
+                         error=str(exc), error_kind=_error_kind(exc))
+    return MethodRun(n=n, z=z, method=method, value=res.value,
+                     err_estimate=res.err_estimate, work=res.work,
+                     wall_time_ns=time.perf_counter_ns() - t0)
+
+
+def _points(points: tuple[tuple[int, complex], ...],
+            what: str) -> tuple[tuple[int, complex], ...]:
+    pts = tuple((require_order(n), require_finite_scalar(z)) for n, z in points)
+    if not pts:
+        raise ValueError(f"{what} needs at least one (n, z) point")
+    return pts
+
+
 def _expand(spec: GridSpec) -> tuple[tuple[int, complex], ...]:
     return tuple((n, z) for n in spec.n_values for z in spec.z_points)
 
@@ -252,23 +260,11 @@ def verify_points(points: tuple[tuple[int, complex], ...],
     Entries appear in input order (point-major, then method), so
     identical inputs produce identical reports.
     """
-    pts = tuple((require_order(n), require_finite_scalar(z)) for n, z in points)
-    if not pts:
-        raise ValueError("verify needs at least one (n, z) point")
+    pts = _points(points, "verify")
     runs: list[MethodRun] = []
     pairs: list[PairCheck] = []
     for n, z in pts:
-        point_runs: list[MethodRun] = []
-        for method in applicable_methods(n, z, methods):
-            try:
-                res = evaluate_method(method, n, z, tol)
-                run = MethodRun(n=n, z=z, method=method, value=res.value,
-                                err_estimate=res.err_estimate, work=res.work)
-            except (CotlatticeError, ValueError) as exc:
-                run = MethodRun(n=n, z=z, method=method, value=0j,
-                                err_estimate=0.0, work=0, error=str(exc),
-                                error_kind=_error_kind(exc))
-            point_runs.append(run)
+        point_runs = [_run(m, n, z, tol) for m in applicable_methods(n, z, methods)]
         good = [r for r in point_runs if r.ok]
         for i, ra in enumerate(good):
             for rb in good[i + 1:]:
@@ -298,7 +294,7 @@ def run_verify(spec: GridSpec) -> VerifyReport:
 
 def bench_points(points: tuple[tuple[int, complex], ...],
                  methods: tuple[Method, ...],
-                 tol: Tolerance) -> tuple[BenchRow, ...]:
+                 tol: Tolerance) -> tuple[MethodRun, ...]:
     """Time every applicable evaluation at explicit (n, z) pairs.
 
     The interesting columns are ``work`` and ``wall_time_ns``: closed
@@ -306,29 +302,11 @@ def bench_points(points: tuple[tuple[int, complex], ...],
     cutoff growing with |z| at fixed tolerance.  Failures are recorded,
     not raised, so a bench over a mixed grid always completes.
     """
-    pts = tuple((require_order(n), require_finite_scalar(z)) for n, z in points)
-    if not pts:
-        raise ValueError("bench needs at least one (n, z) point")
-    rows: list[BenchRow] = []
-    for n, z in pts:
-        for method in applicable_methods(n, z, methods):
-            t0 = time.perf_counter_ns()
-            try:
-                res = evaluate_method(method, n, z, tol)
-                elapsed = time.perf_counter_ns() - t0
-                rows.append(BenchRow(n=n, z=z, method=method, value=res.value,
-                                     err_estimate=res.err_estimate,
-                                     work=res.work, wall_time_ns=elapsed))
-            except (CotlatticeError, ValueError) as exc:
-                elapsed = time.perf_counter_ns() - t0
-                rows.append(BenchRow(n=n, z=z, method=method, value=0j,
-                                     err_estimate=0.0, work=0,
-                                     wall_time_ns=elapsed, error=str(exc),
-                                     error_kind=_error_kind(exc)))
-    return tuple(rows)
+    return tuple(_run(m, n, z, tol) for n, z in _points(points, "bench")
+                 for m in applicable_methods(n, z, methods))
 
 
-def run_bench(spec: GridSpec) -> tuple[BenchRow, ...]:
+def run_bench(spec: GridSpec) -> tuple[MethodRun, ...]:
     """Time every applicable evaluation on the grid's cross product.
     See :func:`bench_points`."""
     return bench_points(_expand(spec), spec.methods, spec.tol)

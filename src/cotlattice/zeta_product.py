@@ -189,14 +189,15 @@ class ProductQuery:
 def _rhs_closed(n: int, x: float, y: float) -> EvalResult:
     # Factor k of the closed form, in the half-angle form that never
     # cancels: cosh(2 pi t b) - cos(2 pi t a) = 2 sinh(pi t b)^2
-    # + 2 sin(pi t a)^2.  The common factors of 2 cancel in the ratio.
+    # + 2 sin(pi t a)^2.  The common factors of 2 cancel in the ratio,
+    # and a conjugate pair of rays contributes its factor squared.
     total = 1.0
-    for root in kernel_table(n):
-        sh_y = math.sinh(math.pi * y * root.b)
-        sn_y = math.sin(math.pi * y * root.a)
-        sh_x = math.sinh(math.pi * x * root.b)
-        sn_x = math.sin(math.pi * x * root.a)
-        total *= (sh_y * sh_y + sn_y * sn_y) / (sh_x * sh_x + sn_x * sn_x)
+    for _, a, b, mult in kernel_table(n):
+        sh_y = math.sinh(math.pi * y * b)
+        sn_y = math.sin(math.pi * y * a)
+        sh_x = math.sinh(math.pi * x * b)
+        sn_x = math.sin(math.pi * x * a)
+        total *= ((sh_y * sh_y + sn_y * sn_y) / (sh_x * sh_x + sn_x * sn_x)) ** mult
     if not (math.isfinite(total) and total > 0.0):
         raise DomainError(
             f"domain: closed product for n={n} on ({x}, {y}) left double range"

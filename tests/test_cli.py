@@ -110,6 +110,16 @@ class TestEval:
         assert code == 2
         assert "pole" in err
 
+    def test_tiny_argument_is_not_a_pole(self, capsys):
+        code, out, err = run_cli(["eval", "-n", "2", "-z", "1e-8",
+                                  "--method", "closed"], capsys)
+        assert code == 0, err
+        assert float(parse_plain(out[0])["value_re"]) == pytest.approx(1e16, rel=1e-14)
+
+    def test_near_integer_is_domain_error(self, capsys):
+        code, out, err = run_cli(["eval", "-n", "1", "-z", "1.00000000000001"], capsys)
+        assert code == 2
+
     def test_method_order_mismatch(self, capsys):
         code, out, err = run_cli(["eval", "-n", "3", "-z", "0.5",
                                   "--method", "dyadic"], capsys)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import pytest
 
@@ -9,44 +10,85 @@ from cotlattice import (
     DomainError,
     Method,
     Tolerance,
-    kernel_table,
+    phi,
     u_closed,
     u_direct,
     unit_circle_parts,
 )
-from cotlattice.closed import u_closed_general
+from cotlattice.closed import _kernel, kernel_table
 
 LOOSE = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
 
 
 class TestKernelTable:
-    """kernel_table lists the odd-angle unit vectors with exact symmetry."""
+    """kernel_table lists the distinct odd-angle rays with multiplicities."""
 
     def test_angles(self):
         for n in (1, 2, 3, 4, 5, 8):
             table = kernel_table(n)
-            assert len(table.roots) == n
-            for k, root in enumerate(table.roots, start=1):
-                assert abs(root.theta - (2 * k - 1) * math.pi / n) < 1e-12
+            assert len(table) == (n + 1) // 2
+            for k, ray in enumerate(table, start=1):
+                assert abs(ray.theta - (2 * k - 1) * math.pi / n) < 1e-12
+
+    def test_multiplicities_sum_to_order(self):
+        for n in range(1, 12):
+            table = kernel_table(n)
+            assert sum(ray.mult for ray in table) == n
+            assert all(ray.mult == (1 if ray.b == 0.0 else 2) for ray in table)
 
     def test_unit_modulus(self):
-        for root in kernel_table(7).roots:
-            assert abs(root.a**2 + root.b**2 - 1.0) < 4e-16
+        for ray in kernel_table(7):
+            assert abs(ray.a**2 + ray.b**2 - 1.0) < 4e-16
 
     def test_axis_values_exact(self):
-        (r,) = kernel_table(1).roots
-        assert (r.a, r.b) == (-1.0, 0.0)
-        r1, r2 = kernel_table(2).roots
-        assert (r1.a, r1.b) == (0.0, 1.0)
-        assert (r2.a, r2.b) == (0.0, -1.0)
+        (r,) = kernel_table(1)
+        assert (r.a, r.b, r.mult) == (-1.0, 0.0, 1)
+        (r,) = kernel_table(2)
+        assert (r.a, r.b, r.mult) == (0.0, 1.0, 2)
+        assert kernel_table(3)[-1][1:] == (-1.0, 0.0, 1)
+        assert kernel_table(6)[1][1:] == (0.0, 1.0, 2)
 
     def test_conjugate_closure(self):
+        # Each ray with b > 0 stands for itself and its conjugate; together
+        # they are all n roots e^(i (2k - 1) pi / n), k = 1..n.
         for n in (3, 4, 6, 9):
-            pairs = {(r.a, r.b) for r in kernel_table(n).roots}
-            assert {(a, -b) for a, b in pairs} == pairs
+            rays = []
+            for ray in kernel_table(n):
+                rays.append((ray.a, ray.b))
+                if ray.mult == 2:
+                    rays.append((ray.a, -ray.b))
+            full = sorted((math.cos((2 * k - 1) * math.pi / n),
+                           math.sin((2 * k - 1) * math.pi / n))
+                          for k in range(1, n + 1))
+            assert len(rays) == n
+            for (a, b), (ca, cb) in zip(sorted(rays), full):
+                assert abs(a - ca) < 1e-15 and abs(b - cb) < 1e-15
 
     def test_cached(self):
         assert kernel_table(5) is kernel_table(5)
+
+
+class TestKernel:
+    """The one kernel is even in b, bitwise, in both regimes."""
+
+    def test_conjugate_rays_bitwise_equal(self):
+        rng = random.Random(20251)
+        sing = 1e-12
+        for _ in range(400):
+            theta = rng.uniform(0.05, math.pi - 0.05)
+            a, b = math.cos(theta), math.sin(theta)
+            # |Re w b| or |Im w a| beyond 30 takes the rescaled branch.
+            mag = rng.choice((rng.uniform(0.1, 4.0), rng.uniform(40.0, 400.0)))
+            w_real = rng.choice((-1.0, 1.0)) * mag
+            phase = rng.uniform(-math.pi, math.pi)
+            w_cplx = complex(mag * math.cos(phase), mag * math.sin(phase))
+            for w in (w_real, w_cplx):
+                try:
+                    f = _kernel(a, b, w, sing)
+                except DomainError:
+                    continue
+                assert f == _kernel(a, -b, w, sing)
+                assert type(f) is type(w)
 
 
 class TestUClosed:
@@ -64,12 +106,24 @@ class TestUClosed:
             res = u_closed(2, z)
             assert abs(res.value - exact) <= 1e-10 * abs(exact) + 1e-13
 
-    def test_fast_paths_match_general(self):
-        for n in (1, 2, 3, 4):
-            for z in (0.3, 1.2, 0.4 + 0.7j):
-                fast = u_closed(n, z).value
-                slow = u_closed_general(n, z).value
-                assert abs(fast - slow) <= 1e-12 * max(1.0, abs(fast))
+    def test_orders_3_4_match_reduced_forms(self):
+        # U_3 = pi/(3 z^2) [cot(pi z) + (sin(pi z) + sqrt(3) sinh(sqrt(3) pi z))
+        #                    / (cosh(sqrt(3) pi z) - cos(pi z))],
+        # U_4 = pi/(sqrt(2) z^3) (sin x + sinh x) / (cosh x - cos x),
+        # x = sqrt(2) pi z: the ray table collapsed by hand.
+        s2, s3 = math.sqrt(2.0), math.sqrt(3.0)
+        for z in (0.3, 1.2, -0.8, 0.4 + 0.7j, -1.3 + 0.2j):
+            w = math.pi * z
+            u3 = math.pi / (3 * z**2) * (
+                1.0 / cmath.tan(w)
+                + (cmath.sin(w) + s3 * cmath.sinh(s3 * w))
+                / (cmath.cosh(s3 * w) - cmath.cos(w)))
+            x = s2 * w
+            u4 = math.pi / (s2 * z**3) * (
+                (cmath.sin(x) + cmath.sinh(x)) / (cmath.cosh(x) - cmath.cos(x)))
+            for n, ref in ((3, u3), (4, u4)):
+                res = u_closed(n, z)
+                assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
     def test_higher_orders_match_direct(self):
         for n, z in ((5, 0.3), (6, 0.7), (7, 0.45)):
@@ -121,6 +175,56 @@ class TestUClosed:
             u_closed(2, 0.0)
         with pytest.raises(DomainError):
             u_closed(1, 0.0)
+
+
+class TestTinyArgument:
+    """Near z = 0 every kernel denominator is ~|2 pi z|^2 / 2; that is
+    not a pole, and u_closed must evaluate there."""
+
+    @staticmethod
+    def _points(seed):
+        rng = random.Random(seed)
+        pts = []
+        for i in range(24):
+            r = 10.0 ** rng.uniform(-9.0, -7.0)
+            if i % 2:
+                phase = rng.uniform(-math.pi, math.pi)
+                pts.append(complex(r * math.cos(phase), r * math.sin(phase)))
+            else:
+                pts.append(rng.choice((-1.0, 1.0)) * r)
+        return pts
+
+    def test_orders_1_2_match_cot_coth(self):
+        for z in self._points(11):
+            for n, ref in ((1, math.pi / cmath.tan(math.pi * z)),
+                           (2, (math.pi / z) / cmath.tanh(math.pi * z))):
+                res = u_closed(n, z)
+                assert abs(res.value - ref) <= res.err_estimate
+
+    def test_odd_orders_match_lattice_sum(self):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        for z in self._points(12)[:8]:
+            zm = mp.mpc(z)
+            for n in (3, 5):
+                # z^-n plus the k != 0 terms, paired as k, -k.
+                ref = zm**-n + mp.nsum(
+                    lambda k: 1 / (k**n + zm**n) + 1 / ((-k)**n + zm**n),
+                    [1, mp.inf])
+                res = u_closed(n, z)
+                assert abs(res.value - complex(ref)) <= res.err_estimate
+
+    def test_reported_examples(self):
+        assert abs(u_closed(2, 1e-8).value - 1e16) <= 1e16 * 1e-14
+        assert abs(u_closed(5, 2e-8).value - 2e-8**-5) <= 2e-8**-5 * 1e-14
+        res = phi(3, 1e-30)
+        assert abs(res.value - 1e240) <= res.err_estimate
+
+    def test_underflowed_denominator_raises(self):
+        # 2 sin^2(pi z) underflows: a domain error, never a division by 0.
+        with pytest.raises(DomainError):
+            u_closed(1, 1e-200)
 
 
 class TestUnitCircleParts:

@@ -1,6 +1,7 @@
 """Tests for the shared result types, domain checks, and numeric helpers."""
 
 import math
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from cotlattice import (
     validate_domain,
 )
 from cotlattice.numerics import Kahan, ipow, richardson, zeta_tail, zeta_tail_upper
-from cotlattice.types import require_finite_scalar, require_order
+from cotlattice.types import _ipow_complex, require_finite_scalar, require_order
 
 ZETA2 = math.pi**2 / 6.0
 
@@ -131,6 +132,37 @@ class TestValidateDomain:
 
     def test_generic_complex_ok(self):
         assert validate_domain(4, 0.5 + 0.5j) is DomainStatus.OK
+
+    def test_band_scan_matches_full_window(self):
+        # Reference: every integer k != 0 with |k| <= |z| + 2, same test.
+        def brute(n, z):
+            az = abs(z)
+            s = max(1.0, az)
+            zsn = _ipow_complex(z / s, n)
+            for k in range(-int(az + 2.0), int(az + 2.0) + 1):
+                ksn = _ipow_complex(k / s, n)
+                if k != 0 and abs(ksn + zsn) < 1e-12 * max(abs(ksn), abs(zsn)):
+                    return DomainStatus.POLE
+            return DomainStatus.OK
+
+        rng = random.Random(4242)
+        points = []
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            k = rng.randint(1, 64)
+            j = rng.randrange(n)
+            pole = k * complex(math.cos(math.pi * (2 * j + 1) / n),
+                               math.sin(math.pi * (2 * j + 1) / n))
+            points.append((n, pole))
+            points.append((n, pole + 1e-13))
+            points.append((n, pole + 1e-13j))
+            points.append((n, complex(rng.uniform(-70.0, 70.0), rng.uniform(-70.0, 70.0))))
+        statuses = set()
+        for n, z in points:
+            status = validate_domain(n, z)
+            assert status is brute(n, z), (n, z)
+            statuses.add(status)
+        assert statuses == {DomainStatus.OK, DomainStatus.POLE}
 
 
 class TestIpow:
