@@ -2,7 +2,7 @@
 
 Subcommands: ``eval`` (one record per method), ``zeta`` (series value
 plus the limit-path diagnostic), ``product`` (closed form plus the
-truncated-series cross-check), ``theta`` (psi values), ``verify``
+series cross-check), ``theta`` (psi values), ``verify``
 (pairwise agreement report), and ``bench`` (work and wall-time table).
 
 Every line of output is one record with a fixed superset of fields

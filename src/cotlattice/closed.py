@@ -30,14 +30,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from functools import lru_cache
 from typing import NamedTuple, NoReturn
 
-import numpy as np
-
-from .errors import DomainError, KernelSingularError, NonConvergentError
-from .numerics import EPS, ipow, zeta_tail, zeta_tail_upper
+from .direct import lattice_series
+from .errors import DomainError, KernelSingularError
+from .numerics import EPS, ipow
 from .types import (
     DEFAULT_TOLERANCE,
     DomainStatus,
@@ -95,12 +93,15 @@ def kernel_table(n: int) -> tuple[RootRay, ...]:
     return tuple(rays)
 
 
-def _kernel(a: float, b: float, w: complex, sing: float) -> complex:
+def _kernel(a: float, b: float, w: complex, sing: float, r: float = 1.0) -> complex:
     """[a sin x + b sinh y] / [cosh y - cos x] at x = w a, y = w b.
 
     ``w`` is 2 pi z, a float for real z (evaluated with ``math``) or a
     complex (``cmath``).  ``sing`` is the relative size below which the
-    denominator counts as vanished.
+    denominator counts as vanished.  Below exponential scale 30 the
+    half-angle numerator and denominator are both multiplied by r^2,
+    where r is a power of two (exact) that keeps the denominator from
+    underflowing near z = 0; see :func:`u_closed`.
     """
     x = w * a
     y = w * b
@@ -110,10 +111,13 @@ def _kernel(a: float, b: float, w: complex, sing: float) -> complex:
     if scale_exp <= _BIG:
         sh = m.sinh(0.5 * y)
         sn = m.sin(0.5 * x)
+        num = a * m.sin(x) + b * m.sinh(y)
+        if r != 1.0:
+            sh, sn, num = sh * r, sn * r, num * r * r
         den = 2.0 * sh * sh + 2.0 * sn * sn
         if abs(den) < sing * (1.0 + abs(m.cosh(y)) + abs(m.cos(x))):
             _singular(x, y)
-        return (a * m.sin(x) + b * m.sinh(y)) / den
+        return num / den
     if real_in:
         # Rescale by e^(-|y|): sinh and cosh overflow past ~710 while
         # the ratio itself stays O(1).
@@ -184,21 +188,21 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     each term weighted by its multiplicity.  ``work`` reports n, the
     number of terms of the closed form, regardless of |z|.
 
-    Near z = 0 every kernel denominator shrinks like |2 pi z|^2 / 2, so
-    the singularity threshold is scaled by min(1, |2 pi z|^2).  That
-    leaves it unchanged for |z| >= 1/(2 pi), and every pole of U_n lies
-    at |z| >= 1.  It never drops below the smallest normal double, so a
-    denominator that has underflowed raises instead of dividing by a
-    zero or subnormal.
+    Near z = 0 every kernel denominator shrinks like |2 pi z|^2 / 2 and
+    underflows below |z| ~ 1e-155.  The kernel scales numerator and
+    denominator by r^2, r the power of two with 1 <= |2 pi z| r < 2 (1
+    for |2 pi z| >= 1, capped at 2^1023): exact, and it keeps both O(1),
+    so they meet the singularity threshold at that size and U_1(1e-300)
+    = 1e300 evaluates.
     """
     require_order(n)
     z = _require_ok(n, z)
     w = 2.0 * math.pi * (z.real if z.imag == 0.0 else z)
-    sing = max(_SING_EPS * min(1.0, abs(w)) ** 2, sys.float_info.min)
+    r = math.ldexp(1.0, min(1023, 1 - math.frexp(min(1.0, abs(w)))[1]))
     tot = 0.0
     abs_tot = 0.0
     for _, a, b, mult in kernel_table(n):
-        f = mult * _kernel(a, b, w, sing)
+        f = mult * _kernel(a, b, w, _SING_EPS, r)
         tot += f
         abs_tot += abs(f)
     return _finish(n, z, complex(tot), abs_tot)
@@ -208,92 +212,40 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
 # Unit-circle decomposition: z = e^(i theta)
 
 
-def _unit_circle_domain_check(n: int, theta: float) -> tuple[float, float]:
-    c = math.cos(n * theta)
-    s = math.sin(n * theta)
-    for k in (-1, 0, 1):
-        kn = float(k**n)
-        dk = kn * kn + 2.0 * kn * c + 1.0
-        if dk < 1e-24:
-            raise DomainError(
-                f"domain: unit-circle denominator vanishes at k={k} for "
-                f"n={n}, theta={theta!r} (sin(n theta) = 0 with k^n = -cos(n theta))"
-            )
-    return c, s
-
-
 def unit_circle_parts(
     n: int, theta: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[float, float]:
-    """Real and imaginary parts of U_n at z = e^(i theta) as real series.
+    """Real and imaginary parts of U_n at z = e^(i theta).
 
-    With D_k = k^(2n) + 2 k^n cos(n theta) + 1:
+    With D_k = k^(2n) + 2 k^n cos(n theta) + 1 these are the real series
 
         Re U_n = sum_k (k^n + cos(n theta)) / D_k
         Im U_n = -sin(n theta) * sum_k 1 / D_k
 
-    Terms are summed in symmetric +-k pairs.  The discarded tail is not
-    merely bounded but corrected to first order using the expansion of
-    the paired terms in k^(-n): the leading tail is a zeta-like sum
-    evaluated by Euler-Maclaurin, and only the next order is bounded.
-    That keeps the certified error near 1e-12 at a few thousand terms,
-    which a bound alone could not reach for n = 1.
+    Both are summed at once as U_n at w = z^n = e^(i n theta), taken from
+    cos(n theta) and sin(n theta), by the direct route's series
+    (:func:`~cotlattice.direct.lattice_series`): symmetric pair terms to
+    a cutoff K >= 16 and the Euler-Maclaurin-corrected tail beyond it,
+    which reaches 1e-10 at n = 1 with a few dozen terms.
 
-    Returns the pair (re, im).  Raises NonConvergentError if the
-    remainder bound cannot meet tolerance within max_terms.
+    Returns the pair (re, im).  Raises NonConvergentError if the tail
+    bound cannot meet ``tol.target(max(|re|, |im|))`` within max_terms.
     """
     require_order(n)
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    c, s = _unit_circle_domain_check(n, theta)
-
-    even = n % 2 == 0
-    cutoff = 64
-    while True:
-        if even:
-            # pair expansion: 2(k^n + c)/D_k = 2 k^-n - 2 c k^-2n + O(k^-3n)
-            #                 -2 s / D_k     = -2 s k^-2n + O(k^-3n)
-            rem = (4.0 + 11.0 * abs(s)) * zeta_tail_upper(3.0 * n, cutoff)
-        else:
-            # paired terms collapse to -2c(k^2n - 1)/Dt and -2s(k^2n + 1)/Dt
-            # with Dt = (k^2n + 1)^2 - 4 k^2n c^2; both equal their leading
-            # k^-2n term up to a remainder below 14.3 k^-4n.
-            rem = 14.3 * (abs(c) + abs(s)) * zeta_tail_upper(4.0 * n, cutoff)
-        if rem <= 0.5 * tol.target(1.0):
-            break
-        if 2 * (2 * cutoff) + 1 > tol.max_terms:
-            raise NonConvergentError(
-                f"unit_circle_parts(n={n}, theta={theta}): remainder bound "
-                f"{rem:.3g} above target at K={cutoff} with max_terms={tol.max_terms}"
+    c = math.cos(n * theta)
+    s = math.sin(n * theta)
+    for k in (-1, 0, 1):
+        kn = float(k**n)
+        if kn * kn + 2.0 * kn * c + 1.0 < 1e-24:
+            raise DomainError(
+                f"domain: unit-circle denominator vanishes at k={k} for "
+                f"n={n}, theta={theta!r} (sin(n theta) = 0 with k^n = -cos(n theta))"
             )
-        cutoff *= 2
-
-    ks = np.arange(1, cutoff + 1, dtype=np.float64)
-    kn = ks**n
-    if even:
-        dk = kn * kn + 2.0 * c * kn + 1.0
-        re_sum = c + 2.0 * float(np.sum((kn + c) / dk))
-        im_sum = -s - 2.0 * s * float(np.sum(1.0 / dk))
-        t_n, r_n = zeta_tail(float(n), cutoff)
-        t_2n, r_2n = zeta_tail(2.0 * n, cutoff)
-        re_sum += 2.0 * t_n - 2.0 * c * t_2n
-        im_sum += -2.0 * s * t_2n
-        rem_total = rem + 2.0 * r_n + 2.0 * abs(c) * r_2n + 2.0 * abs(s) * r_2n
-    else:
-        k2n = kn * kn
-        dkp = k2n + 2.0 * c * kn + 1.0
-        dkm = k2n - 2.0 * c * kn + 1.0
-        re_sum = c + float(np.sum((kn + c) / dkp + (-kn + c) / dkm))
-        im_sum = -s - s * float(np.sum(1.0 / dkp + 1.0 / dkm))
-        t_2n, r_2n = zeta_tail(2.0 * n, cutoff)
-        re_sum += -2.0 * c * t_2n
-        im_sum += -2.0 * s * t_2n
-        rem_total = rem + 2.0 * (abs(c) + abs(s)) * r_2n
-    # The certified remainder bound must itself meet tolerance.
-    if rem_total > tol.target(max(abs(re_sum), abs(im_sum))):
-        raise NonConvergentError(
-            f"unit_circle_parts(n={n}, theta={theta}): certified remainder "
-            f"{rem_total:.3g} misses tolerance"
-        )
-    return re_sum, im_sum
+    where = f"unit_circle_parts(n={n}, theta={theta})"
+    value, _, _ = lattice_series(
+        n, complex(c, s), EPS, 16, tol.max_terms,
+        lambda v: tol.target(max(abs(v.real), abs(v.imag))), where)
+    return value.real, value.imag

@@ -1,30 +1,39 @@
 """Direct evaluation of U_n(z) = sum over all integers k of 1/(k^n + z^n).
 
 The sum is always taken as the symmetric limit of partial sums over
-|k| <= K.  For even n the terms at +-k coincide and the series converges
-absolutely.  For odd n the +-k terms are combined algebraically,
+|k| <= K: the terms at +-k are summed as they stand, 1/(k^n + w) and
+1/((-k)^n + w) with w = z^n.  For even n they coincide and the series
+converges absolutely.  For odd n each pair combines to
 
-    1/(k^n + z^n) + 1/((-k)^n + z^n) = 2 z^n / (z^(2n) - k^(2n)),
+    1/(k^n + w) + 1/(-k^n + w) = 2 w / (w^2 - k^(2n)),
 
-which turns the conditionally convergent series into an absolutely
-convergent one with O(k^(-2n)) terms; partial sums of the paired form
-reproduce the symmetric limit by construction.
+an absolutely convergent series with O(k^(-2n)) terms whose partial
+sums are the symmetric limit by construction.
 
-Truncation is certified by an integral-comparison majorant (see
-:func:`tail_bound`); no tail refinement beyond the bound is attempted
-here, so slowly converging cases (n = 1, 2 at tight tolerances) demand
-large K and are better served by the closed form.
+The terms beyond K are not dropped but summed: for k^n > |w| each pair
+expands as a power series in k^-n,
+
+    2 / (k^n + w)        =  sum_{m>=1} 2 (-w)^(m-1) k^(-n m)       (even n)
+    2 w / (w^2 - k^(2n)) = -sum_{m>=1} 2 w (w^2)^(m-1) k^(-2n m)   (odd n)
+
+so the tail is a combination of zeta tails, evaluated with a certified
+bound by :func:`~cotlattice.numerics.series_tail`.  A cutoff of a few
+dozen terms then meets tolerances that a bounded but uncorrected tail
+needs ~1/target terms for.  Only partial sums and zeta tails are used;
+the route never touches the closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidCutoffError, NonConvergentError
-from .numerics import EPS, Kahan, ipow
+from .errors import DomainError, NonConvergentError
+from .numerics import EPS, Kahan, ipow, series_tail
 from .types import (
     DEFAULT_TOLERANCE,
     DomainStatus,
@@ -36,138 +45,114 @@ from .types import (
     validate_domain,
 )
 
-__all__ = ["TruncationPlan", "tail_bound", "plan_truncation", "u_direct"]
+__all__ = ["u_direct"]
 
 _CHUNK = 2_000_000
 
 
-@dataclass(frozen=True)
-class TruncationPlan:
-    """A symmetric cutoff K together with its certified tail majorant."""
+def _pair_sums(n: int, w: complex, lo: int, hi: int) -> tuple[complex, float, float]:
+    """Terms at +-k for lo <= k <= hi: their sum, sum |t| kappa, sum |t|.
 
-    cutoff: int
-    tail: float
-
-
-def _decay_power(n: int) -> int:
-    # Modulus decay exponent of the summed terms: k^(-n) for even n,
-    # k^(-2n) for the paired odd form.
-    return n if n % 2 == 0 else 2 * n
-
-
-def tail_bound(n: int, z: complex, cutoff: int) -> float:
-    """Upper bound on the modulus of the discarded tail beyond ``cutoff``.
-
-    For decay power p (= n even, 2n odd) and K > |z| the comparison
-
-        sum_{k>K} 1/(k^p - |z|^p) <= 1/(1 - (|z|/K)^p) * K^(1-p)/(p-1)
-
-    holds because x^p - |z|^p >= x^p (1 - (|z|/K)^p) on [K, inf).  When
-    K >= 2^(1/p) |z| this reduces to the crude bound 2 * K^(1-p)/(p-1),
-    i.e. integrating 2/x^p; near K ~ |z| the sharper prefactor keeps the
-    bound valid.  The result is multiplied by 2 for the +-k pairing
-    (even n) or by 2|z|^n for the paired odd numerator.
+    Each term t = 1/(d + w), d = (+-k)^n, is summed as it stands (for
+    even n the two coincide); kappa = (|d| + |w|)/|d + w| is the
+    condition number of its denominator, large only in the band
+    |k|^n ~ |w| next to a pole.  Terms whose k^n overflowed are 0.
     """
-    require_order(n)
-    z = require_finite_scalar(z)
-    az = abs(z)
-    if cutoff != int(cutoff) or cutoff <= math.ceil(az) + 1:
-        raise InvalidCutoffError(
-            f"cutoff K={cutoff} must be an integer > ceil(|z|) + 1 = {math.ceil(az) + 1}"
-        )
-    k = float(cutoff)
-    p = _decay_power(n)
-    ratio = (az / k) ** p
-    mult = 2.0 if n % 2 == 0 else 2.0 * az**n
-    return mult / (1.0 - ratio) * k ** (1 - p) / (p - 1)
+    acc = Kahan()
+    cond = 0.0
+    mag = 0.0
+    signs = (1.0,) if n % 2 == 0 else (1.0, -1.0)
+    for start in range(lo, hi + 1, _CHUNK):
+        ks = np.arange(start, min(start + _CHUNK - 1, hi) + 1, dtype=np.float64)
+        with np.errstate(over="ignore", under="ignore"):
+            d = ks * ks if n == 2 else ks ** n
+            d = d[np.isfinite(d)]
+            for sign in signs:
+                inv = 1.0 / (sign * d + w)
+                acc.add(complex(inv.sum()))
+                m = np.abs(inv)  # |inv|^2 would underflow for large k^n
+                cond += float(((d + abs(w)) * m * m).sum())
+                mag += float(m.sum())
+    if n % 2 == 0:
+        return 2.0 * acc.total, 2.0 * cond, 2.0 * mag
+    return acc.total, cond, mag
 
 
-def plan_truncation(
-    n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE, value_scale: float = 0.0
-) -> TruncationPlan:
-    """Pick the doubling cutoff at which :func:`tail_bound` meets tolerance.
+def lattice_series(n: int, w: complex, rel_w: float, cutoff: int, max_terms: int,
+                   target: Callable[[complex], float],
+                   where: str) -> tuple[complex, float, int]:
+    """U_n as 1/w + sum_{k>=1} (terms at +-k) with z^n = w, tail corrected.
 
-    Starts from K0 = max(16, 2*ceil(|z|)) and doubles.  ``value_scale``
-    feeds the relative target; pass an estimate of |U_n(z)| when known.
-    Raises NonConvergentError if no K within max_terms works.
+    Sums the terms at +-k up to ``cutoff`` and adds the expanded tail;
+    the cutoff doubles while the tail bound exceeds ``target(value)``,
+    each doubling extending the previous partial sum.  Raises
+    NonConvergentError (naming ``where``) when doubling would exceed
+    ``max_terms``.
+
+    Returns (value, err, final cutoff).  ``err`` is the tail bound plus
+    a rounding bound for a ``w`` good to relative ``rel_w``.  A term's
+    denominator d + w carries the error of w and of d = k^n (one ulp)
+    magnified by its condition number kappa, and the reciprocal and the
+    sums add a few eps of sum |t|:
+
+        EPS * (max(1, rel_w / EPS) * sum |t| kappa
+               + (13 + log2(K) / 2) * sum |t|)
+
+    over the k = 0 term, the terms at +-k and a majorant of the tail.
     """
-    require_order(n)
-    z = require_finite_scalar(z)
-    target = tol.target(value_scale)
-    k = max(16, 2 * math.ceil(abs(z)))
+    if n % 2:  # paired: 1/(k^n + w) + 1/(-k^n + w) = 2w/(w^2 - k^(2n))
+        p, c1, step = 2 * n, -2.0 * w, w * w
+    else:
+        p, c1, step = n, 2.0, -w
+    radius = abs(w) ** (1.0 / n)  # |c_m| = |c_1| radius^(p (m-1))
+
+    k0_term = 1.0 / w
+    acc = Kahan()
+    partial, cond, mag = _pair_sums(n, w, 1, cutoff)
+    acc.add(partial)
     while True:
-        bound = tail_bound(n, z, k)
-        if bound <= target:
-            return TruncationPlan(cutoff=k, tail=bound)
-        if 2 * (2 * k) + 1 > tol.max_terms:
+        coeffs = accumulate(repeat(step), mul, initial=c1)  # c1 step^(m-1)
+        tail, bound = series_tail(coeffs, p, cutoff, abs(c1), radius)
+        value = acc.total + tail + k0_term
+        if bound <= target(value):
+            break
+        if 2 * (2 * cutoff) + 1 > max_terms:
             raise NonConvergentError(
-                f"direct tail bound {bound:.3g} > target {target:.3g} at K={k}; "
-                f"doubling K would exceed max_terms={tol.max_terms} "
-                f"(closed-form evaluation has no such limit)"
+                f"{where}: tail bound {bound:.3g} still above target "
+                f"{target(value):.3g} at K={cutoff} and doubling "
+                f"would exceed max_terms={max_terms}"
             )
-        k *= 2
-
-
-def _pair_sums_even(n: int, z: complex, lo: int, hi: int) -> complex:
-    """Sum of 2/(k^n + z^n) for lo <= k <= hi (even n), vectorized."""
-    acc = Kahan()
-    w = ipow(z, n)
-    a, b = w.real, w.imag
-    for start in range(lo, hi + 1, _CHUNK):
-        stop = min(start + _CHUNK - 1, hi)
-        ks = np.arange(start, stop + 1, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            kn = ks * ks if n == 2 else ks**n
-            if b == 0.0:
-                acc.add(complex(2.0 * float(np.sum(1.0 / (kn + a))), 0.0))
-            else:
-                # 2/(kn + a + ib) expanded over real arrays; terms whose
-                # k^n overflowed contribute exactly 0.
-                dre = kn + a
-                m = 1.0 / (dre * dre + b * b)
-                re_t = np.where(np.isfinite(dre), dre * m, 0.0)
-                acc.add(complex(2.0 * float(np.sum(re_t)), -2.0 * b * float(np.sum(m))))
-    return acc.total
-
-
-def _pair_sums_odd(n: int, z: complex, lo: int, hi: int) -> complex:
-    """Sum of 2 z^n / (z^(2n) - k^(2n)) for lo <= k <= hi (odd n)."""
-    acc = Kahan()
-    w = ipow(z, n)
-    w2 = w * w
-    p, q = w.real, w.imag
-    cp, cq = w2.real, w2.imag
-    for start in range(lo, hi + 1, _CHUNK):
-        stop = min(start + _CHUNK - 1, hi)
-        ks = np.arange(start, stop + 1, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            k2n = ks ** (2 * n)
-            dre = cp - k2n
-            if q == 0.0 and cq == 0.0:
-                acc.add(complex(2.0 * p * float(np.sum(1.0 / dre)), 0.0))
-            else:
-                m = 1.0 / (dre * dre + cq * cq)
-                sr = float(np.sum(np.where(np.isfinite(dre), dre * m, 0.0)))
-                si = float(np.sum(m))  # common factor of the imaginary part
-                # 2(p + iq)(dre - i cq) * m summed over k.
-                acc.add(
-                    complex(
-                        2.0 * (p * sr + q * cq * si),
-                        2.0 * (q * sr - p * cq * si),
-                    )
-                )
-    return acc.total
+        partial, more_cond, more_mag = _pair_sums(n, w, cutoff + 1, 2 * cutoff)
+        acc.add(partial)
+        cond += more_cond
+        mag += more_mag
+        cutoff *= 2
+    acc.add(tail)
+    acc.add(k0_term)  # added last so compensation absorbs the large term
+    # Every tail term has kappa <= (1 + q)/(1 - q) <= 3 and the terms'
+    # moduli sum to at most 2 |c_1| zeta_tail_upper(p, K) since q <= 1/2.
+    tail_mag = 2.0 * abs(c1) * cutoff ** (1.0 - p) / (p - 1)
+    cond += abs(k0_term) + 3.0 * tail_mag
+    mag += abs(k0_term) + tail_mag
+    rounding = max(EPS, rel_w) * cond + (13.0 + 0.5 * math.log2(cutoff)) * EPS * mag
+    return acc.total, bound + rounding, cutoff
 
 
 def u_direct(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
-    """Evaluate U_n(z) by compensated symmetric summation.
+    """Evaluate U_n(z) by compensated symmetric summation with a
+    corrected tail.
 
-    The cutoff doubles from K0 = max(16, 2*ceil(|z|)) until the analytic
-    tail majorant meets ``max(abs_tol, rel_tol * |partial sum|)``; each
-    doubling extends the previous partial sum, so the total work equals
-    one pass over the final range.  ``err_estimate`` is the tail bound
-    plus a small rounding allowance; ``work`` counts lattice terms
-    covered (2K + 1).
+    Explicit terms run to a cutoff K that starts at
+    K0 = max(16, 2*ceil(|z|)) and doubles while the Euler-Maclaurin
+    tail bound misses ``max(abs_tol, rel_tol * |value|)``; the rest of
+    the series is the expanded tail of the module docstring.  ``work``
+    counts the lattice terms summed explicitly (2K + 1).
+
+    ``err_estimate`` is the tail bound plus the rounding bound of
+    :func:`lattice_series`: w = z^n comes from repeated squaring and is
+    good to (n - 1) u for real z, sqrt(5) (n - 1) u for complex z
+    (u = EPS/2), and each term magnifies that error by its condition
+    number, which is large only next to a pole.
 
     Raises DomainError at poles and excluded points, NonConvergentError
     if max_terms is hit first.
@@ -180,39 +165,24 @@ def u_direct(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     if status is not DomainStatus.OK:
         raise DomainError(f"domain: U_{n} at z={z}: {status.value}")
 
-    pair = _pair_sums_even if n % 2 == 0 else _pair_sums_odd
     k = max(16, 2 * math.ceil(abs(z)))
+    where = f"u_direct(n={n}, z={z})"
     if 2 * k + 1 > tol.max_terms:
         raise NonConvergentError(
-            f"u_direct(n={n}, z={z}): starting cutoff K={k} already exceeds "
-            f"max_terms={tol.max_terms}"
+            f"{where}: starting cutoff K={k} already exceeds max_terms={tol.max_terms}"
         )
-    w0 = ipow(z, n)
-    if w0 == 0:
+    w = ipow(z, n)
+    if w == 0:
         raise DomainError(
             f"domain: z^{n} underflows double range at z={z}; the k=0 term "
             "1/z^n is not representable"
         )
-    if not (math.isfinite(w0.real) and math.isfinite(w0.imag)):
-        k0_term = 0j  # |z|^n overflowed, so the true k=0 term underflows
-    else:
-        k0_term = 1.0 / w0
-    acc = Kahan()
-    acc.add(pair(n, z, 1, k))
-    while True:
-        bound = tail_bound(n, z, k)
-        value_scale = abs(acc.total + k0_term)
-        if bound <= tol.target(value_scale):
-            break
-        if 2 * (2 * k) + 1 > tol.max_terms:
-            raise NonConvergentError(
-                f"u_direct(n={n}, z={z}): tail bound {bound:.3g} still above "
-                f"target {tol.target(value_scale):.3g} at K={k} and doubling "
-                f"would exceed max_terms={tol.max_terms}"
-            )
-        acc.add(pair(n, z, k + 1, 2 * k))
-        k *= 2
-    acc.add(k0_term)  # added last so compensation absorbs the large term
-    value = acc.total
-    err = bound + 4.0 * EPS * abs(value)
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+        raise DomainError(
+            f"domain: z^{n} overflows double range at z={z}; the direct "
+            "series cannot be formed"
+        )
+    rel_w = (n - 1) * (0.5 if z.imag == 0.0 else 1.125) * EPS
+    value, err, k = lattice_series(n, w, rel_w, k, tol.max_terms,
+                                   lambda v: tol.target(abs(v)), where)
     return EvalResult(value=value, err_estimate=err, method=Method.DIRECT_SUM, work=2 * k + 1)

@@ -32,8 +32,8 @@ class RecursionPoleError(DomainError):
 
 
 class InvalidCutoffError(CotlatticeError, ValueError):
-    """A truncation cutoff K does not satisfy K > ceil(|z|) + 1, so no valid
-    tail majorant exists for it."""
+    """A truncation cutoff K is too close to the series' radius: the tail
+    expansion's geometric majorant needs (radius / K)^p <= 1/2."""
 
 
 class ToleranceError(CotlatticeError):

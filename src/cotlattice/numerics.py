@@ -3,18 +3,23 @@ powers, zeta-style tail estimates, and Richardson extrapolation."""
 
 from __future__ import annotations
 
+import cmath
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
+
+from .errors import InvalidCutoffError
 
 __all__ = [
     "ipow",
     "Kahan",
     "zeta_tail",
     "zeta_tail_upper",
+    "series_tail",
     "richardson",
 ]
 
 EPS = 2.0 ** -52
+_LOG_EPS = math.log(EPS)
 
 
 def ipow(base, e: int):
@@ -88,6 +93,56 @@ def zeta_tail_upper(s: float, cutoff: int) -> float:
     if s <= 1.0:
         raise ValueError(f"zeta_tail_upper needs s > 1, got {s}")
     return float(cutoff) ** (1.0 - s) / (s - 1.0)
+
+
+def series_tail(coeffs: Iterable[complex], p: int, cutoff: int,
+                scale: float, radius: float) -> tuple[complex, float]:
+    """sum_{k > cutoff} sum_{m >= 1} c_m k^(-p m) with a certified bound.
+
+    This is the tail of a lattice series whose terms expand in powers of
+    k^-p, e.g. 1/(k^n + w) = sum_j (-w)^j k^(-n(j+1)) for k^n > |w|.
+    ``coeffs`` yields c_1, c_2, ... (consumed only as far as needed; it
+    may end early when the later c_m vanish), and
+    |c_m| <= scale * radius^(p (m-1)).  With q = (radius / cutoff)^p the
+    orders m <= J are summed as c_m * zeta_tail(p m, cutoff), J being
+    the first order with q^J <= EPS (or the last with a finite c_m);
+    the rest is bounded by the geometric majorant
+
+        sum_{m>J} scale radius^(p (m-1)) cutoff^(1-p m) / (p m - 1)
+            <= scale cutoff^(1-p) q^J / ((p (J+1) - 1) (1 - q)),
+
+    where 1/(1 - q) <= 2 as q <= 1/2 is required.  Returns (estimate,
+    bound); the bound adds the Euler-Maclaurin remainders
+    sum_{m<=J} |c_m| rem_m, the majorant and the rounding of the sum.
+    Raises InvalidCutoffError if q > 1/2.
+    """
+    if p < 2:
+        raise ValueError(f"series_tail needs p >= 2, got {p}")
+    log_k = math.log(cutoff)
+    log_q = p * (math.log(radius) - log_k) if radius > 0.0 else -math.inf
+    if log_q > -math.log(2.0):
+        raise InvalidCutoffError(
+            f"cutoff K={cutoff} too small for the expansion: "
+            f"(radius / K)^{p} = {math.exp(log_q):.3g} > 1/2"
+        )
+    est = 0j
+    bound = 0.0
+    mag = 0.0
+    j = 0
+    for c in coeffs:
+        if j and not cmath.isfinite(c):
+            break  # this order and the rest are left to the majorant
+        j += 1
+        t, rem = zeta_tail(float(p * j), cutoff)
+        est += c * t
+        mag += abs(c) * t
+        bound += abs(c) * rem
+        if j * log_q <= _LOG_EPS:
+            break
+    if scale > 0.0:
+        log_major = math.log(scale) + (1 - p) * log_k + j * log_q
+        bound += 2.0 * math.exp(log_major) / (p * (j + 1) - 1)
+    return est, bound + (3 + j) * EPS * mag
 
 
 def richardson(values: Sequence[float], step_ratio: float,

@@ -16,8 +16,8 @@ Two families of consequences of the closed forms live here.
 
       prod_{k in Z} ((y^n + k^n) / (x^n + k^n))^2
 
-  two ways: a truncated symmetric product accumulated in log space
-  (the cross-check), and the closed form
+  two ways: a symmetric partial product accumulated in log space, its
+  tail summed as zeta tails (the cross-check), and the closed form
 
       prod_{k=1}^n (cosh(2 pi y b_k) - cos(2 pi y a_k))
                  / (cosh(2 pi x b_k) - cos(2 pi x a_k))
@@ -26,21 +26,21 @@ Two families of consequences of the closed forms live here.
   uses the cancellation-free half-angle form
   cosh(2w) - cos(2v) = 2 sinh(w)^2 + 2 sin(v)^2; with x, y in (0, 1)
   and |a|, |b| <= 1 the arguments stay below 2 pi, so no scaling is
-  needed.  The reported err_estimate is |LHS - RHS| plus the
-  truncation tail, so disagreement between the two routes is never
-  hidden.
+  needed.  The reported err_estimate is |LHS - RHS| plus both routes'
+  bounds, so disagreement between the two routes is never hidden.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .closed import kernel_table, u_closed
 from .errors import DomainError, NonConvergentError
-from .numerics import EPS, zeta_tail, zeta_tail_upper, richardson
+from .numerics import EPS, richardson, series_tail
 from .types import (
     DEFAULT_TOLERANCE,
     EvalResult,
@@ -64,8 +64,9 @@ def zeta_even(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     """zeta(2n) as half the z -> 0 limit of U_2n(z) - z^(-2n).
 
     The limit quantity is exactly 2 sum_{k>=1} k^(-2n), so the series
-    is summed to a cutoff K with an Euler-Maclaurin estimate of the
-    rest; no cancellation occurs.  ``work`` is K.
+    is summed to a cutoff K and the rest is the one-coefficient
+    (c_1 = 1, p = 2n) case of :func:`series_tail`; no cancellation
+    occurs.  ``work`` is K.
 
     Raises NonConvergentError if the tail bound cannot meet tolerance
     within ``tol.max_terms`` terms (cannot happen for n >= 1 with sane
@@ -76,8 +77,8 @@ def zeta_even(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     cutoff = 16
     partial = float(np.sum(np.arange(cutoff, 0, -1, dtype=np.float64) ** (-s)))
     while True:
-        est, rem = zeta_tail(s, cutoff)
-        value = partial + est
+        est, rem = series_tail((1.0,), 2 * n, cutoff, 0.0, 0.0)
+        value = partial + est.real
         if rem <= 0.25 * tol.target(value):
             break
         if 2 * cutoff > int(tol.max_terms):
@@ -207,52 +208,68 @@ def _rhs_closed(n: int, x: float, y: float) -> EvalResult:
                       method=Method.CLOSED_FORM, work=n)
 
 
+def _log_coeffs(f: float, a: float, b: float) -> Iterator[float]:
+    """c_m = f (-1)^(m+1) (b^m - a^m) / m for m >= 1, the power series
+    of f (log(1 + b t) - log(1 + a t)) in t."""
+    pa, pb, m = a, b, 1
+    while True:
+        yield f * (pb - pa) / m
+        pa *= -a
+        pb *= -b
+        m += 1
+
+
 def _lhs_series(n: int, x: float, y: float, tol: Tolerance,
                 scale: float) -> EvalResult:
-    """Truncated symmetric product, accumulated as 2 sum of log ratios.
+    """Symmetric partial product plus corrected tail, as 2 sum of log ratios.
 
     The k = 0 factor contributes n log(y/x) analytically.  Pairs
     (k, -k) combine to an absolutely convergent term for both parities:
 
-        even n:  2 log1p((y^n - x^n) / (x^n + k^n))        ~ k^-n
-        odd n:   log1p((x^(2n) - y^(2n)) / (k^(2n)-x^(2n))) ~ k^-2n
+        even n:  2 log1p((y^n - x^n) / (x^n + k^n))
+                   = sum_m 2 (-1)^(m+1) (y^(nm) - x^(nm)) / m * k^(-nm)
+        odd n:   log1p((x^(2n) - y^(2n)) / (k^(2n) - x^(2n)))
+                   = -sum_m (y^(2nm) - x^(2nm)) / m * k^(-2nm)
 
-    so the tail after K obeys sum_{k>K} |term| <= C * zeta-tail with
-    C = 2(y^n - x^n) (even) or (y^(2n) - x^(2n))/(1 - y^(2n)) (odd).
-    The cutoff doubles until the tail meets 0.25 * tol.target(scale) or
-    the term budget is exhausted; a budget stop is not an error, it
-    just leaves a larger (honest) err_estimate on the cross-check.
+    so the terms beyond the cutoff K are a combination of zeta tails,
+    summed by :func:`series_tail` with |c_m| <= |c_1| y^(p (m-1)).  K
+    starts at 16 and doubles until the tail bound meets
+    0.25 * tol.target(scale) or the term budget is exhausted; a budget
+    stop is not an error, it just leaves a larger (honest) err_estimate
+    on the cross-check.
     """
     xn = x ** n
     yn = y ** n
-    if n % 2 == 0:
-        tail_coeff = 2.0 * (yn - xn)
-        tail_power = n
-    else:
-        tail_coeff = (yn * yn - xn * xn) / (1.0 - yn * yn)
-        tail_power = 2 * n
+    # the pair term is f log1p((b - a) / (k^p + a))
+    #               = f (log(1 + b k^-p) - log(1 + a k^-p))
+    f, a, b, p = (2.0, xn, yn, n) if n % 2 == 0 else (1.0, -xn * xn, -yn * yn, 2 * n)
     target = 0.25 * tol.target(scale) / max(scale, 1e-300)
     pair_sum = 0.0
+    cond = 0.0
     cutoff = 16
     lo = 1
     while True:
         ks = np.arange(lo, cutoff + 1, dtype=np.float64)
         with np.errstate(over="ignore"):
-            if n % 2 == 0:
-                u = (yn - xn) / (xn + ks ** n)
-                pair_sum += 2.0 * float(np.sum(np.log1p(u)))
-            else:
-                u = (xn * xn - yn * yn) / (ks ** (2 * n) - xn * xn)
-                pair_sum += float(np.sum(np.log1p(u)))
-        tail = tail_coeff * zeta_tail_upper(float(tail_power), cutoff)
-        if tail <= target or 2 * cutoff > int(tol.max_terms):
+            den = ks ** p + a
+            u = (b - a) / den
+            pair_sum += f * float(np.log1p(u).sum())
+            # log1p magnifies the error of its argument (a few ulps of
+            # |b| / den and of u) by 1 / (1 + u), large as y -> 1 at odd n
+            cond += f * float(((6.0 * abs(b) / den + 5.0 * abs(u)) / (1.0 + u)).sum())
+        tail, bound = series_tail(_log_coeffs(f, a, b), p, cutoff, f * abs(b - a), y)
+        if bound <= target or 2 * cutoff > int(tol.max_terms):
             break
         lo = cutoff + 1
         cutoff *= 2
-    log_lhs = 2.0 * (n * (math.log(y) - math.log(x)) + pair_sum)
+    log_lhs = 2.0 * (n * (math.log(y) - math.log(x)) + pair_sum + tail.real)
     value = math.exp(log_lhs)
-    err = value * (math.expm1(2.0 * tail)
-                   + EPS * (abs(log_lhs) + 2.0 * math.log2(cutoff + 2.0) + 8.0))
+    # log x and log y are good to half an ulp each and are multiplied by
+    # 2n; the rest is the pair terms' arguments and the rounding of the
+    # sums and of exp.
+    rounding = EPS * (n * (abs(math.log(x)) + abs(math.log(y))) + abs(log_lhs) + cond
+                      + 2.0 * math.log2(cutoff + 2.0) + 8.0)
+    err = value * (math.expm1(2.0 * bound) + rounding)
     return EvalResult(value=complex(value), err_estimate=err,
                       method=Method.DIRECT_SUM, work=2 * cutoff + 1)
 

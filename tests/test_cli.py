@@ -129,8 +129,9 @@ class TestEval:
         assert code == 2
 
     def test_budget_miss_is_exit_1(self, capsys):
+        # 20 terms are fewer than the 2 K0 + 1 = 33 of the starting cutoff.
         code, out, err = run_cli(["eval", "-n", "1", "-z", "0.5",
-                                  "--method", "direct", "--max-terms", "1000"],
+                                  "--method", "direct", "--max-terms", "20"],
                                  capsys)
         assert code == 1
         rec = parse_plain(out[0])
@@ -212,13 +213,13 @@ class TestProductCommand:
         assert [r["side"] for r in recs] == ["closed", "series"]
         assert abs(float(recs[0]["value_re"]) - 2.0) < 1e-8
 
-    def test_stock_defaults_report_shortfall(self, capsys):
-        # The series cross-check cannot certify 1e-10 inside the default
-        # term budget, so the stock invocation exits 1 by design.
+    def test_stock_defaults_meet_tolerance(self, capsys):
+        # The corrected series tail certifies the default 1e-10 target.
         code, out, err = run_cli(["product", "-n", "1", "-x", "0.25",
                                   "-y", "0.5"], capsys)
-        assert code == 1
-        assert abs(float(parse_plain(out[0])["value_re"]) - 2.0) < 1e-9
+        assert code == 0
+        rec = parse_plain(out[0])
+        assert abs(float(rec["value_re"]) - 2.0) <= float(rec["err_estimate"])
 
     def test_degenerate_is_exact(self, capsys):
         code, out, err = run_cli(["product", "-n", "1", "-x", "0.5",
@@ -309,9 +310,14 @@ class TestConfigFile:
         assert code == 0
 
     def test_flag_beats_config(self, tmp_path, capsys):
-        self._write_config(tmp_path, '{"abs_tol": 5e-7}')
+        # The config's budget suffices; the flag's is below the 33 terms
+        # of the starting cutoff.
+        self._write_config(tmp_path, '{"max_terms": 1000}')
         code, out, err = run_cli(["eval", "-n", "1", "-z", "0.5",
-                                  "--method", "direct", "--abs-tol", "1e-12"],
+                                  "--method", "direct"], capsys)
+        assert code == 0
+        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.5",
+                                  "--method", "direct", "--max-terms", "20"],
                                  capsys)
         assert code == 1
 

@@ -222,9 +222,18 @@ class TestTinyArgument:
         assert abs(res.value - 1e240) <= res.err_estimate
 
     def test_underflowed_denominator_raises(self):
-        # 2 sin^2(pi z) underflows: a domain error, never a division by 0.
+        # Below |z| ~ 5e-309 even the rescaled denominator is too small
+        # and U_1 ~ 1/z leaves the double range: a domain error, never
+        # an inf or a division by 0.
         with pytest.raises(DomainError):
-            u_closed(1, 1e-200)
+            u_closed(1, 1e-310)
+
+    def test_n1_below_normal_denominator(self):
+        # 2 sin^2(pi z) is subnormal below |z| ~ 5.8e-155; the kernel's
+        # exact rescaling keeps U_1 ~ 1/z evaluable down to ~1e-308.
+        for z in (1e-160, -1e-200, 1e-300, 1e-160 + 1e-161j):
+            res = u_closed(1, z)
+            assert abs(res.value - 1.0 / z) <= res.err_estimate
 
 
 class TestUnitCircleParts:

@@ -1,13 +1,14 @@
-"""Tests for direct summation: tail bounds, truncation planning, u_direct."""
+"""Tests for direct summation: the corrected tail, the cutoff rule, u_direct."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from cotlattice import DomainError, NonConvergentError, Method, Tolerance, u_direct
-from cotlattice.direct import plan_truncation, tail_bound
 from cotlattice.errors import InvalidCutoffError
+from cotlattice.numerics import series_tail
 
 LOOSE = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
 
@@ -19,45 +20,80 @@ def brute_sum(n, z, cutoff):
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
+def geometric(first, step):
+    c = first
+    while True:
+        yield c
+        c *= step
+
+
+def fsum_c(terms):
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
 class TestTailBound:
-    """tail_bound majorizes the discarded tail and shrinks with the cutoff."""
+    """series_tail sums expanded tails within its certified bound."""
 
     def test_majorizes_even(self):
-        z = 0.7
-        exact = (math.pi / z) / math.tanh(math.pi * z)
+        # sum_{k>K} 2/(k^2 + w), complex w, against the coth closed form
+        # of the whole series minus an exact partial sum (p = 2).
+        w = 0.3 + 0.2j
+        sw = cmath.sqrt(w)
+        whole = math.pi / sw / cmath.tanh(math.pi * sw)
         for cutoff in (16, 32, 128):
-            true_tail = abs(exact - brute_sum(2, z, cutoff).real)
-            assert tail_bound(2, z, cutoff) >= true_tail
+            partial = fsum_c([1.0 / w] + [2.0 / (k * k + w) for k in range(1, cutoff + 1)])
+            est, bound = series_tail(geometric(2.0, -w), 2, cutoff, 2.0, abs(w) ** 0.5)
+            # the reference itself is good to a few ulps of |whole|
+            assert abs(est - (whole - partial)) <= bound + 1e-14
 
     def test_majorizes_odd(self):
-        z = 0.4
-        reference = brute_sum(3, z, 20_000)
+        # sum_{k>K} 2w/(w^2 - k^6) (n = 3 pairs, p = 6), complex
+        # coefficients, against brute force to 20000 (remainder < 1e-21).
+        w = (0.4 + 0.3j) ** 3
         for cutoff in (16, 64):
-            true_tail = abs(reference - brute_sum(3, z, cutoff))
-            assert tail_bound(3, z, cutoff) >= true_tail
+            truth = fsum_c([2.0 * w / (w * w - float(k) ** 6)
+                            for k in range(cutoff + 1, 20_001)])
+            est, bound = series_tail(geometric(-2.0 * w, w * w), 6, cutoff,
+                                     2.0 * abs(w), abs(w) ** (1 / 3))
+            assert abs(est - truth) <= bound + 1e-21
+
+    def test_brute_force_p4(self):
+        # sum_{k>K} 2/(k^4 + w) with |w| near the limit q = 1/2.
+        for w in (25_000.0 + 15_000.0j, -30_000.0):
+            cutoff = 16
+            truth = fsum_c([2.0 / (float(k) ** 4 + w) for k in range(cutoff + 1, 200_001)])
+            est, bound = series_tail(geometric(2.0, -w), 4, cutoff, 2.0, abs(w) ** 0.25)
+            assert abs(est - truth) <= bound + 1e-15
+            assert bound < 1e-5 * abs(truth)
 
     def test_decreases_with_cutoff(self):
-        bounds = [tail_bound(2, 1.5, k) for k in (16, 32, 64, 128)]
+        w = 1.5 ** 2
+        bounds = [series_tail(geometric(2.0, -w), 2, k, 2.0, 1.5)[1] for k in (16, 32, 64, 128)]
         assert bounds == sorted(bounds, reverse=True)
         assert bounds[-1] < bounds[0] / 4
 
     def test_rejects_cutoff_inside_disc(self):
+        # (radius / K)^p > 1/2: the expansion's majorant does not hold.
         with pytest.raises(InvalidCutoffError):
-            tail_bound(2, 10.0, 8)
+            series_tail(geometric(2.0, -100.0), 2, 8, 2.0, 10.0)
 
 
 class TestPlanTruncation:
-    """plan_truncation doubles until the tail meets tolerance."""
+    """u_direct stops at the first doubling whose tail bound meets tolerance."""
 
     def test_meets_target(self):
-        plan = plan_truncation(2, 0.5, LOOSE)
-        assert plan.tail <= LOOSE.target(0.0)
-        assert tail_bound(2, 0.5, plan.cutoff) == plan.tail
+        tol = Tolerance(abs_tol=1e-13, rel_tol=0.0)
+        w = 0.5 ** 2
+        res = u_direct(2, 0.5, tol)
+        k = (res.work - 1) // 2
+        assert series_tail(geometric(2.0, -w), 2, k, 2.0, 0.5)[1] <= 1e-13
+        assert k == 16 or series_tail(geometric(2.0, -w), 2, k // 2, 2.0, 0.5)[1] > 1e-13
 
     def test_budget_exhaustion_raises(self):
-        tight = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_terms=1_000)
+        # The start K0 = 16 fits the budget, a doubling beyond 200 terms does not.
+        tight = Tolerance(abs_tol=1e-300, rel_tol=0.0, max_terms=200)
         with pytest.raises(NonConvergentError):
-            plan_truncation(1, 0.25, tight)
+            u_direct(1, 0.25, tight)
 
 
 class TestUDirect:
@@ -97,6 +133,13 @@ class TestUDirect:
         assert res.work % 2 == 1
         assert res.work >= 33
 
+    def test_work_counter_exact(self):
+        # 2K + 1 explicit terms at the starting K = 16.  Work counts do not
+        # depend on the machine; a bounded, uncorrected tail needed
+        # ~1.7e7 terms for this target.
+        tol = Tolerance(abs_tol=2.5e-7, rel_tol=0.0, max_terms=10**8)
+        assert u_direct(2, 0.3 + 0.2j, tol).work == 33
+
     def test_origin_even_excluded(self):
         with pytest.raises(DomainError):
             u_direct(2, 0.0)
@@ -106,6 +149,7 @@ class TestUDirect:
             u_direct(1, 3.0)
 
     def test_tight_budget_raises(self):
-        tight = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_terms=1_000)
+        # Below the 2 K0 + 1 = 33 terms of the starting cutoff.
+        tight = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_terms=20)
         with pytest.raises(NonConvergentError):
             u_direct(1, 0.25, tight)

@@ -95,7 +95,8 @@ class TestVerifyPoints:
         assert rep.summary.pairs_total == 0
 
     def test_tolerance_failures_are_recorded(self):
-        tiny = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_terms=1_000)
+        # 20 terms are fewer than the 2 K0 + 1 = 33 of the starting cutoff.
+        tiny = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_terms=20)
         rep = verify_points(((1, 0.25 + 0j),), ALL_METHODS, tiny)
         kinds = {r.method: r.error_kind for r in rep.runs}
         assert kinds[Method.DIRECT_SUM] == "tolerance"

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from cotlattice import (
+    DEFAULT_TOLERANCE,
     DomainError,
     NonConvergentError,
     Method,
@@ -165,6 +166,15 @@ class TestProductRatio:
         assert res.value == rhs.value
         assert res.err_estimate >= abs(lhs.value - rhs.value)
         assert res.work == lhs.work + rhs.work
+
+    def test_work_counter_exact(self):
+        # 33 series terms (K = 16, the corrected tail meets 1e-10 at once)
+        # plus the one factor of the order-1 closed form.  Work counts do
+        # not depend on the machine; a bounded, uncorrected tail needed the
+        # whole 1e7-term budget here.
+        res = product_ratio(ProductQuery(1, 0.25, 0.5))
+        assert res.work == 34
+        assert res.err_estimate <= DEFAULT_TOLERANCE.target(2.0)
 
     def test_odd_order_agrees_between_routes(self):
         lhs, rhs = product_parts(ProductQuery(3, 0.35, 0.65),
