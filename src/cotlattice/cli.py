@@ -36,6 +36,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .dyadic import MAX_LEVEL
@@ -96,6 +97,13 @@ _METHOD_FLAGS = {
     "closed": Method.CLOSED_FORM,
     "dyadic": Method.DYADIC_RECURSION,
     "theta": Method.THETA_INTEGRAL,
+}
+
+#: Why an explicitly requested method does not apply at order n.
+_ORDER_RULES = {
+    Method.DYADIC_RECURSION: "domain: dyadic recursion applies to orders n = 2^m "
+                             "with 1 <= m <= {max_level}, got n={n}",
+    Method.THETA_INTEGRAL: "domain: theta integral applies to even orders, got n={n}",
 }
 
 _TOL_FIELDS = ("abs_tol", "rel_tol", "max_terms", "max_nodes")
@@ -340,19 +348,12 @@ def cmd_eval(args: argparse.Namespace, tol: Tolerance) -> tuple[list[OutputRecor
     if args.method == "all":
         methods = applicable_methods(n, z, ALL_METHODS)
     else:
-        method = _METHOD_FLAGS[args.method]
-        if method is Method.DYADIC_RECURSION:
-            level = n.bit_length() - 1
-            if n != 2**level or not (1 <= level <= MAX_LEVEL):
-                raise DomainError(
-                    f"domain: dyadic recursion applies to orders n = 2^m "
-                    f"with 1 <= m <= {MAX_LEVEL}, got n={n}"
-                )
-        if method is Method.THETA_INTEGRAL and n % 2 != 0:
-            raise DomainError(
-                f"domain: theta integral applies to even orders, got n={n}"
-            )
-        methods = (method,)
+        methods = (_METHOD_FLAGS[args.method],)
+        # z = 1 meets every point condition, so only the order can rule
+        # the method out here; a point condition failing at z is the
+        # evaluator's to report, as a record.
+        if not applicable_methods(n, 1.0, methods):
+            raise DomainError(_ORDER_RULES[methods[0]].format(n=n, max_level=MAX_LEVEL))
     records: list[OutputRecord] = []
     code = 0
     for method in methods:
@@ -547,7 +548,11 @@ def _float_arg(text: str) -> float:
     return v
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every call:
+    parse_args leaves it unchanged, and building it costs more than most
+    subcommands.  Callers must not modify it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "csv", "json-lines"),
                         default="plain", help="output rendering (default plain)")

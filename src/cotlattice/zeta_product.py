@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -187,24 +188,61 @@ class ProductQuery:
         object.__setattr__(self, "y", y)
 
 
+@lru_cache(maxsize=None)
+def _product_rays(n: int) -> tuple[tuple[float, float, int, float, float], ...]:
+    """(a, b, mult, ka, kb) for each root ray of order n.
+
+    For w = pi t, ka |w| eps and kb |w| eps bound the errors of the
+    computed arguments w a and w b: 1.25 eps relative from pi and the
+    two products, and off the snapped rays an ulp of a and of b plus
+    their shift by the 1.5 eps rounding of theta.
+    """
+    rays = []
+    for theta, a, b, mult in kernel_table(n):
+        exact = a == 0.0 or b == 0.0
+        ka = 1.25 * abs(a) + (0.0 if exact else abs(a) + 1.5 * theta * abs(b))
+        kb = 1.25 * abs(b) + (0.0 if exact else abs(b) + 1.5 * theta * abs(a))
+        rays.append((a, b, mult, ka, kb))
+    return tuple(rays)
+
+
 def _rhs_closed(n: int, x: float, y: float) -> EvalResult:
     # Factor k of the closed form, in the half-angle form that never
     # cancels: cosh(2 pi t b) - cos(2 pi t a) = 2 sinh(pi t b)^2
     # + 2 sin(pi t a)^2.  The common factors of 2 cancel in the ratio,
     # and a conjugate pair of rays contributes its factor squared.
+    #
+    # Rounding, in eps relative to each half-angle sum: sin and sinh add
+    # an ulp each and pass their argument errors on with derivatives
+    # |cos| <= 1 and cosh <= 1 + |sinh|, weighted by each part's share
+    # of the sum (the squares and the sum add 1.5).  Near a zero of
+    # sin(pi y a) (y -> 1 on the axis ray) this charges the condition
+    # |pi y a / sin(pi y a)| in full.
     total = 1.0
-    for _, a, b, mult in kernel_table(n):
-        sh_y = math.sinh(math.pi * y * b)
-        sn_y = math.sin(math.pi * y * a)
-        sh_x = math.sinh(math.pi * x * b)
-        sn_x = math.sin(math.pi * x * a)
-        total *= ((sh_y * sh_y + sn_y * sn_y) / (sh_x * sh_x + sn_x * sn_x)) ** mult
+    rel = 0.0
+    wy = math.pi * y
+    wx = math.pi * x
+    for a, b, mult, ka, kb in _product_rays(n):
+        sn_y = math.sin(wy * a)
+        sh_y = math.sinh(wy * b)
+        sn_x = math.sin(wx * a)
+        sh_x = math.sinh(wx * b)
+        num = sh_y * sh_y + sn_y * sn_y
+        den = sh_x * sh_x + sn_x * sn_x
+        if den == 0.0:  # both parts underflowed at x
+            total = math.inf
+            break
+        total *= (num / den) ** mult
+        rel_y = 2.0 * wy * (abs(sn_y) * ka + abs(sh_y) * (1.0 + abs(sh_y)) * kb) / num
+        rel_x = 2.0 * wx * (abs(sn_x) * ka + abs(sh_x) * (1.0 + abs(sh_x)) * kb) / den
+        # each sum's own 3.5 and the quotient's rounding, then the
+        # power's and the product's
+        rel += mult * (rel_y + rel_x + 8.0) + 2.0
     if not (math.isfinite(total) and total > 0.0):
         raise DomainError(
             f"domain: closed product for n={n} on ({x}, {y}) left double range"
         )
-    err = total * EPS * (10.0 * n + 4.0)
-    return EvalResult(value=complex(total), err_estimate=err,
+    return EvalResult(value=complex(total), err_estimate=total * EPS * rel,
                       method=Method.CLOSED_FORM, work=n)
 
 

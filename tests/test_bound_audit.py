@@ -6,7 +6,8 @@ the rest.  It never uses the closed form.  A seeded hypothesis property
 checks |value - oracle| <= err_estimate for ``u_direct`` over orders
 1..64 and |z| in [1e-3, 1e3], real and complex, and for the series side
 of the product ratio; the points where earlier rounding models claimed
-too little are pinned as explicit cases.
+too little are pinned as explicit cases, one of them on the closed side
+of the product ratio.
 """
 
 import math
@@ -86,6 +87,14 @@ def test_direct_bound_holds(n, log_r, real, phase):
     z = complex(math.copysign(r, phase), 0.0) if real else complex(
         r * math.cos(phase), r * math.sin(phase))
     check_direct(n, z)
+
+
+def test_closed_product_near_one():
+    # On the axis ray sin(pi y a) = -sin(pi y) ~ pi (1 - y): the closed side
+    # loses ~1/(1 - y) of its relative accuracy, which a flat charge missed.
+    n, x, y = 3, 0.9916078, 0.9928835
+    _, rhs = product_parts(ProductQuery(n, x, y))
+    assert abs(rhs.value.real - product_oracle(n, x, y)) <= rhs.err_estimate
 
 
 @AUDIT

@@ -8,6 +8,7 @@ import shlex
 
 import pytest
 
+from cotlattice import u_theta
 from cotlattice.cli import (
     COLUMNS,
     format_complex,
@@ -295,6 +296,23 @@ class TestBenchCommand:
         assert all(int(r["wall_time_ns"]) > 0 for r in recs)
 
 
+class TestRepeatedMain:
+    """main builds its parser once per process; no run leaks into the next."""
+
+    def test_second_run_uses_its_own_flags(self, capsys):
+        argv = ["eval", "-n", "2", "-z", "0.7", "--method", "theta"]
+        code, out, err = run_cli(argv + ["--format", "csv", "--abs-tol", "1e-3"], capsys)
+        assert code == 0
+        assert out[0] == ",".join(COLUMNS)
+        loose = next(csv.DictReader(io.StringIO("\n".join(out))))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        rec = parse_plain(out[0])
+        stock = u_theta(1, 0.7)
+        assert int(rec["work"]) == stock.work > int(loose["work"])
+        assert float(rec["err_estimate"]) == stock.err_estimate
+
+
 class TestConfigFile:
     """Config file overrides defaults; flags override the config."""
 
@@ -304,9 +322,13 @@ class TestConfigFile:
         (cfg_dir / "config.json").write_text(body)
 
     def test_config_loosens_target(self, tmp_path, capsys):
+        # Rounding in the 400,005-term sum leaves an error bound of ~4.4e-10:
+        # above the stock 1e-10 target, within the config's 5e-7.
+        argv = ["eval", "-n", "1", "-z", "100000.5", "--method", "direct"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
         self._write_config(tmp_path, '{"abs_tol": 5e-7}')
-        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.5",
-                                  "--method", "direct"], capsys)
+        code, out, err = run_cli(argv, capsys)
         assert code == 0
 
     def test_flag_beats_config(self, tmp_path, capsys):

@@ -17,7 +17,8 @@ from cotlattice import (
     u_closed,
     u_theta,
 )
-from cotlattice.theta import psi_terms_needed
+from cotlattice.numerics import EPS
+from cotlattice.theta import _psi_t_array, psi_terms_needed
 
 PI_COTH_PI = 3.153348094937162  # pi * coth(pi) = U_2(1)
 
@@ -121,6 +122,58 @@ class TestPsi:
     def test_terms_needed_grows_as_t_shrinks(self):
         counts = [psi_terms_needed(1, t, 1e-12) for t in (1.0, 0.1, 0.01)]
         assert counts == sorted(counts)
+
+
+def kronrod_nodes(a, b):
+    """The 15 abscissae one Kronrod panel on [a, b] evaluates."""
+    seen = []
+    gk15_panel(lambda xs: seen.append(xs) or np.zeros_like(xs), a, b)
+    return seen[0]
+
+
+#: Panels [0, 2^-j] as the adaptive quadrature produces them next to t = 0,
+#: where the smallest node needs far more theta terms than the rest.
+T_PANELS = [kronrod_nodes(0.0, 2.0 ** -j) for j in range(21)]
+
+
+class TestPsiTArray:
+    """The vectorized theta series truncates each node at its own cut."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32])
+    def test_matches_scalar_psi(self, n):
+        tol = Tolerance(abs_tol=0.0, rel_tol=1e-16)
+        for ts in T_PANELS:
+            for t, v in zip(ts, _psi_t_array(n, ts)):
+                ref = psi(n, ThetaArg.from_t(t), tol)
+                # psi's bound plus two ulps for the array's own rounding
+                assert abs(v - ref.value.real) <= ref.err_estimate + 2 * EPS * v, (n, t)
+
+    def test_matches_jtheta(self):
+        mp = pytest.importorskip("mpmath").mp
+
+        def theta3(t):
+            t = mp.mpf(t)
+            if mp.exp(-t) < mp.THETA_Q_LIM:
+                return mp.jtheta(3, 0, mp.exp(-t))
+            # jtheta refuses q this close to 1; use Jacobi's transform
+            return mp.sqrt(mp.pi / t) * mp.jtheta(3, 0, mp.exp(-mp.pi ** 2 / t))
+
+        with mp.workdps(30):
+            for ts in T_PANELS:
+                for t, v in zip(ts, _psi_t_array(1, ts)):
+                    ref = theta3(t)
+                    assert abs(v - ref) <= 4 * EPS * ref, t
+
+    def test_past_cut_is_exactly_one(self):
+        ts = np.array([45.0 + 1e-12, 50.0, 60.0, 1e3])
+        assert _psi_t_array(1, ts).tolist() == [1.0] * 4
+        mixed = _psi_t_array(2, np.array([1e-6, 46.0]))
+        assert mixed[1] == 1.0 and mixed[0] > 1.0
+
+    def test_too_many_terms_raises(self):
+        # sqrt(45 / 1e-13) ~ 2.1e7 terms at the smallest node, over 1e7
+        with pytest.raises(QuadratureFailureError):
+            _psi_t_array(1, np.array([1e-13, 1.0]))
 
 
 class TestUTheta:

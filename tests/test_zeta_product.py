@@ -180,3 +180,9 @@ class TestProductRatio:
         lhs, rhs = product_parts(ProductQuery(3, 0.35, 0.65),
                                  Tolerance(abs_tol=1e-9, rel_tol=1e-9))
         assert abs(lhs.value - rhs.value) <= lhs.err_estimate + rhs.err_estimate
+
+    def test_out_of_range_is_domain_error(self):
+        # sin(pi x)^2 underflows to 0 at x = 1e-170; the ratio ~1e339 is
+        # out of range, not a division by zero.
+        with pytest.raises(DomainError):
+            product_ratio(ProductQuery(1, 1e-170, 0.5))
