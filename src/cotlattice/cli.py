@@ -5,11 +5,15 @@ plus the limit-path diagnostic), ``product`` (closed form plus the
 series cross-check), ``theta`` (psi values), ``verify``
 (pairwise agreement report), and ``bench`` (work and wall-time table).
 
-Every line of output is one record with a fixed superset of fields
-(see docs/output_schema.md); ``--format`` renders the records as
+Every line of output is one record: a row of ``COLUMNS``, held as a
+dict keyed by column name in which an absent key is an unset field
+(see docs/output_schema.md).  ``--format`` renders the records as
 ``plain`` key=value lines, ``csv`` with a header row, or
 ``json-lines``.  Numeric fields are printed with 17 significant
-digits, so parsing a record back recovers the exact doubles.
+digits, so parsing a record back recovers the exact doubles.  ``eval``,
+``verify`` and ``bench`` evaluate through the harness's
+:func:`~cotlattice.verify.run_method`, so a failed method is a record
+with ``error`` set in all three.
 
 Exit codes: 0 when every gating computation met its tolerance, 1 on a
 tolerance shortfall, 2 on usage or domain errors.  Diagnostic records
@@ -35,7 +39,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -45,6 +48,7 @@ from .theta import ThetaArg, psi
 from .types import (
     DEFAULT_TOLERANCE,
     DomainStatus,
+    EvalResult,
     Method,
     Tolerance,
     validate_domain,
@@ -53,9 +57,11 @@ from .verify import (
     ALL_METHODS,
     DEFAULT_BENCH_GRID,
     DEFAULT_VERIFY_GRID,
+    MethodRun,
+    PairCheck,
     applicable_methods,
     bench_points,
-    evaluate_method,
+    run_method,
     verify_points,
 )
 from .zeta_product import (
@@ -67,7 +73,6 @@ from .zeta_product import (
 )
 
 __all__ = [
-    "OutputRecord",
     "COLUMNS",
     "parse_complex",
     "format_complex",
@@ -91,13 +96,6 @@ _FLOAT_BODY = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
     rf"^([+-]?{_FLOAT_BODY})(?:([+-]{_FLOAT_BODY})i)?$"
 )
-
-_METHOD_FLAGS = {
-    "direct": Method.DIRECT_SUM,
-    "closed": Method.CLOSED_FORM,
-    "dyadic": Method.DYADIC_RECURSION,
-    "theta": Method.THETA_INTEGRAL,
-}
 
 #: Why an explicitly requested method does not apply at order n.
 _ORDER_RULES = {
@@ -141,92 +139,35 @@ def format_complex(z: complex) -> str:
     return f"{_fmt_float(z.real)}{sign}{im}i"
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One output line; unset fields render empty (csv), or are omitted
-    (plain, json-lines).  `value` expands to value_re/value_im."""
-
-    record: str
-    n: int | None = None
-    z: complex | None = None
-    x: float | None = None
-    y: float | None = None
-    q: float | None = None
-    side: str | None = None
-    method: str | None = None
-    method_b: str | None = None
-    value: complex | None = None
-    err_estimate: float | None = None
-    delta: float | None = None
-    bound: float | None = None
-    work: int | None = None
-    wall_time_ns: int | None = None
-    passed: bool | None = None
-    error: str | None = None
-    pairs_passed: int | None = None
-    pairs_total: int | None = None
-    schema_version: int | None = None
-
-    def cells(self) -> dict[str, object]:
-        """Column name -> native value, in COLUMNS order, None for unset."""
-        out: dict[str, object] = {}
-        for col in COLUMNS:
-            if col == "value_re":
-                out[col] = None if self.value is None else complex(self.value).real
-            elif col == "value_im":
-                out[col] = None if self.value is None else complex(self.value).imag
-            else:
-                out[col] = getattr(self, col)
-        return out
-
-
-_FLOAT_COLUMNS = frozenset(
-    {"x", "y", "q", "value_re", "value_im", "err_estimate", "delta", "bound"}
-)
-
-
 def _render_cell(col: str, v: object) -> str:
     if v is None:
         return ""
     if col == "z":
         return format_complex(v)  # type: ignore[arg-type]
-    if col == "passed":
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if col in _FLOAT_COLUMNS:
-        return _fmt_float(v)  # type: ignore[arg-type]
+    if isinstance(v, float):
+        return _fmt_float(v)
     return str(v)
 
 
-def _emit(records: list[OutputRecord], fmt: str, out) -> None:
+def _emit(records: list[dict[str, object]], fmt: str, out) -> None:
+    """Write records, dicts keyed by COLUMNS names with absent keys
+    unset, in one of the three formats."""
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(COLUMNS)
-        for r in records:
-            cells = r.cells()
-            writer.writerow([_render_cell(c, cells[c]) for c in COLUMNS])
-    elif fmt == "json-lines":
-        for r in records:
-            cells = r.cells()
-            obj: dict[str, object] = {}
-            for c in COLUMNS:
-                v = cells[c]
-                if v is None:
-                    continue
-                obj[c] = format_complex(v) if c == "z" else v
-            out.write(json.dumps(obj) + "\n")
-    else:
-        for r in records:
-            cells = r.cells()
-            parts = []
-            for c in COLUMNS:
-                v = cells[c]
-                if v is None:
-                    continue
-                text = _render_cell(c, v)
-                if c == "error":
-                    text = json.dumps(text)
-                parts.append(f"{c}={text}")
-            out.write(" ".join(parts) + "\n")
+        writer.writerows([_render_cell(c, r.get(c)) for c in COLUMNS] for r in records)
+        return
+    for r in records:
+        cols = [c for c in COLUMNS if c in r]
+        if fmt == "json-lines":
+            line = json.dumps({c: format_complex(r[c]) if c == "z" else r[c] for c in cols})
+        else:
+            line = " ".join(
+                f"{c}={json.dumps(r[c]) if c == 'error' else _render_cell(c, r[c])}"
+                for c in cols)
+        out.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +193,9 @@ def load_config() -> dict[str, float | int]:
     """Read tolerance overrides from the config file, if any.
 
     The file is a JSON object whose keys are a subset of abs_tol,
-    rel_tol, max_terms, max_nodes.  Unknown keys or non-numeric values
-    are usage errors, not warnings: a typo should not silently revert
-    to defaults.
+    rel_tol, max_terms, max_nodes.  Unknown keys, non-numeric values
+    and budgets that are not whole numbers are usage errors, not
+    warnings: a typo should not silently revert to defaults.
     """
     path = _config_path()
     if path is None:
@@ -274,7 +215,10 @@ def load_config() -> dict[str, float | int]:
             )
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise _UsageError(f"config: {path}: {key} must be a number, got {raw!r}")
-        out[key] = int(raw) if key in ("max_terms", "max_nodes") else float(raw)
+        budget = key in ("max_terms", "max_nodes")
+        if budget and isinstance(raw, float) and not raw.is_integer():  # or inf, nan
+            raise _UsageError(f"config: {path}: {key} must be a whole number, got {raw!r}")
+        out[key] = int(raw) if budget else float(raw)
     return out
 
 
@@ -334,11 +278,42 @@ def parse_grid_file(path: str) -> tuple[tuple[int, complex], ...]:
 # subcommands
 
 
-def _met(res_err: float, value: complex, tol: Tolerance) -> bool:
-    return res_err <= tol.target(abs(value))
+def _cells(res: MethodRun | EvalResult) -> dict[str, object]:
+    """The method, value, err_estimate and work cells of a result, or
+    the method and error cells of a failed run."""
+    error = getattr(res, "error", None)
+    if error is not None:
+        return {"method": res.method.value, "error": error}
+    value = complex(res.value)
+    return {"method": res.method.value, "value_re": value.real,
+            "value_im": value.imag, "err_estimate": res.err_estimate,
+            "work": res.work}
 
 
-def cmd_eval(args: argparse.Namespace, tol: Tolerance) -> tuple[list[OutputRecord], int]:
+def _timed(record: dict[str, object], fn, *args):
+    """fn(*args), its wall time stored in record["wall_time_ns"] even
+    when it raises."""
+    t0 = time.perf_counter_ns()
+    try:
+        return fn(*args)
+    finally:
+        record["wall_time_ns"] = time.perf_counter_ns() - t0
+
+
+def _missed(res: MethodRun | EvalResult, tol: Tolerance) -> bool:
+    return res.err_estimate > tol.target(abs(res.value))
+
+
+def _exit_code(runs, missed: bool) -> int:
+    """2 if a run failed on a domain or usage error, else 1 on a
+    tolerance error or a missed target, else 0."""
+    kinds = {r.error_kind for r in runs}
+    if kinds & {"domain", "usage"}:
+        return 2
+    return 1 if missed or "tolerance" in kinds else 0
+
+
+def cmd_eval(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]:
     n, z = args.n, args.z
     status = validate_domain(n, z)
     if status is DomainStatus.EXCLUDED:
@@ -348,91 +323,51 @@ def cmd_eval(args: argparse.Namespace, tol: Tolerance) -> tuple[list[OutputRecor
     if args.method == "all":
         methods = applicable_methods(n, z, ALL_METHODS)
     else:
-        methods = (_METHOD_FLAGS[args.method],)
+        methods = (Method(args.method),)
         # z = 1 meets every point condition, so only the order can rule
         # the method out here; a point condition failing at z is the
         # evaluator's to report, as a record.
         if not applicable_methods(n, 1.0, methods):
             raise DomainError(_ORDER_RULES[methods[0]].format(n=n, max_level=MAX_LEVEL))
-    records: list[OutputRecord] = []
-    code = 0
-    for method in methods:
-        t0 = time.perf_counter_ns()
-        try:
-            res = evaluate_method(method, n, z, tol)
-        except (DomainError, ToleranceError) as exc:
-            elapsed = time.perf_counter_ns() - t0
-            records.append(OutputRecord(
-                record="eval", n=n, z=z, method=method.value,
-                wall_time_ns=elapsed, error=str(exc)))
-            code = max(code, 2 if isinstance(exc, DomainError) else 1)
-            continue
-        elapsed = time.perf_counter_ns() - t0
-        records.append(OutputRecord(
-            record="eval", n=n, z=z, method=res.method.value, value=res.value,
-            err_estimate=res.err_estimate, work=res.work, wall_time_ns=elapsed))
-        if not _met(res.err_estimate, res.value, tol):
-            code = max(code, 1)
-    return records, code
+    runs = [run_method(m, n, z, tol) for m in methods]
+    records = [{"record": "eval", "n": n, "z": z, "wall_time_ns": run.wall_time_ns,
+                **_cells(run)} for run in runs]
+    return records, _exit_code(runs, any(r.ok and _missed(r, tol) for r in runs))
 
 
-def cmd_zeta(args: argparse.Namespace, tol: Tolerance) -> tuple[list[OutputRecord], int]:
+def cmd_zeta(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]:
     n = args.n
-    t0 = time.perf_counter_ns()
-    res = zeta_even(n, tol)
-    elapsed = time.perf_counter_ns() - t0
-    records = [OutputRecord(
-        record="zeta", n=n, side="series", method=res.method.value,
-        value=res.value, err_estimate=res.err_estimate, work=res.work,
-        wall_time_ns=elapsed)]
-    code = 0 if _met(res.err_estimate, res.value, tol) else 1
-    t0 = time.perf_counter_ns()
+    series: dict[str, object] = {"record": "zeta", "n": n, "side": "series"}
+    res = _timed(series, zeta_even, n, tol)
+    series.update(_cells(res))
+    limit: dict[str, object] = {"record": "zeta", "n": n, "side": "limit",
+                                "method": Method.CLOSED_FORM.value}
     try:
-        diag = zeta_limit_diagnostic(n, tol)
+        diag = _timed(limit, zeta_limit_diagnostic, n, tol)
     except ToleranceError as exc:
-        elapsed = time.perf_counter_ns() - t0
-        records.append(OutputRecord(
-            record="zeta", n=n, side="limit", method=Method.CLOSED_FORM.value,
-            wall_time_ns=elapsed, error=str(exc)))
+        limit["error"] = str(exc)
     else:
-        elapsed = time.perf_counter_ns() - t0
-        records.append(OutputRecord(
-            record="zeta", n=n, side="limit", method=Method.CLOSED_FORM.value,
-            value=complex(diag.extrapolated), err_estimate=diag.err_estimate,
-            work=2 * n * len(diag.samples), wall_time_ns=elapsed))
-    return records, code
+        limit.update(_cells(EvalResult(
+            value=diag.extrapolated, err_estimate=diag.err_estimate,
+            method=Method.CLOSED_FORM, work=2 * n * len(diag.samples))))
+    return [series, limit], _exit_code((), _missed(res, tol))
 
 
-def cmd_product(args: argparse.Namespace, tol: Tolerance) -> tuple[list[OutputRecord], int]:
+def cmd_product(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]:
     query = ProductQuery(n=args.n, x=args.x, y=args.y)
-    t0 = time.perf_counter_ns()
-    lhs, rhs = product_parts(query, tol)
-    elapsed = time.perf_counter_ns() - t0
+    point: dict[str, object] = {"record": "product", "n": query.n, "x": query.x, "y": query.y}
+    lhs, rhs = _timed(point, product_parts, query, tol)
     primary = compose_ratio(lhs, rhs)
-    records = [
-        OutputRecord(record="product", n=query.n, x=query.x, y=query.y,
-                     side="closed", method=primary.method.value,
-                     value=primary.value, err_estimate=primary.err_estimate,
-                     work=primary.work, wall_time_ns=elapsed),
-        OutputRecord(record="product", n=query.n, x=query.x, y=query.y,
-                     side="series", method=lhs.method.value, value=lhs.value,
-                     err_estimate=lhs.err_estimate, work=lhs.work,
-                     wall_time_ns=elapsed),
-    ]
-    code = 0 if _met(primary.err_estimate, primary.value, tol) else 1
-    return records, code
+    records = [{**point, "side": "closed", **_cells(primary)},
+               {**point, "side": "series", **_cells(lhs)}]
+    return records, _exit_code((), _missed(primary, tol))
 
 
-def cmd_theta(args: argparse.Namespace, tol: Tolerance) -> tuple[list[OutputRecord], int]:
-    arg = ThetaArg.from_q(args.q)
-    t0 = time.perf_counter_ns()
-    res = psi(args.n, arg, tol)
-    elapsed = time.perf_counter_ns() - t0
-    records = [OutputRecord(
-        record="theta", n=args.n, q=args.q, method=res.method.value,
-        value=res.value, err_estimate=res.err_estimate, work=res.work,
-        wall_time_ns=elapsed)]
-    return records, 0 if _met(res.err_estimate, res.value, tol) else 1
+def cmd_theta(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]:
+    record: dict[str, object] = {"record": "theta", "n": args.n, "q": args.q}
+    res = _timed(record, psi, args.n, ThetaArg.from_q(args.q), tol)
+    record.update(_cells(res))
+    return [record], _exit_code((), _missed(res, tol))
 
 
 def _grid_points(args: argparse.Namespace, stock) -> tuple[
@@ -443,78 +378,33 @@ def _grid_points(args: argparse.Namespace, stock) -> tuple[
     return parse_grid_file(args.grid), ALL_METHODS
 
 
-def _harness_exit(error_kinds: list[str | None], all_ok: bool) -> int:
-    if all_ok:
-        return 0
-    kinds = {k for k in error_kinds if k is not None}
-    return 2 if kinds & {"domain", "usage"} else 1
+def _pair_cells(pair: PairCheck) -> dict[str, object]:
+    return {"n": pair.n, "z": pair.z, "method": pair.method_a.value,
+            "method_b": pair.method_b.value, "delta": pair.delta,
+            "bound": pair.bound, "passed": pair.passed}
 
 
-def cmd_verify(args: argparse.Namespace, tol: Tolerance) -> tuple[list[OutputRecord], int]:
+def cmd_verify(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]:
     points, methods = _grid_points(args, DEFAULT_VERIFY_GRID)
     report = verify_points(points, methods, tol)
-    records: list[OutputRecord] = []
-    for run in report.runs:
-        records.append(OutputRecord(
-            record="verify-run", n=run.n, z=run.z, method=run.method.value,
-            value=run.value if run.ok else None,
-            err_estimate=run.err_estimate if run.ok else None,
-            work=run.work if run.ok else None,
-            passed=run.ok, error=run.error))
-    for pair in report.pairs:
-        records.append(OutputRecord(
-            record="verify-pair", n=pair.n, z=pair.z,
-            method=pair.method_a.value, method_b=pair.method_b.value,
-            delta=pair.delta, bound=pair.bound, passed=pair.passed))
-    worst = report.summary.worst
-    records.append(OutputRecord(
-        record="verify-summary",
-        n=worst.n if worst else None, z=worst.z if worst else None,
-        method=worst.method_a.value if worst else None,
-        method_b=worst.method_b.value if worst else None,
-        delta=report.summary.max_delta if worst else None,
-        bound=worst.bound if worst else None,
-        passed=report.all_pass,
-        pairs_passed=report.summary.pairs_passed,
-        pairs_total=report.summary.pairs_total,
-        schema_version=report.schema_version))
-    code = _harness_exit([r.error_kind for r in report.runs], report.all_pass)
-    return records, code
+    records: list[dict] = [{"record": "verify-run", "n": run.n, "z": run.z,
+                            **_cells(run), "passed": run.ok} for run in report.runs]
+    records += [{"record": "verify-pair", **_pair_cells(pair)} for pair in report.pairs]
+    summary = report.summary
+    records.append({
+        "record": "verify-summary",
+        **(_pair_cells(summary.worst) if summary.worst else {}),
+        "passed": report.all_pass, "pairs_passed": summary.pairs_passed,
+        "pairs_total": summary.pairs_total, "schema_version": report.schema_version})
+    return records, _exit_code(report.runs, not report.all_pass)
 
 
-def cmd_bench(args: argparse.Namespace, tol: Tolerance) -> tuple[list[OutputRecord], int]:
+def cmd_bench(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]:
     points, methods = _grid_points(args, DEFAULT_BENCH_GRID)
     rows = bench_points(points, methods, tol)
-    records = []
-    for row in rows:
-        records.append(OutputRecord(
-            record="bench", n=row.n, z=row.z, method=row.method.value,
-            value=row.value if row.error is None else None,
-            err_estimate=row.err_estimate if row.error is None else None,
-            work=row.work if row.error is None else None,
-            wall_time_ns=row.wall_time_ns, error=row.error))
-    code = _harness_exit([r.error_kind for r in rows],
-                         all(r.error is None for r in rows))
-    return records, code
-
-
-_HANDLERS = {
-    "eval": cmd_eval,
-    "zeta": cmd_zeta,
-    "product": cmd_product,
-    "theta": cmd_theta,
-    "verify": cmd_verify,
-    "bench": cmd_bench,
-}
-
-_BASE_TOLERANCES = {
-    "eval": DEFAULT_TOLERANCE,
-    "zeta": DEFAULT_TOLERANCE,
-    "product": DEFAULT_TOLERANCE,
-    "theta": DEFAULT_TOLERANCE,
-    "verify": DEFAULT_VERIFY_GRID.tol,
-    "bench": DEFAULT_BENCH_GRID.tol,
-}
+    records = [{"record": "bench", "n": row.n, "z": row.z,
+                "wall_time_ns": row.wall_time_ns, **_cells(row)} for row in rows]
+    return records, _exit_code(rows, False)
 
 
 # ---------------------------------------------------------------------------
@@ -580,31 +470,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation point, as 'a', 'a+bi', or 'a-bi'")
     p.add_argument("--method", choices=("direct", "closed", "dyadic", "theta", "all"),
                    default="all", help="evaluation route (default all applicable)")
+    p.set_defaults(handler=cmd_eval, base_tol=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("zeta", parents=[common],
                        help="zeta(2n): series value plus limit-path diagnostic")
     p.add_argument("-n", type=_order_arg, required=True, help="zeta index (value is zeta(2n))")
+    p.set_defaults(handler=cmd_zeta, base_tol=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("product", parents=[common],
                        help="squared product ratio over 0 < x <= y < 1")
     p.add_argument("-n", type=_order_arg, required=True, help="series order")
     p.add_argument("-x", type=_float_arg, required=True, help="lower endpoint in (0,1)")
     p.add_argument("-y", type=_float_arg, required=True, help="upper endpoint in (0,1)")
+    p.set_defaults(handler=cmd_product, base_tol=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("theta", parents=[common],
                        help="theta series Psi_n(q) for nome q in (0,1)")
     p.add_argument("-n", type=_order_arg, required=True, help="theta index")
     p.add_argument("-q", type=_float_arg, required=True, help="nome in (0,1)")
+    p.set_defaults(handler=cmd_theta, base_tol=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("verify", parents=[common],
                        help="cross-method agreement report over a grid")
     p.add_argument("--grid", default="default",
                    help="'default' or a grid file of 'n <int> z <complex>' lines")
+    p.set_defaults(handler=cmd_verify, base_tol=DEFAULT_VERIFY_GRID.tol)
 
     p = sub.add_parser("bench", parents=[common],
                        help="work and wall-time table over a grid")
     p.add_argument("--grid", default="default",
                    help="'default' or a grid file of 'n <int> z <complex>' lines")
+    p.set_defaults(handler=cmd_bench, base_tol=DEFAULT_BENCH_GRID.tol)
     return parser
 
 
@@ -613,8 +509,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config()
-        tol = resolve_tolerance(args, config, _BASE_TOLERANCES[args.command])
-        records, code = _HANDLERS[args.command](args, tol)
+        tol = resolve_tolerance(args, config, args.base_tol)
+        records, code = args.handler(args, tol)
     except ToleranceError as exc:
         print(f"cotlattice: {exc}", file=sys.stderr)
         return 1

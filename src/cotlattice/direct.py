@@ -172,7 +172,7 @@ def u_direct(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
             f"{where}: starting cutoff K={k} already exceeds max_terms={tol.max_terms}"
         )
     w = ipow(z, n)
-    if w == 0:
+    if w == 0 or not math.isfinite(1.0 / abs(w)):
         raise DomainError(
             f"domain: z^{n} underflows double range at z={z}; the k=0 term "
             "1/z^n is not representable"

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 from .closed import u_closed
 from .direct import u_direct
@@ -40,46 +38,25 @@ from .types import (
     validate_domain,
 )
 
-__all__ = ["DyadicLevel", "MAX_LEVEL", "dyadic_level", "phi"]
+__all__ = ["MAX_LEVEL", "phi"]
 
 #: Deepest supported level; the series exponent 2^m reaches 1024 here and
 #: z^(2^(m-1)) would under/overflow doubles soon after.
 MAX_LEVEL = 10
 
-
-@dataclass(frozen=True)
-class DyadicLevel:
-    """Rotations used to descend from level m to level m - 1."""
-
-    m: int
-    rotation_pos: complex  # exp(i pi 2^-m): maps to +i z^(2^(m-1))
-    rotation_neg: complex  # exp(3 i pi 2^-m): maps to -i z^(2^(m-1))
-
-
-@lru_cache(maxsize=None)
-def dyadic_level(m: int) -> DyadicLevel:
-    """Rotation pair for level m >= 1."""
-    require_order(m)
-    ang = math.pi * 2.0**-m
-    return DyadicLevel(
-        m=m,
-        rotation_pos=cmath.exp(1j * ang),
-        rotation_neg=cmath.exp(3j * ang),
-    )
-
-
-def _base_eval(z: complex, tol: Tolerance, base: Method) -> EvalResult:
-    if base is Method.CLOSED_FORM:
-        res = u_closed(2, z, tol)
-    else:
-        res = u_direct(2, z, tol)
-    return res
+#: The rotations (r_neg, r_pos) = (exp(3 i pi 2^-m), exp(i pi 2^-m))
+#: that descend from level m to m - 1, indexed by m:
+#: (r_neg z)^(2^(m-1)) = -i z^(2^(m-1)) and (r_pos z)^(2^(m-1)) = +i z^(2^(m-1)).
+_ROTATIONS = tuple(
+    (cmath.exp(3j * (math.pi * 2.0**-m)), cmath.exp(1j * (math.pi * 2.0**-m)))
+    for m in range(MAX_LEVEL + 1)
+)
 
 
 def _phi_rec(m: int, z: complex, tol: Tolerance, base: Method) -> EvalResult:
     if m == 1:
-        return _base_eval(z, tol, base)
-    level = dyadic_level(m)
+        return u_closed(2, z, tol) if base is Method.CLOSED_FORM else u_direct(2, z, tol)
+    rotation_neg, rotation_pos = _ROTATIONS[m]
     half = 2 ** (m - 1)
     zp = ipow(z, half)
     denom = 2j * zp
@@ -89,8 +66,8 @@ def _phi_rec(m: int, z: complex, tol: Tolerance, base: Method) -> EvalResult:
             "evaluate via u_closed instead"
         )
     try:
-        res_neg = _phi_rec(m - 1, level.rotation_neg * z, tol, base)
-        res_pos = _phi_rec(m - 1, level.rotation_pos * z, tol, base)
+        res_neg = _phi_rec(m - 1, rotation_neg * z, tol, base)
+        res_pos = _phi_rec(m - 1, rotation_pos * z, tol, base)
     except RecursionPoleError:
         raise
     except DomainError as exc:
@@ -108,6 +85,10 @@ def _phi_rec(m: int, z: complex, tol: Tolerance, base: Method) -> EvalResult:
     # when a and b nearly cancel.
     err = (res_neg.err_estimate + res_pos.err_estimate + 2.0 * EPS * abs_sum) / scale
     err += 4.0 * EPS * abs(value)
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise DomainError(
+            f"domain: |U_{2 ** m}({z})| exceeds double range at recursion level m={m}"
+        )
     return EvalResult(
         value=value,
         err_estimate=err,

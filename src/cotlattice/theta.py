@@ -40,7 +40,7 @@ from .types import (
     require_order,
 )
 
-__all__ = ["ThetaArg", "psi", "psi_terms_needed", "u_theta"]
+__all__ = ["ThetaArg", "psi", "u_theta"]
 
 #: e^(-45) ~ 2.9e-20: theta terms beyond this exponent cannot move any
 #: double-precision target supported here.
@@ -71,16 +71,6 @@ class ThetaArg:
         if not (math.isfinite(t) and t > 0.0):
             raise DomainError(f"domain: theta exponent t must be > 0, got {t!r}")
         return cls(q=math.exp(-t), t=t)
-
-
-def psi_terms_needed(n: int, t: float, threshold: float) -> int:
-    """Smallest K with 2 e^(-t (K+1)^(2n)) < threshold (and t k^(2n) <= 45)."""
-    require_order(n)
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
-    cut = min(_EXP_CUT, -math.log(threshold / 2.0)) if threshold < 2.0 else 0.0
-    cut = max(cut, t)  # at least one term
-    return max(1, math.ceil((cut / t) ** (1.0 / (2 * n))))
 
 
 def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
@@ -139,14 +129,14 @@ def _psi_t_array(n: int, ts: np.ndarray) -> np.ndarray:
     tmin = float(np.min(ts))
     if tmin <= 0.0:
         raise ValueError("theta series requires t > 0")
-    kmax = psi_terms_needed(n, tmin, math.exp(-_EXP_CUT))
+    two_n = 2 * n
+    kcut = (_EXP_CUT / ts) ** (1.0 / two_n)  # node i keeps k <= kcut[i]
+    kmax = math.ceil(kcut.max())
     if kmax > 10_000_000:
         raise QuadratureFailureError(
             f"theta series at t={tmin:.3g} needs ~{kmax} terms per node; "
             "the quadrature has subdivided deeper than the series can support"
         )
-    two_n = 2 * n
-    kcut = (_EXP_CUT / ts) ** (1.0 / two_n)  # node i keeps k <= kcut[i]
     acc = np.zeros_like(ts)
     active = np.flatnonzero(kcut >= 1.0)
     start, width = 1, 8

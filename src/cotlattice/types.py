@@ -21,6 +21,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .numerics import ipow
+
 __all__ = [
     "Method",
     "DomainStatus",
@@ -168,26 +170,12 @@ def validate_domain(n: int, z: complex, pole_eps: float = POLE_EPS) -> DomainSta
     # Work with z/s and k/s so no power overflows for candidates with
     # |k| close to |z|; far-out candidates overflow to inf harmlessly.
     s = max(1.0, az)
-    zsn = _ipow_complex(z / s, n)
+    zsn = ipow(z / s, n)
     azn = abs(zsn)
     signs = (1.0,) if n % 2 == 0 else (1.0, -1.0)
     for k in range(max(1, math.ceil(az - 2.0)), math.floor(az + 2.0) + 1):
         for sign in signs:
-            ksn = _ipow_complex(sign * k / s, n)
+            ksn = ipow(sign * k / s, n)
             if abs(ksn + zsn) < pole_eps * max(abs(ksn), azn):
                 return DomainStatus.POLE
     return DomainStatus.OK
-
-
-def _ipow_complex(base: complex, e: int) -> complex:
-    # Binary exponentiation; float multiply overflow yields inf without
-    # raising, which the caller's magnitude test handles correctly.
-    result = complex(1.0)
-    b = complex(base)
-    m = e
-    while m:
-        if m & 1:
-            result *= b
-        b *= b
-        m >>= 1
-    return result

@@ -45,6 +45,7 @@ __all__ = [
     "VerifyReport",
     "applicable_methods",
     "evaluate_method",
+    "run_method",
     "run_verify",
     "verify_points",
     "run_bench",
@@ -149,15 +150,11 @@ class VerifySummary:
 class VerifyReport:
     """Full outcome of a verification run.
 
-    ``points`` echoes the evaluated (n, z) pairs in order.  ``all_pass``
-    is True iff every pairwise check passed and no requested evaluation
-    failed; it is the single bit CI should gate on.  ``schema_version``
-    pins the field layout for diffing.
+    ``all_pass`` is True iff every pairwise check passed and no
+    requested evaluation failed; it is the single bit CI should gate
+    on.  ``schema_version`` pins the field layout for diffing.
     """
 
-    points: tuple[tuple[int, complex], ...]
-    methods: tuple[Method, ...]
-    tol: Tolerance
     runs: tuple[MethodRun, ...]
     pairs: tuple[PairCheck, ...]
     summary: VerifySummary
@@ -224,7 +221,9 @@ def _error_kind(exc: Exception) -> str:
     return "usage"
 
 
-def _run(method: Method, n: int, z: complex, tol: Tolerance) -> MethodRun:
+def run_method(method: Method, n: int, z: complex, tol: Tolerance) -> MethodRun:
+    """Evaluate one method at (n, z), timed; an evaluator error becomes
+    the run's ``error`` instead of propagating."""
     t0 = time.perf_counter_ns()
     try:
         res = evaluate_method(method, n, z, tol)
@@ -260,11 +259,10 @@ def verify_points(points: tuple[tuple[int, complex], ...],
     Entries appear in input order (point-major, then method), so
     identical inputs produce identical reports.
     """
-    pts = _points(points, "verify")
     runs: list[MethodRun] = []
     pairs: list[PairCheck] = []
-    for n, z in pts:
-        point_runs = [_run(m, n, z, tol) for m in applicable_methods(n, z, methods)]
+    for n, z in _points(points, "verify"):
+        point_runs = [run_method(m, n, z, tol) for m in applicable_methods(n, z, methods)]
         good = [r for r in point_runs if r.ok]
         for i, ra in enumerate(good):
             for rb in good[i + 1:]:
@@ -281,8 +279,7 @@ def verify_points(points: tuple[tuple[int, complex], ...],
         runs_total=len(runs), runs_failed=failed, pairs_total=len(pairs),
         pairs_passed=passed, max_delta=worst.delta if worst else 0.0, worst=worst,
     )
-    return VerifyReport(points=pts, methods=tuple(methods), tol=tol,
-                        runs=tuple(runs), pairs=tuple(pairs), summary=summary,
+    return VerifyReport(runs=tuple(runs), pairs=tuple(pairs), summary=summary,
                         all_pass=(failed == 0 and passed == len(pairs)))
 
 
@@ -302,7 +299,7 @@ def bench_points(points: tuple[tuple[int, complex], ...],
     cutoff growing with |z| at fixed tolerance.  Failures are recorded,
     not raised, so a bench over a mixed grid always completes.
     """
-    return tuple(_run(m, n, z, tol) for n, z in _points(points, "bench")
+    return tuple(run_method(m, n, z, tol) for n, z in _points(points, "bench")
                  for m in applicable_methods(n, z, methods))
 
 

@@ -229,10 +229,11 @@ def _rhs_closed(n: int, x: float, y: float) -> EvalResult:
         sh_x = math.sinh(wx * b)
         num = sh_y * sh_y + sn_y * sn_y
         den = sh_x * sh_x + sn_x * sn_x
-        if den == 0.0:  # both parts underflowed at x
+        try:
+            total *= (num / den) ** mult
+        except (ZeroDivisionError, OverflowError):  # a factor leaves double range
             total = math.inf
             break
-        total *= (num / den) ** mult
         rel_y = 2.0 * wy * (abs(sn_y) * ka + abs(sh_y) * (1.0 + abs(sh_y)) * kb) / num
         rel_x = 2.0 * wx * (abs(sn_x) * ka + abs(sh_x) * (1.0 + abs(sh_x)) * kb) / den
         # each sum's own 3.5 and the quotient's rounding, then the

@@ -349,8 +349,113 @@ class TestConfigFile:
         assert code == 2
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("body", [
+        '{"max_terms": Infinity}', '{"max_terms": 1e400}',
+        '{"max_nodes": NaN}', '{"max_terms": 2.5}',
+    ])
+    def test_budget_must_be_whole(self, tmp_path, capsys, body):
+        self._write_config(tmp_path, body)
+        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.3"], capsys)
+        assert code == 2
+        assert out == []
+        assert err.startswith("cotlattice: config: ") and "whole number" in err
+
+    def test_integral_float_budget_accepted(self, tmp_path, capsys):
+        # 10 terms are below the 33 of the starting cutoff: the budget
+        # reached the evaluator as an int.
+        self._write_config(tmp_path, '{"max_terms": 1e1}')
+        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.5",
+                                  "--method", "direct"], capsys)
+        assert code == 1
+        assert parse_plain(out[0])["error"].endswith("max_terms=10")
+
     def test_explicit_missing_config_rejected(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("COTLATTICE_CONFIG", str(tmp_path / "absent.json"))
         code, out, err = run_cli(["eval", "-n", "1", "-z", "0.3"], capsys)
         assert code == 2
         assert "COTLATTICE_CONFIG" in err
+
+
+#: The cells a successful run carries, and those of a failed one.
+RESULT = {"method", "value_re", "value_im", "err_estimate", "work"}
+FAILED = {"method", "error"}
+PAIR = {"n", "z", "method", "method_b", "delta", "bound", "passed"}
+SUMMARY = {"passed", "pairs_passed", "pairs_total", "schema_version"}
+
+#: (argv, grid file text, exit code, {(record, non-empty columns)}).
+RECORD_CASES = [
+    # direct misses its 20-term budget, closed succeeds
+    (["eval", "-n", "1", "-z", "0.5", "--max-terms", "20"], None, 1, {
+        ("eval", frozenset({"record", "n", "z", "wall_time_ns"} | RESULT)),
+        ("eval", frozenset({"record", "n", "z", "wall_time_ns"} | FAILED)),
+    }),
+    (["zeta", "-n", "1"], None, 0, {
+        ("zeta", frozenset({"record", "n", "side", "wall_time_ns"} | RESULT)),
+    }),
+    # z^(-400) leaves double range at every ladder point of the limit side
+    (["zeta", "-n", "200"], None, 0, {
+        ("zeta", frozenset({"record", "n", "side", "wall_time_ns"} | RESULT)),
+        ("zeta", frozenset({"record", "n", "side", "wall_time_ns"} | FAILED)),
+    }),
+    (["product", "-n", "1", "-x", "0.25", "-y", "0.5"], None, 0, {
+        ("product", frozenset({"record", "n", "x", "y", "side", "wall_time_ns"} | RESULT)),
+    }),
+    (["theta", "-n", "1", "-q", "0.1"], None, 0, {
+        ("theta", frozenset({"record", "n", "q", "wall_time_ns"} | RESULT)),
+    }),
+    (["verify"], "n 1 z 0.5\nn 2 z 0\n", 2, {
+        ("verify-run", frozenset({"record", "n", "z", "passed"} | RESULT)),
+        ("verify-run", frozenset({"record", "n", "z", "passed"} | FAILED)),
+        ("verify-pair", frozenset({"record"} | PAIR)),
+        ("verify-summary", frozenset({"record"} | PAIR | SUMMARY)),
+    }),
+    (["verify"], "n 2 z 0\n", 2, {
+        ("verify-run", frozenset({"record", "n", "z", "passed"} | FAILED)),
+        ("verify-summary", frozenset({"record"} | SUMMARY)),
+    }),
+    (["bench"], "n 1 z 0.5\nn 2 z 0\n", 2, {
+        ("bench", frozenset({"record", "n", "z", "wall_time_ns"} | RESULT)),
+        ("bench", frozenset({"record", "n", "z", "wall_time_ns"} | FAILED)),
+    }),
+]
+
+
+def _same_cell(text, native):
+    """A plain or csv cell decodes to the json-lines value."""
+    if isinstance(native, bool):
+        return text == ("true" if native else "false")
+    if isinstance(native, (int, float)):
+        return float(text) == native
+    return text == native
+
+
+class TestRecordColumns:
+    """Each record type carries its own set of columns, the same in all
+    three formats."""
+
+    @pytest.mark.parametrize("argv, grid, code, expected", RECORD_CASES)
+    def test_columns(self, tmp_path, capsys, argv, grid, code, expected):
+        if grid is not None:
+            path = tmp_path / "grid.txt"
+            path.write_text(grid)
+            argv = argv + ["--grid", str(path)]
+        decoded = {}
+        for fmt in ("plain", "csv", "json-lines"):
+            got, out, err = run_cli(argv + ["--format", fmt], capsys)
+            assert got == code, err
+            if fmt == "plain":
+                decoded[fmt] = [parse_plain(line) for line in out]
+            elif fmt == "csv":
+                assert out[0] == ",".join(COLUMNS)
+                decoded[fmt] = [{c: v for c, v in row.items() if v != ""}
+                                for row in csv.DictReader(io.StringIO("\n".join(out)))]
+            else:
+                decoded[fmt] = [json.loads(line) for line in out]
+        kinds = {(r["record"], frozenset(r)) for r in decoded["json-lines"]}
+        assert kinds == expected
+        for text_fmt in ("plain", "csv"):
+            assert len(decoded[text_fmt]) == len(decoded["json-lines"])
+            for rec, native in zip(decoded[text_fmt], decoded["json-lines"]):
+                assert list(rec) == list(native)
+                assert all(_same_cell(rec[c], native[c]) for c in native
+                           if c != "wall_time_ns")

@@ -18,7 +18,7 @@ from cotlattice import (
     u_theta,
 )
 from cotlattice.numerics import EPS
-from cotlattice.theta import _psi_t_array, psi_terms_needed
+from cotlattice.theta import _psi_t_array
 
 PI_COTH_PI = 3.153348094937162  # pi * coth(pi) = U_2(1)
 
@@ -118,10 +118,6 @@ class TestPsi:
     def test_work_is_odd_term_count(self):
         res = psi(1, ThetaArg.from_q(0.1))
         assert res.work % 2 == 1
-
-    def test_terms_needed_grows_as_t_shrinks(self):
-        counts = [psi_terms_needed(1, t, 1e-12) for t in (1.0, 0.1, 0.01)]
-        assert counts == sorted(counts)
 
 
 def kronrod_nodes(a, b):

@@ -7,14 +7,19 @@ import pytest
 
 from cotlattice import (
     DEFAULT_TOLERANCE,
+    DomainError,
     DomainStatus,
     EvalResult,
     Method,
+    ProductQuery,
     Tolerance,
+    phi,
+    product_ratio,
+    u_direct,
     validate_domain,
 )
 from cotlattice.numerics import Kahan, ipow, richardson, zeta_tail, zeta_tail_upper
-from cotlattice.types import _ipow_complex, require_finite_scalar, require_order
+from cotlattice.types import require_finite_scalar, require_order
 
 ZETA2 = math.pi**2 / 6.0
 
@@ -138,9 +143,9 @@ class TestValidateDomain:
         def brute(n, z):
             az = abs(z)
             s = max(1.0, az)
-            zsn = _ipow_complex(z / s, n)
+            zsn = ipow(z / s, n)
             for k in range(-int(az + 2.0), int(az + 2.0) + 1):
-                ksn = _ipow_complex(k / s, n)
+                ksn = ipow(k / s, n)
                 if k != 0 and abs(ksn + zsn) < 1e-12 * max(abs(ksn), abs(zsn)):
                     return DomainStatus.POLE
             return DomainStatus.OK
@@ -163,6 +168,23 @@ class TestValidateDomain:
             assert status is brute(n, z), (n, z)
             statuses.add(status)
         assert statuses == {DomainStatus.OK, DomainStatus.POLE}
+
+
+@pytest.mark.parametrize("call", [
+    # z^n subnormal: 1/z^n, the k = 0 term, overflows
+    lambda: u_direct(512, 0.25),
+    lambda: u_direct(64, 1.0723265072253539e-05),
+    # U_(2^m)(z) itself overflows
+    lambda: phi(9, 0.25),
+    lambda: phi(8, 0.05),
+    # one closed-form factor overflows
+    lambda: product_ratio(ProductQuery(8, 6.422082031909381e-142, 0.01410156631713621)),
+])
+def test_out_of_range_value_is_domain_error(call):
+    """A value past the double range is a DomainError, never a bare
+    ValueError from EvalResult or an OverflowError."""
+    with pytest.raises(DomainError, match="double range"):
+        call()
 
 
 class TestIpow:
