@@ -6,10 +6,10 @@ built from the odd (2k-1)pi/n unit-circle angles (`u_closed`), a
 dyadic recursion that halves the order at each level (`phi`), and a
 Laplace-transform route through theta series and adaptive quadrature
 (`u_theta`).  On top of the evaluators sit extractors for zeta(2n)
-(`zeta_even`, `zeta_limit_diagnostic`), unit-circle decompositions
-(`unit_circle_parts`), squared infinite-product ratios
-(`product_ratio`), and a cross-method verification and benchmarking
-harness (`verify_points`, `bench_points`).
+(`zeta_even`, and `zeta_contour` through the closed form), unit-circle
+decompositions (`unit_circle_parts`), squared infinite-product ratios
+(`product_ratio`), and a cross-method verification harness
+(`verify_points`).
 
 Every evaluation returns an `EvalResult` carrying the value, an error
 estimate that is a bound, not a guess, the method tag, and a work
@@ -30,7 +30,6 @@ from .errors import (
     RecursionPoleError,
     ToleranceError,
 )
-from .quadrature import QuadratureResult, gk15_panel, integrate_adaptive
 from .theta import ThetaArg, psi, u_theta
 from .types import (
     DEFAULT_TOLERANCE,
@@ -43,26 +42,17 @@ from .types import (
 from .verify import (
     ALL_METHODS,
     SCHEMA_VERSION,
-    GridSpec,
     MethodRun,
-    PairCheck,
     VerifyReport,
     VerifySummary,
     applicable_methods,
-    bench_points,
-    evaluate_method,
-    run_bench,
-    run_verify,
     verify_points,
 )
 from .zeta_product import (
     ProductQuery,
-    ZetaExtraction,
-    compose_ratio,
-    product_parts,
     product_ratio,
+    zeta_contour,
     zeta_even,
-    zeta_limit_diagnostic,
 )
 
 __version__ = "0.1.0"
@@ -94,29 +84,17 @@ __all__ = [
     "psi",
     "u_theta",
     "ThetaArg",
-    "gk15_panel",
-    "integrate_adaptive",
-    "QuadratureResult",
     # zeta and products
     "zeta_even",
-    "zeta_limit_diagnostic",
-    "ZetaExtraction",
+    "zeta_contour",
     "ProductQuery",
-    "product_parts",
-    "compose_ratio",
     "product_ratio",
     # verification harness
     "ALL_METHODS",
     "SCHEMA_VERSION",
-    "GridSpec",
     "MethodRun",
-    "PairCheck",
     "VerifySummary",
     "VerifyReport",
     "applicable_methods",
-    "evaluate_method",
     "verify_points",
-    "bench_points",
-    "run_verify",
-    "run_bench",
 ]

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``eval`` (one record per method), ``zeta`` (series value
-plus the limit-path diagnostic), ``product`` (closed form plus the
+plus the contour-mean limit), ``product`` (closed form plus the
 series cross-check), ``theta`` (psi values), ``verify``
 (pairwise agreement report), and ``bench`` (work and wall-time table).
 
@@ -17,7 +17,7 @@ with ``error`` set in all three.
 
 Exit codes: 0 when every gating computation met its tolerance, 1 on a
 tolerance shortfall, 2 on usage or domain errors.  Diagnostic records
-(the zeta limit path and the product series cross-check) report their
+(the zeta limit side and the product series cross-check) report their
 own accuracy but do not gate the exit code.
 
 Tolerances resolve in three layers: built-in defaults, then an
@@ -60,7 +60,6 @@ from .verify import (
     MethodRun,
     PairCheck,
     applicable_methods,
-    bench_points,
     run_method,
     verify_points,
 )
@@ -68,8 +67,8 @@ from .zeta_product import (
     ProductQuery,
     compose_ratio,
     product_parts,
+    zeta_contour,
     zeta_even,
-    zeta_limit_diagnostic,
 )
 
 __all__ = [
@@ -340,16 +339,8 @@ def cmd_zeta(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]
     series: dict[str, object] = {"record": "zeta", "n": n, "side": "series"}
     res = _timed(series, zeta_even, n, tol)
     series.update(_cells(res))
-    limit: dict[str, object] = {"record": "zeta", "n": n, "side": "limit",
-                                "method": Method.CLOSED_FORM.value}
-    try:
-        diag = _timed(limit, zeta_limit_diagnostic, n, tol)
-    except ToleranceError as exc:
-        limit["error"] = str(exc)
-    else:
-        limit.update(_cells(EvalResult(
-            value=diag.extrapolated, err_estimate=diag.err_estimate,
-            method=Method.CLOSED_FORM, work=2 * n * len(diag.samples))))
+    limit: dict[str, object] = {"record": "zeta", "n": n, "side": "limit"}
+    limit.update(_cells(_timed(limit, zeta_contour, n, tol)))
     return [series, limit], _exit_code((), _missed(res, tol))
 
 
@@ -401,10 +392,10 @@ def cmd_verify(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], in
 
 def cmd_bench(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]:
     points, methods = _grid_points(args, DEFAULT_BENCH_GRID)
-    rows = bench_points(points, methods, tol)
-    records = [{"record": "bench", "n": row.n, "z": row.z,
-                "wall_time_ns": row.wall_time_ns, **_cells(row)} for row in rows]
-    return records, _exit_code(rows, False)
+    runs = verify_points(points, methods, tol).runs
+    records = [{"record": "bench", "n": run.n, "z": run.z,
+                "wall_time_ns": run.wall_time_ns, **_cells(run)} for run in runs]
+    return records, _exit_code(runs, False)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +508,13 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, DomainError, ValueError) as exc:
         print(f"cotlattice: {exc}", file=sys.stderr)
         return 2
-    _emit(records, args.format, sys.stdout)
+    try:
+        _emit(records, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (``cotlattice bench | head -1``): point
+        # stdout at devnull so the interpreter's final flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -93,12 +93,12 @@ def kernel_table(n: int) -> tuple[RootRay, ...]:
     return tuple(rays)
 
 
-def _kernel(a: float, b: float, w: complex, sing: float, r: float = 1.0) -> complex:
+def _kernel(a: float, b: float, w: complex, r: float = 1.0) -> complex:
     """[a sin x + b sinh y] / [cosh y - cos x] at x = w a, y = w b.
 
     ``w`` is 2 pi z, a float for real z (evaluated with ``math``) or a
-    complex (``cmath``).  ``sing`` is the relative size below which the
-    denominator counts as vanished.  Below exponential scale 30 the
+    complex (``cmath``).  The denominator counts as vanished below
+    ``_SING_EPS`` relative to its addends.  Below exponential scale 30 the
     half-angle numerator and denominator are both multiplied by r^2,
     where r is a power of two (exact) that keeps the denominator from
     underflowing near z = 0; see :func:`u_closed`.
@@ -115,7 +115,7 @@ def _kernel(a: float, b: float, w: complex, sing: float, r: float = 1.0) -> comp
         if r != 1.0:
             sh, sn, num = sh * r, sn * r, num * r * r
         den = 2.0 * sh * sh + 2.0 * sn * sn
-        if abs(den) < sing * (1.0 + abs(m.cosh(y)) + abs(m.cos(x))):
+        if abs(den) < _SING_EPS * (1.0 + abs(m.cosh(y)) + abs(m.cos(x))):
             _singular(x, y)
         return num / den
     if real_in:
@@ -136,7 +136,7 @@ def _kernel(a: float, b: float, w: complex, sing: float, r: float = 1.0) -> comp
     num = a * (fp - fm) / 2j + b * (ep - em) / 2.0
     den = (ep + em - fp - fm) / 2.0
     scale = (abs(ep) + abs(em) + abs(fp) + abs(fm)) / 2.0 + math.exp(-scale_exp)
-    if abs(den) < sing * scale:
+    if abs(den) < _SING_EPS * scale:
         _singular(x, y)
     return num / den
 
@@ -202,7 +202,7 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     tot = 0.0
     abs_tot = 0.0
     for _, a, b, mult in kernel_table(n):
-        f = mult * _kernel(a, b, w, _SING_EPS, r)
+        f = mult * _kernel(a, b, w, r)
         tot += f
         abs_tot += abs(f)
     return _finish(n, z, complex(tot), abs_tot)

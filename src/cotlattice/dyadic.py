@@ -14,7 +14,7 @@ branch, i^t = exp(i pi t / 2); the orientation (which rotation is the
 minuend) is fixed by that branch choice and cross-checked against
 direct summation in the test suite.
 
-The base case phi_1 = U_2 is evaluated by a selectable method; the
+The base case phi_1 = U_2 is the closed form pi coth(pi z) / z; the
 recursion itself costs 2^(m-1) base evaluations.
 """
 
@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 from .closed import u_closed
-from .direct import u_direct
 from .errors import DomainError, RecursionPoleError
 from .numerics import EPS, ipow
 from .types import (
@@ -53,9 +53,9 @@ _ROTATIONS = tuple(
 )
 
 
-def _phi_rec(m: int, z: complex, tol: Tolerance, base: Method) -> EvalResult:
+def _phi_rec(m: int, z: complex, tol: Tolerance) -> EvalResult:
     if m == 1:
-        return u_closed(2, z, tol) if base is Method.CLOSED_FORM else u_direct(2, z, tol)
+        return u_closed(2, z, tol)
     rotation_neg, rotation_pos = _ROTATIONS[m]
     half = 2 ** (m - 1)
     zp = ipow(z, half)
@@ -66,8 +66,8 @@ def _phi_rec(m: int, z: complex, tol: Tolerance, base: Method) -> EvalResult:
             "evaluate via u_closed instead"
         )
     try:
-        res_neg = _phi_rec(m - 1, rotation_neg * z, tol, base)
-        res_pos = _phi_rec(m - 1, rotation_pos * z, tol, base)
+        res_neg = _phi_rec(m - 1, rotation_neg * z, tol)
+        res_pos = _phi_rec(m - 1, rotation_pos * z, tol)
     except RecursionPoleError:
         raise
     except DomainError as exc:
@@ -97,20 +97,13 @@ def _phi_rec(m: int, z: complex, tol: Tolerance, base: Method) -> EvalResult:
     )
 
 
-def phi(
-    m: int,
-    z: complex,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    base: Method = Method.CLOSED_FORM,
-) -> EvalResult:
+def phi(m: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     """Evaluate phi_m(z) = U_(2^m)(z) by the halving recursion.
 
     Args:
         m: recursion level, 1 <= m <= 10; the series order is 2^m.
         z: evaluation point, z != 0.
         tol: tolerance forwarded to the base evaluations.
-        base: method for the phi_1 = U_2 base case; DIRECT_SUM or
-            CLOSED_FORM.
 
     Returns:
         EvalResult tagged DYADIC_RECURSION; work is the summed base
@@ -138,18 +131,7 @@ def phi(
     status = validate_domain(2**m, z)
     if status is not DomainStatus.OK:
         raise DomainError(f"domain: U_{2 ** m} at z={z}: {status.value}")
-    if not isinstance(base, Method):
-        raise TypeError(f"base must be a Method, got {base!r}")
-    if base not in (Method.CLOSED_FORM, Method.DIRECT_SUM):
-        raise ValueError(f"base must be CLOSED_FORM or DIRECT_SUM, got {base}")
-    res = _phi_rec(m, complex(z), tol, base)
-    if m == 1:
-        # Base case carries the base method's tag; the contract is that
-        # phi always reports the recursion method.
-        res = EvalResult(
-            value=res.value,
-            err_estimate=res.err_estimate,
-            method=Method.DYADIC_RECURSION,
-            work=res.work,
-        )
-    return res
+    res = _phi_rec(m, complex(z), tol)
+    # The base case carries the closed form's tag; the contract is that
+    # phi always reports the recursion method.
+    return replace(res, method=Method.DYADIC_RECURSION) if m == 1 else res

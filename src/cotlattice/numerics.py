@@ -1,11 +1,11 @@
 """Small numeric building blocks: compensated accumulation, integer
-powers, zeta-style tail estimates, and Richardson extrapolation."""
+powers, and zeta-style tail estimates."""
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidCutoffError
 
@@ -15,7 +15,6 @@ __all__ = [
     "zeta_tail",
     "zeta_tail_upper",
     "series_tail",
-    "richardson",
 ]
 
 EPS = 2.0 ** -52
@@ -143,48 +142,3 @@ def series_tail(coeffs: Iterable[complex], p: int, cutoff: int,
         log_major = math.log(scale) + (1 - p) * log_k + j * log_q
         bound += 2.0 * math.exp(log_major) / (p * (j + 1) - 1)
     return est, bound + (3 + j) * EPS * mag
-
-
-def richardson(values: Sequence[float], step_ratio: float,
-               noise: Sequence[float] | None = None) -> tuple[float, float]:
-    """Extrapolate a sequence v_i = L + c1 h_i + c2 h_i^2 + ... to h -> 0.
-
-    ``values[i]`` corresponds to step h_i = h_0 / step_ratio**i.  Builds
-    the standard triangular table
-
-        T[i][m] = (r^m T[i+1][m-1] - T[i][m-1]) / (r^m - 1)
-
-    and returns the entry with the smallest combined difference from its
-    parents (a Ridders-style stopping rule), so samples whose refinement
-    has sunk below the noise floor do not poison the answer.  ``noise``
-    optionally supplies a per-sample noise magnitude that is propagated
-    through the table and added to the reported error.
-
-    Returns (best_value, err_estimate).
-    """
-    n = len(values)
-    if n < 2:
-        raise ValueError("richardson needs at least 2 values")
-    if step_ratio <= 1.0:
-        raise ValueError(f"step_ratio must exceed 1, got {step_ratio}")
-    col = list(values)
-    ncol = list(noise) if noise is not None else [0.0] * n
-    best = col[-1]
-    best_err = abs(col[-1] - col[-2]) + ncol[-1]
-    for m in range(1, n):
-        factor = step_ratio ** m
-        nxt: list[float] = []
-        nnxt: list[float] = []
-        for i in range(n - m):
-            t = (factor * col[i + 1] - col[i]) / (factor - 1.0)
-            tn = (factor * ncol[i + 1] + ncol[i]) / (factor - 1.0)
-            err = abs(t - col[i + 1]) + abs(t - col[i]) + tn
-            if err < best_err:
-                best, best_err = t, err
-            nxt.append(t)
-            nnxt.append(tn)
-        col, ncol = nxt, nnxt
-    # The samples are rounded doubles, so a perfectly collapsed table
-    # still cannot certify below their ulp scale.
-    floor = 4.0 * EPS * max(abs(v) for v in values)
-    return best, max(best_err, floor)

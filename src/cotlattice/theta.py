@@ -45,6 +45,8 @@ __all__ = ["ThetaArg", "psi", "u_theta"]
 #: e^(-45) ~ 2.9e-20: theta terms beyond this exponent cannot move any
 #: double-precision target supported here.
 _EXP_CUT = 45.0
+#: Below this t, 45/t and the k^(2n) <= 45/t the series needs overflow.
+_T_FLOOR = 2.0 ** -1017
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,14 @@ class ThetaArg:
         return cls(q=math.exp(-t), t=t)
 
 
+def _kpow(k: int, two_n: int) -> float:
+    """k^(2n), or +inf past the double range, where e^(-t k^(2n)) = 0."""
+    try:
+        return float(k) ** two_n
+    except OverflowError:
+        return math.inf
+
+
 def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     """Evaluate Psi_n(q) = 1 + 2 sum_{k>=1} q^(k^(2n)).
 
@@ -93,7 +103,8 @@ def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult
     lost = 0.0  # what the additions to total have rounded away
     k = 0
     while True:
-        nxt = 2.0 * math.exp(-t * float(k + 1) ** two_n)
+        head = _kpow(k + 1, two_n)
+        nxt = 2.0 * math.exp(-t * head)
         if nxt < 0.25 * tol.target(total):
             break
         k += 1
@@ -106,11 +117,8 @@ def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult
                 f"psi(n={n}, q={arg.q}): {k} terms exceed max_terms="
                 f"{tol.max_terms} before meeting tolerance"
             )
-    gap = float(k + 2) ** two_n - float(k + 1) ** two_n
-    ratio = math.exp(-t * gap)
-    tail = 2.0 * math.exp(-t * float(k + 1) ** two_n)
-    if ratio < 1.0:
-        tail /= 1.0 - ratio
+    ratio = math.exp(-t * (_kpow(k + 2, two_n) - head)) if nxt > 0.0 else 0.0
+    tail = nxt / (1.0 - ratio) if ratio < 1.0 else nxt
     err = tail + abs(lost) + 4.0 * EPS * total * (1.0 + t)
     return EvalResult(
         value=complex(total), err_estimate=err, method=Method.DIRECT_SUM, work=2 * k + 1
@@ -118,8 +126,8 @@ def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult
 
 
 def _psi_t_array(n: int, ts: np.ndarray) -> np.ndarray:
-    """Psi_n(e^(-t)) for an array of t > 0, each node truncated at its
-    own t k^(2n) > 45.
+    """Psi_n(e^(-t)) for an array of t >= _T_FLOOR, each node truncated
+    at its own t k^(2n) > 45.
 
     Terms are summed in blocks of k of growing width (8, 16, ... up to
     200,000), each over the nodes whose cut lies beyond the block start,
@@ -127,8 +135,8 @@ def _psi_t_array(n: int, ts: np.ndarray) -> np.ndarray:
     smallest t among the nodes.  A node with t > 45 returns exactly 1.
     """
     tmin = float(np.min(ts))
-    if tmin <= 0.0:
-        raise ValueError("theta series requires t > 0")
+    if tmin < _T_FLOOR:
+        raise ValueError(f"theta series requires t >= {_T_FLOOR:.3g}, got {tmin:.3g}")
     two_n = 2 * n
     kcut = (_EXP_CUT / ts) ** (1.0 / two_n)  # node i keeps k <= kcut[i]
     kmax = math.ceil(kcut.max())
@@ -194,8 +202,19 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
 
     def integrand_u(us: np.ndarray) -> np.ndarray:
         tsub = us ** (2 * n)
+        try:
+            psis = _psi_t_array(n, tsub)
+        except ValueError:
+            # Some t = u^(2n) < _T_FLOOR: there Psi_n(e^(-t)) <= 1 + 2 Gamma(1
+            # + 1/(2n)) t^(-1/(2n)), so the integrand is at most 6n t^((n-1)/n):
+            # 0 unless that can move the target (n = 1 reaches no such node).
+            if 6.0 * n * _T_FLOOR ** ((n - 1) / n) > EPS * abs_target:
+                raise QuadratureFailureError(
+                    f"theta integrand for U_{2 * n} at z={z} needs nodes u^{2 * n} "
+                    f"< {_T_FLOOR:.3g}, where its series leaves double range")
+            live = tsub >= _T_FLOOR
+            return np.where(live, integrand_u(np.where(live, us, 1.0)), 0.0)
         pref = (2 * n) * us ** (2 * n - 1)
-        psis = _psi_t_array(n, tsub)
         if s.imag == 0.0:
             return pref * psis * np.exp(-tsub * r)
         return pref * psis * np.exp(-tsub * s)

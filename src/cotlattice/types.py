@@ -122,12 +122,12 @@ class EvalResult:
             raise ValueError(f"err_estimate must be finite and >= 0, got {self.err_estimate!r}")
 
 
-def require_order(n: int, minimum: int = 1) -> int:
+def require_order(n: int) -> int:
     """Validate a series order.  Returns n as a plain int."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError(f"order n must be an int, got {type(n).__name__}")
-    if n < minimum:
-        raise ValueError(f"order n must be >= {minimum}, got {n}")
+    if n < 1:
+        raise ValueError(f"order n must be >= 1, got {n}")
     return n
 
 
@@ -139,7 +139,7 @@ def require_finite_scalar(z: complex, name: str = "z") -> complex:
     return w
 
 
-def validate_domain(n: int, z: complex, pole_eps: float = POLE_EPS) -> DomainStatus:
+def validate_domain(n: int, z: complex) -> DomainStatus:
     """Classify the point (n, z) for the lattice sum over 1/(k^n + z^n).
 
     Returns ``EXCLUDED`` for even n at z = 0 (the singular point of the
@@ -152,7 +152,7 @@ def validate_domain(n: int, z: complex, pole_eps: float = POLE_EPS) -> DomainSta
     (-k)^n = k^n).  Vanishing is tested relative to the size of the
     candidate addends,
 
-        |k^n + z^n| < pole_eps * max(|k|^n, |z|^n),
+        |k^n + z^n| < POLE_EPS * max(|k|^n, |z|^n),
 
     which catches the near-cancellations that would destroy accuracy
     while never flagging a small-but-honest denominator (for |z| < 1
@@ -176,6 +176,6 @@ def validate_domain(n: int, z: complex, pole_eps: float = POLE_EPS) -> DomainSta
     for k in range(max(1, math.ceil(az - 2.0)), math.floor(az + 2.0) + 1):
         for sign in signs:
             ksn = ipow(sign * k / s, n)
-            if abs(ksn + zsn) < pole_eps * max(abs(ksn), azn):
+            if abs(ksn + zsn) < POLE_EPS * max(abs(ksn), azn):
                 return DomainStatus.POLE
     return DomainStatus.OK

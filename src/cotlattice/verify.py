@@ -1,17 +1,16 @@
-"""Cross-method verification and benchmarking harness.
+"""Cross-method verification harness.
 
-``run_verify`` evaluates every applicable method at every grid point
-and checks all pairwise agreements against the combined error bounds.
+``verify_points`` evaluates every applicable method at every point and
+checks all pairwise agreements against the combined error bounds.
 Because each route rests on different analysis (truncated summation,
 the finite kernel form, the halving recursion, the Laplace integral),
 pairwise agreement within stated bounds is strong evidence that both
 the values and the error estimates are trustworthy; the report is the
 machine-checkable artifact of that claim.
 
-``run_bench`` times the same evaluations and reports the work counters
-next to wall time, making the cost structure visible: the closed form
-always spends exactly n kernel terms, while the direct sum's cutoff
-grows with |z| at fixed tolerance.
+The CLI's ``bench`` table is its runs' work and wall time: the closed
+form always spends exactly n kernel terms, while the direct sum's
+cutoff grows with |z| at fixed tolerance.
 
 Everything here is deterministic: grids are fixed tuples, evaluators
 contain no randomness, and reports list entries in grid order.
@@ -30,7 +29,6 @@ from .errors import CotlatticeError, DomainError, ToleranceError
 from .numerics import EPS, ipow
 from .theta import u_theta
 from .types import (
-    EvalResult,
     Method,
     Tolerance,
     require_finite_scalar,
@@ -44,12 +42,8 @@ __all__ = [
     "VerifySummary",
     "VerifyReport",
     "applicable_methods",
-    "evaluate_method",
     "run_method",
-    "run_verify",
     "verify_points",
-    "run_bench",
-    "bench_points",
     "DEFAULT_VERIFY_GRID",
     "DEFAULT_BENCH_GRID",
     "SCHEMA_VERSION",
@@ -80,21 +74,6 @@ class GridSpec:
     z_points: tuple[complex, ...]
     methods: tuple[Method, ...]
     tol: Tolerance
-
-    def __post_init__(self) -> None:
-        ns = tuple(require_order(n) for n in self.n_values)
-        zs = tuple(require_finite_scalar(z) for z in self.z_points)
-        ms = tuple(self.methods)
-        if not ns or not zs or not ms:
-            raise ValueError("grid needs at least one order, point, and method")
-        for m in ms:
-            if not isinstance(m, Method):
-                raise TypeError(f"methods must be Method values, got {m!r}")
-        if not isinstance(self.tol, Tolerance):
-            raise TypeError(f"tol must be a Tolerance, got {self.tol!r}")
-        object.__setattr__(self, "n_values", ns)
-        object.__setattr__(self, "z_points", zs)
-        object.__setattr__(self, "methods", ms)
 
 
 @dataclass(frozen=True)
@@ -193,19 +172,6 @@ def applicable_methods(n: int, z: complex,
     return tuple(out)
 
 
-def evaluate_method(method: Method, n: int, z: complex, tol: Tolerance) -> EvalResult:
-    """Dispatch one evaluator; caller guarantees applicability."""
-    if method is Method.DIRECT_SUM:
-        return u_direct(n, z, tol)
-    if method is Method.CLOSED_FORM:
-        return u_closed(n, z, tol)
-    if method is Method.DYADIC_RECURSION:
-        return phi(n.bit_length() - 1, z, tol)
-    if method is Method.THETA_INTEGRAL:
-        return u_theta(n // 2, z, tol)
-    raise TypeError(f"unknown method {method!r}")
-
-
 def _combined_bound(a: MethodRun, b: MethodRun) -> float:
     # Error estimates are upper bounds; the ulp-scale slack absorbs the
     # final rounding of the two values themselves.
@@ -226,7 +192,14 @@ def run_method(method: Method, n: int, z: complex, tol: Tolerance) -> MethodRun:
     the run's ``error`` instead of propagating."""
     t0 = time.perf_counter_ns()
     try:
-        res = evaluate_method(method, n, z, tol)
+        if method is Method.DIRECT_SUM:
+            res = u_direct(n, z, tol)
+        elif method is Method.CLOSED_FORM:
+            res = u_closed(n, z, tol)
+        elif method is Method.DYADIC_RECURSION:
+            res = phi(n.bit_length() - 1, z, tol)
+        else:
+            res = u_theta(n // 2, z, tol)
     except (CotlatticeError, ValueError) as exc:
         return MethodRun(n=n, z=z, method=method, value=0j, err_estimate=0.0,
                          work=0, wall_time_ns=time.perf_counter_ns() - t0,
@@ -234,18 +207,6 @@ def run_method(method: Method, n: int, z: complex, tol: Tolerance) -> MethodRun:
     return MethodRun(n=n, z=z, method=method, value=res.value,
                      err_estimate=res.err_estimate, work=res.work,
                      wall_time_ns=time.perf_counter_ns() - t0)
-
-
-def _points(points: tuple[tuple[int, complex], ...],
-            what: str) -> tuple[tuple[int, complex], ...]:
-    pts = tuple((require_order(n), require_finite_scalar(z)) for n, z in points)
-    if not pts:
-        raise ValueError(f"{what} needs at least one (n, z) point")
-    return pts
-
-
-def _expand(spec: GridSpec) -> tuple[tuple[int, complex], ...]:
-    return tuple((n, z) for n in spec.n_values for z in spec.z_points)
 
 
 def verify_points(points: tuple[tuple[int, complex], ...],
@@ -261,7 +222,10 @@ def verify_points(points: tuple[tuple[int, complex], ...],
     """
     runs: list[MethodRun] = []
     pairs: list[PairCheck] = []
-    for n, z in _points(points, "verify"):
+    points = tuple((require_order(n), require_finite_scalar(z)) for n, z in points)
+    if not points:
+        raise ValueError("verify needs at least one (n, z) point")
+    for n, z in points:
         point_runs = [run_method(m, n, z, tol) for m in applicable_methods(n, z, methods)]
         good = [r for r in point_runs if r.ok]
         for i, ra in enumerate(good):
@@ -281,32 +245,6 @@ def verify_points(points: tuple[tuple[int, complex], ...],
     )
     return VerifyReport(runs=tuple(runs), pairs=tuple(pairs), summary=summary,
                         all_pass=(failed == 0 and passed == len(pairs)))
-
-
-def run_verify(spec: GridSpec) -> VerifyReport:
-    """Cross-check every applicable method pair on the grid's cross
-    product of orders and points.  See :func:`verify_points`."""
-    return verify_points(_expand(spec), spec.methods, spec.tol)
-
-
-def bench_points(points: tuple[tuple[int, complex], ...],
-                 methods: tuple[Method, ...],
-                 tol: Tolerance) -> tuple[MethodRun, ...]:
-    """Time every applicable evaluation at explicit (n, z) pairs.
-
-    The interesting columns are ``work`` and ``wall_time_ns``: closed
-    form rows show work == n independent of z, direct rows show the
-    cutoff growing with |z| at fixed tolerance.  Failures are recorded,
-    not raised, so a bench over a mixed grid always completes.
-    """
-    return tuple(run_method(m, n, z, tol) for n, z in _points(points, "bench")
-                 for m in applicable_methods(n, z, methods))
-
-
-def run_bench(spec: GridSpec) -> tuple[MethodRun, ...]:
-    """Time every applicable evaluation on the grid's cross product.
-    See :func:`bench_points`."""
-    return bench_points(_expand(spec), spec.methods, spec.tol)
 
 
 #: Stock verification grid: one odd order, one power of two, one

@@ -6,11 +6,10 @@ Two families of consequences of the closed forms live here.
   (1/2) lim_{z->0} (U_2n(z) - z^(-2n)) equals the k != 0 half of the
   lattice sum evaluated at z = 0, i.e. sum_{k>=1} 1/k^(2n), so we sum
   that series directly with an Euler-Maclaurin tail instead of
-  subtracting two nearly equal numbers.  ``zeta_limit_diagnostic``
-  keeps the literal limit path alive as a regression check: it
-  evaluates U_2n(z_j) - z_j^(-2n) on a dyadic ladder z_j = 2^-j and
-  Richardson-extrapolates, reporting how much accuracy the
-  cancellation costs.
+  subtracting two nearly equal numbers.  ``zeta_contour(n)`` is the
+  second route, through the closed form: the trapezoidal mean of
+  U_2n(z) - z^(-2n) over a circle in w = z^(2n), where by Cauchy's
+  formula the mean is the limit itself.
 
 * ``product_ratio(query)`` evaluates
 
@@ -32,6 +31,7 @@ Two families of consequences of the closed forms live here.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +41,7 @@ import numpy as np
 
 from .closed import kernel_table, u_closed
 from .errors import DomainError, NonConvergentError
-from .numerics import EPS, richardson, series_tail
+from .numerics import EPS, ipow, series_tail
 from .types import (
     DEFAULT_TOLERANCE,
     EvalResult,
@@ -51,10 +51,9 @@ from .types import (
 )
 
 __all__ = [
-    "ZetaExtraction",
     "ProductQuery",
     "zeta_even",
-    "zeta_limit_diagnostic",
+    "zeta_contour",
     "product_parts",
     "compose_ratio",
     "product_ratio",
@@ -95,70 +94,35 @@ def zeta_even(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
                       method=Method.DIRECT_SUM, work=cutoff)
 
 
-@dataclass(frozen=True)
-class ZetaExtraction:
-    """Diagnostic record for the literal-limit route to zeta(2n).
+def zeta_contour(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
+    """zeta(2n) as a trapezoidal mean of U_2n(z) - z^(-2n) over a circle.
 
-    Attributes:
-        n: target index, the extracted value approximates zeta(2n).
-        samples: (z_j, U_2n(z_j) - z_j^(-2n)) pairs with z_j strictly
-            decreasing toward 0; the second entries tend to 2 zeta(2n).
-        extrapolated: Richardson limit of the ladder, divided by 2.
-        err_estimate: extrapolation error plus the propagated
-            cancellation noise (~eps * z_j^(-2n) per sample).
-    """
-
-    n: int
-    samples: tuple[tuple[float, float], ...]
-    extrapolated: float
-    err_estimate: float
-
-    def __post_init__(self) -> None:
-        require_order(self.n)
-        if len(self.samples) < 2:
-            raise ValueError("need at least two limit samples")
-        zs = [z for z, _ in self.samples]
-        if any(b >= a for a, b in zip(zs, zs[1:])) or zs[-1] <= 0.0:
-            raise ValueError("sample points must decrease strictly toward 0")
-        if not math.isfinite(self.extrapolated):
-            raise ValueError(f"non-finite extrapolated value {self.extrapolated!r}")
-
-
-def zeta_limit_diagnostic(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> ZetaExtraction:
-    """Demonstrational limit path to zeta(2n); less accurate on purpose.
-
-    Evaluates g_j = U_2n(z_j) - z_j^(-2n) at z_j = 2^-j, j = 3..10, via
-    the closed form.  Since g(z) = 2 zeta(2n) - 2 zeta(4n) z^(2n) + ...
-    is a series in h = z^(2n), halving z divides h by 2^(2n), so
-    Richardson extrapolation runs with step ratio 2^(2n).  The
-    subtraction loses a factor ~z^(-2n)/zeta(2n) in relative accuracy;
-    that loss is fed to the extrapolator as per-sample noise and lands
-    in err_estimate.  Kept as a cross-check on ``zeta_even``, which
-    avoids the subtraction entirely.
+    g(w) = U_2n(z) - 1/w = 2 sum_{k>=1} 1/(k^(2n) + w), w = z^(2n), is
+    analytic for |w| < 1 with Taylor coefficients 2 (-1)^j zeta(2n (j+1)),
+    all at most pi^2/3.  Its mean over w_k = e^(2 pi i (k + 1/2) / 64) / 2
+    is 2 zeta(2n) up to aliasing below (pi^2/3) 2^-64 / (1 - 2^-64)
+    (Trefethen and Weideman, SIAM Review 56, 2014); as g(conj w) =
+    conj g(w), it is the mean of Re g over the 32 upper-half nodes, each
+    one ``u_closed(2n, w_k^(1/2n))`` (``work`` 32 * 2n).  The bar is half
+    the largest node bar plus the aliasing, plus the final rounding; a
+    node's bar adds the rounding of 1/z^(2n) by repeated squaring, charged
+    as u_direct charges its z^n.
     """
     require_order(n)
     s = 2 * n
-    samples: list[tuple[float, float]] = []
-    noise: list[float] = []
-    for j in range(3, 11):
-        if s * j > 1000:
-            break
-        zj = 2.0 ** -j
-        power = math.ldexp(1.0, s * j)
-        res = u_closed(s, zj, tol)
-        g = res.value.real - power
-        if not math.isfinite(g):
-            break
-        samples.append((zj, g))
-        noise.append(res.err_estimate + EPS * power)
-    if len(samples) < 2:
-        raise NonConvergentError(
-            f"limit diagnostic for n={n} cannot form two finite samples: "
-            f"z^(-{s}) leaves double range"
-        )
-    best, err = richardson([g for _, g in samples], step_ratio=2.0 ** s, noise=noise)
-    return ZetaExtraction(n=n, samples=tuple(samples),
-                          extrapolated=0.5 * best, err_estimate=0.5 * err)
+    parts = []
+    node_err = 0.0
+    for k in range(32):
+        z = cmath.rect(0.5 ** (1.0 / s), math.pi * (k + 0.5) / (32 * s))
+        res = u_closed(s, z, tol)
+        inv = 1.0 / ipow(z, s)
+        parts.append((res.value - inv).real)
+        node_err = max(node_err, res.err_estimate + (1.125 * s + 2.0) * EPS * abs(inv))
+    value = math.fsum(parts) / 64.0
+    aliasing = math.pi**2 / 3.0 * 2.0**-64 / (1.0 - 2.0**-64)
+    err = 0.5 * (node_err + aliasing) + 4.0 * EPS * abs(value)
+    return EvalResult(value=complex(value), err_estimate=err,
+                      method=Method.CLOSED_FORM, work=32 * s)
 
 
 @dataclass(frozen=True)

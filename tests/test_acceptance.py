@@ -22,7 +22,6 @@ from cotlattice import (
     Tolerance,
     phi,
     product_ratio,
-    run_bench,
     u_closed,
     u_direct,
     u_theta,
@@ -201,7 +200,9 @@ def test_criterion_10_work_scaling():
     closed_const = all(
         u_closed(n, z).work == n
         for n in (2, 5) for z in (0.3, 12.3, 1.0e4 + 0.5))
-    rows = run_bench(DEFAULT_BENCH_GRID)
+    grid = DEFAULT_BENCH_GRID
+    points = tuple((n, z) for n in grid.n_values for z in grid.z_points)
+    rows = verify_points(points, grid.methods, grid.tol).runs
     ok = all(r.error is None for r in rows) and closed_const
     profile = {}
     for n in sorted({r.n for r in rows}):

@@ -18,7 +18,8 @@ mp = pytest.importorskip("mpmath").mp
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from cotlattice import DomainError, ProductQuery, product_parts, product_ratio, u_direct
+from cotlattice import DomainError, ProductQuery, product_ratio, u_direct
+from cotlattice.zeta_product import product_parts
 
 AUDIT = hypothesis.settings(max_examples=100, derandomize=True, database=None,
                             deadline=None)

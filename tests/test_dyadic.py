@@ -9,12 +9,9 @@ from cotlattice import (
     DomainError,
     Method,
     RecursionPoleError,
-    Tolerance,
     phi,
     u_closed,
 )
-
-LOOSE = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
 
 
 class TestPhiValues:
@@ -38,11 +35,6 @@ class TestPhiValues:
             res = phi(3, z)
             ref = u_closed(8, z)
             assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
-
-    def test_direct_base_agrees(self):
-        res = phi(2, 0.6, LOOSE, base=Method.DIRECT_SUM)
-        ref = u_closed(4, 0.6)
-        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
 
     def test_real_argument_small_imaginary_residue(self):
         for m in (2, 3):
@@ -79,10 +71,6 @@ class TestPhiDomain:
         res = phi(10, 0.9)
         ref = u_closed(1024, 0.9)
         assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
-
-    def test_invalid_base_rejected(self):
-        with pytest.raises(ValueError):
-            phi(2, 0.5, base=Method.THETA_INTEGRAL)
 
     def test_recursion_pole_is_domain_error(self):
         assert issubclass(RecursionPoleError, DomainError)

@@ -11,13 +11,13 @@ from cotlattice import (
     Method,
     ThetaArg,
     Tolerance,
-    gk15_panel,
-    integrate_adaptive,
     psi,
     u_closed,
     u_theta,
 )
+from cotlattice.cli import main
 from cotlattice.numerics import EPS
+from cotlattice.quadrature import gk15_panel, integrate_adaptive
 from cotlattice.theta import _psi_t_array
 
 PI_COTH_PI = 3.153348094937162  # pi * coth(pi) = U_2(1)
@@ -119,6 +119,16 @@ class TestPsi:
         res = psi(1, ThetaArg.from_q(0.1))
         assert res.work % 2 == 1
 
+    def test_overflowing_power_is_a_zero_term(self, capsys, monkeypatch, tmp_path):
+        # 3^912 leaves the double range: that term and the tail are 0.
+        q = 0.884192827198217
+        res = psi(456, ThetaArg.from_q(q))
+        assert abs(res.value.real - (1.0 + 2.0 * q)) <= res.err_estimate
+        monkeypatch.delenv("COTLATTICE_CONFIG", raising=False)
+        monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path))
+        assert main(["theta", "-n", "456", "-q", repr(q)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
 
 def kronrod_nodes(a, b):
     """The 15 abscissae one Kronrod panel on [a, b] evaluates."""
@@ -208,6 +218,13 @@ class TestUTheta:
     def test_origin_rejected(self):
         with pytest.raises(DomainError):
             u_theta(2, 0.0)
+
+    def test_underflowing_nodes_contribute_zero(self):
+        # u^198 underflows at the first panel's nodes next to u = 0.
+        z = 10.465838347973358
+        res = u_theta(99, z)
+        ref = u_closed(198, z)
+        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
 
     def test_unrepresentable_power_rejected(self):
         # 0.5^1024 is subnormal; its reciprocal overflows.

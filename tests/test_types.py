@@ -18,7 +18,7 @@ from cotlattice import (
     u_direct,
     validate_domain,
 )
-from cotlattice.numerics import Kahan, ipow, richardson, zeta_tail, zeta_tail_upper
+from cotlattice.numerics import Kahan, ipow, zeta_tail, zeta_tail_upper
 from cotlattice.types import require_finite_scalar, require_order
 
 ZETA2 = math.pi**2 / 6.0
@@ -251,33 +251,3 @@ class TestZetaTail:
             zeta_tail(1.0, 10)
         with pytest.raises(ValueError):
             zeta_tail_upper(0.5, 10)
-
-
-class TestRichardson:
-    """Richardson extrapolation removes the modeled error powers."""
-
-    def test_single_power_exact(self):
-        limit = 3.7
-        values = [limit + 0.9 * 0.5**j for j in range(5)]
-        best, err = richardson(values, step_ratio=2.0)
-        assert abs(best - limit) < 1e-12
-        assert abs(best - limit) <= err
-
-    def test_two_powers(self):
-        limit = -1.25
-        values = [limit + 0.4 * 0.5**j + 0.07 * 0.25**j for j in range(6)]
-        best, err = richardson(values, step_ratio=2.0)
-        assert abs(best - limit) < 1e-10
-        assert abs(best - limit) <= err
-
-    def test_noise_floor_reported(self):
-        limit = 2.0
-        noise = [1e-6] * 4
-        values = [limit + 0.3 * 0.5**j for j in range(4)]
-        best, err = richardson(values, step_ratio=2.0, noise=noise)
-        assert err >= 1e-6
-        assert abs(best - limit) <= err
-
-    def test_needs_two_values(self):
-        with pytest.raises(ValueError):
-            richardson([1.0], step_ratio=2.0)

@@ -1,26 +1,27 @@
-"""Tests for the cross-method verification and benchmarking harness."""
+"""Tests for the cross-method verification harness."""
 
 import pytest
 
 from cotlattice import (
     ALL_METHODS,
     SCHEMA_VERSION,
-    GridSpec,
     Method,
     Tolerance,
     applicable_methods,
-    bench_points,
-    evaluate_method,
     phi,
-    run_bench,
-    run_verify,
     u_closed,
     u_theta,
     verify_points,
 )
-from cotlattice.verify import DEFAULT_BENCH_GRID, DEFAULT_VERIFY_GRID
+from cotlattice.verify import DEFAULT_BENCH_GRID, DEFAULT_VERIFY_GRID, run_method
 
 TOL = Tolerance(abs_tol=1e-6, rel_tol=1e-6, max_terms=20_000_000)
+
+
+def run_grid(grid):
+    """verify_points over a stock grid's orders x points."""
+    points = tuple((n, z) for n in grid.n_values for z in grid.z_points)
+    return verify_points(points, grid.methods, grid.tol)
 
 
 class TestApplicableMethods:
@@ -56,18 +57,18 @@ class TestApplicableMethods:
 
 
 class TestEvaluateMethod:
-    """The dispatcher reaches each specialized evaluator."""
+    """run_method dispatches to each specialized evaluator."""
 
     def test_dyadic_routes_to_phi(self):
-        via = evaluate_method(Method.DYADIC_RECURSION, 4, 0.5, TOL)
+        via = run_method(Method.DYADIC_RECURSION, 4, 0.5, TOL)
         assert via.value == phi(2, 0.5, TOL).value
 
     def test_theta_routes_to_half_order(self):
-        via = evaluate_method(Method.THETA_INTEGRAL, 4, 0.7, TOL)
+        via = run_method(Method.THETA_INTEGRAL, 4, 0.7, TOL)
         assert via.value == u_theta(2, 0.7, TOL).value
 
     def test_closed(self):
-        via = evaluate_method(Method.CLOSED_FORM, 3, 0.4, TOL)
+        via = run_method(Method.CLOSED_FORM, 3, 0.4, TOL)
         assert via.value == u_closed(3, 0.4, TOL).value
 
 
@@ -113,34 +114,18 @@ class TestVerifyPoints:
             verify_points((), ALL_METHODS, TOL)
 
     def test_default_grid_passes(self):
-        rep = run_verify(DEFAULT_VERIFY_GRID)
+        rep = run_grid(DEFAULT_VERIFY_GRID)
         assert rep.all_pass
         assert rep.summary.runs_total == 46
         assert rep.summary.pairs_total == 50
         assert rep.summary.pairs_passed == 50
 
 
-class TestGridSpec:
-    """GridSpec validates its axes up front."""
-
-    def test_rejects_empty_axes(self):
-        with pytest.raises(ValueError):
-            GridSpec(n_values=(), z_points=(0.5,), methods=ALL_METHODS, tol=TOL)
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            GridSpec(n_values=(0,), z_points=(0.5,), methods=ALL_METHODS, tol=TOL)
-
-    def test_rejects_non_method(self):
-        with pytest.raises(TypeError):
-            GridSpec(n_values=(1,), z_points=(0.5,), methods=("closed",), tol=TOL)
-
-
 class TestBench:
-    """bench_points measures work and wall time per method."""
+    """verify's runs carry the work and wall time the bench table shows."""
 
     def test_rows_shape(self):
-        rows = bench_points(((4, 1.0 + 0j),), ALL_METHODS, TOL)
+        rows = verify_points(((4, 1.0 + 0j),), ALL_METHODS, TOL).runs
         assert len(rows) == 4
         for row in rows:
             assert row.error is None
@@ -148,11 +133,11 @@ class TestBench:
             assert row.work >= 1
 
     def test_errors_recorded_not_raised(self):
-        rows = bench_points(((1, 1.0 + 0j),), ALL_METHODS, TOL)
+        rows = verify_points(((1, 1.0 + 0j),), ALL_METHODS, TOL).runs
         assert all(r.error is not None and r.error_kind == "domain" for r in rows)
 
     def test_default_grid_work_profile(self):
-        rows = run_bench(DEFAULT_BENCH_GRID)
+        rows = run_grid(DEFAULT_BENCH_GRID).runs
         assert all(r.error is None for r in rows)
         for n in (1, 3):
             direct = [r.work for r in rows

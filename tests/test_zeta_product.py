@@ -1,6 +1,8 @@
 """Tests for the zeta extraction and the squared product ratio."""
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -11,13 +13,11 @@ from cotlattice import (
     Method,
     ProductQuery,
     Tolerance,
-    ZetaExtraction,
-    compose_ratio,
-    product_parts,
     product_ratio,
+    zeta_contour,
     zeta_even,
-    zeta_limit_diagnostic,
 )
+from cotlattice.zeta_product import compose_ratio, product_parts
 
 ZETA2 = math.pi**2 / 6.0
 ZETA4 = math.pi**4 / 90.0
@@ -65,31 +65,67 @@ class TestZetaEven:
             zeta_even(0)
 
 
+def machin_pi() -> Fraction:
+    """pi to 50 digits: Machin's 16 atan(1/5) - 4 atan(1/239) in integers."""
+    scale = 10**60
+
+    def atan_inv(x):
+        total, power, k = 0, scale // x, 0
+        while power:
+            total += (-1) ** k * (power // (2 * k + 1))
+            power //= x * x
+            k += 1
+        return total
+
+    return Fraction(16 * atan_inv(5) - 4 * atan_inv(239), scale)
+
+
+@lru_cache(maxsize=None)
+def bernoulli(m: int) -> Fraction:
+    """Exact B_m from sum_{k<=m} C(m+1, k) B_k = 0."""
+    if m == 0:
+        return Fraction(1)
+    return -sum(math.comb(m + 1, k) * bernoulli(k) for k in range(m)) / (m + 1)
+
+
+def euler_zeta(n: int) -> Fraction:
+    """zeta(2n) = (-1)^(n+1) B_2n (2 pi)^(2n) / (2 (2n)!), independent of
+    mpmath and of the closed form."""
+    return ((-1) ** (n + 1) * bernoulli(2 * n) * (2 * machin_pi()) ** (2 * n)
+            / (2 * math.factorial(2 * n)))
+
+
 class TestZetaLimitDiagnostic:
-    """The literal-limit route is honest about its cancellation."""
+    """The limit side of zeta: the contour mean of U_2n(z) - z^(-2n),
+    with a bar that holds."""
 
     def test_small_index_accurate(self):
-        diag = zeta_limit_diagnostic(1)
-        assert abs(diag.extrapolated - ZETA2) < 1e-6
-        assert abs(diag.extrapolated - ZETA2) <= diag.err_estimate
+        res = zeta_contour(1)
+        assert abs(res.value.real - ZETA2) <= res.err_estimate <= 1e-13
+        assert res.method is Method.CLOSED_FORM
 
     def test_index_two(self):
-        diag = zeta_limit_diagnostic(2)
-        assert abs(diag.extrapolated - ZETA4) <= diag.err_estimate
+        res = zeta_contour(2)
+        assert abs(res.value.real - ZETA4) <= res.err_estimate
 
-    def test_large_index_error_bar_dominates(self):
-        # At 2n = 16 the subtraction loses ~16 digits near z = 2^-j; the
-        # route must report that, not hide it.
-        diag = zeta_limit_diagnostic(8)
-        true = 1.0000152822594086
-        assert abs(diag.extrapolated - true) <= diag.err_estimate
-        assert diag.err_estimate > 1.0
+    def test_large_index_accurate(self):
+        # the Richardson ladder it replaces was off by 1e3 here
+        res = zeta_contour(8)
+        assert abs(res.value.real - 1.0000152822594086) <= 1e-13
+        far = zeta_contour(200)
+        assert abs(far.value.real - 1.0) <= far.err_estimate <= 1e-12
 
-    def test_samples_recorded_decreasing(self):
-        diag = zeta_limit_diagnostic(1)
-        zs = [z for z, _ in diag.samples]
-        assert all(a > b for a, b in zip(zs, zs[1:]))
-        assert isinstance(diag, ZetaExtraction)
+    def test_bernoulli_oracle(self):
+        for n in range(1, 65):
+            res = zeta_contour(n)
+            miss = abs(Fraction(res.value.real) - euler_zeta(n))
+            assert miss <= Fraction(res.err_estimate), n
+            assert res.err_estimate <= 1e-13, n
+            assert res.value.imag == 0.0
+
+    def test_work_is_node_terms(self):
+        for n in (1, 3, 8):
+            assert zeta_contour(n).work == 32 * 2 * n
 
 
 class TestProductQuery:
