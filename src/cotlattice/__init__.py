@@ -33,7 +33,6 @@ from .errors import (
 from .theta import ThetaArg, psi, u_theta
 from .types import (
     DEFAULT_TOLERANCE,
-    DomainStatus,
     EvalResult,
     Method,
     Tolerance,
@@ -61,7 +60,6 @@ __all__ = [
     "__version__",
     # result and control types
     "Method",
-    "DomainStatus",
     "Tolerance",
     "DEFAULT_TOLERANCE",
     "EvalResult",

@@ -47,7 +47,6 @@ from .errors import DomainError, ToleranceError
 from .theta import ThetaArg, psi
 from .types import (
     DEFAULT_TOLERANCE,
-    DomainStatus,
     EvalResult,
     Method,
     Tolerance,
@@ -57,6 +56,7 @@ from .verify import (
     ALL_METHODS,
     DEFAULT_BENCH_GRID,
     DEFAULT_VERIFY_GRID,
+    SCHEMA_VERSION,
     MethodRun,
     PairCheck,
     applicable_methods,
@@ -314,11 +314,7 @@ def _exit_code(runs, missed: bool) -> int:
 
 def cmd_eval(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]:
     n, z = args.n, args.z
-    status = validate_domain(n, z)
-    if status is DomainStatus.EXCLUDED:
-        raise DomainError("domain: z=0 excluded for even n")
-    if status is DomainStatus.POLE:
-        raise DomainError(f"domain: U_{n} at z={format_complex(z)}: pole")
+    validate_domain(n, z)
     if args.method == "all":
         methods = applicable_methods(n, z, ALL_METHODS)
     else:
@@ -386,7 +382,7 @@ def cmd_verify(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], in
         "record": "verify-summary",
         **(_pair_cells(summary.worst) if summary.worst else {}),
         "passed": report.all_pass, "pairs_passed": summary.pairs_passed,
-        "pairs_total": summary.pairs_total, "schema_version": report.schema_version})
+        "pairs_total": summary.pairs_total, "schema_version": SCHEMA_VERSION})
     return records, _exit_code(report.runs, not report.all_pass)
 
 

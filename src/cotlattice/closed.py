@@ -35,14 +35,13 @@ from typing import NamedTuple, NoReturn
 
 from .direct import lattice_series
 from .errors import DomainError, KernelSingularError
-from .numerics import EPS, ipow
+from .numerics import EPS
 from .types import (
     DEFAULT_TOLERANCE,
-    DomainStatus,
     EvalResult,
     Method,
     Tolerance,
-    require_finite_scalar,
+    power_in_range,
     require_order,
     validate_domain,
 )
@@ -148,39 +147,6 @@ def _singular(x: complex, y: complex) -> NoReturn:
     )
 
 
-def _require_ok(n: int, z: complex) -> complex:
-    z = require_finite_scalar(z)
-    status = validate_domain(n, z)
-    if status is DomainStatus.EXCLUDED:
-        raise DomainError("domain: z=0 excluded for even n")
-    if status is not DomainStatus.OK:
-        raise DomainError(f"domain: U_{n} at z={z}: {status.value}")
-    return z
-
-
-def _finish(n: int, z: complex, term_sum: complex, abs_sum: float) -> EvalResult:
-    zp = ipow(z.real, n - 1) if z.imag == 0.0 else ipow(z, n - 1)
-    if zp == 0 or not (math.isfinite(complex(zp).real) and math.isfinite(complex(zp).imag)):
-        raise DomainError(
-            f"domain: z^{n - 1} under/overflows double range at z={z}; "
-            f"the closed-form prefactor of U_{n} is not evaluable there"
-        )
-    pref = math.pi / (n * zp)
-    value = complex(pref * term_sum)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise DomainError(
-            f"domain: |U_{n}({z})| exceeds double range"
-        )
-    # Rounding model: cancellation across kernel terms plus argument
-    # scale, all relative to the value.
-    cond = abs_sum / abs(term_sum) if term_sum != 0 else 1.0
-    arg_scale = 2.0 * math.pi * abs(z)
-    err = abs(value) * EPS * (8.0 + 4.0 * cond + arg_scale)
-    if value == 0:
-        err = abs(pref) * abs_sum * 4.0 * EPS
-    return EvalResult(value=value, err_estimate=err, method=Method.CLOSED_FORM, work=n)
-
-
 def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     """Evaluate U_n(z) in closed form, for any n >= 1.
 
@@ -194,9 +160,12 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     for |2 pi z| >= 1, capped at 2^1023): exact, and it keeps both O(1),
     so they meet the singularity threshold at that size and U_1(1e-300)
     = 1e300 evaluates.
+
+    Raises DomainError at poles and z = 0 of even n (validate_domain) and
+    where z^(n-1) (power_in_range) or |U_n(z)| leaves the double range;
+    KernelSingularError where a kernel denominator vanishes.
     """
-    require_order(n)
-    z = _require_ok(n, z)
+    z = validate_domain(n, z)
     w = 2.0 * math.pi * (z.real if z.imag == 0.0 else z)
     r = math.ldexp(1.0, min(1023, 1 - math.frexp(min(1.0, abs(w)))[1]))
     tot = 0.0
@@ -205,7 +174,22 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
         f = mult * _kernel(a, b, w, r)
         tot += f
         abs_tot += abs(f)
-    return _finish(n, z, complex(tot), abs_tot)
+    term_sum = complex(tot)
+    zp = power_in_range(z.real if z.imag == 0.0 else z, n - 1)
+    pref = math.pi / (n * zp)
+    value = complex(pref * term_sum)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DomainError(
+            f"domain: |U_{n}({z})| exceeds double range"
+        )
+    # Rounding model: cancellation across kernel terms plus argument
+    # scale, all relative to the value.
+    cond = abs_tot / abs(term_sum) if term_sum != 0 else 1.0
+    arg_scale = 2.0 * math.pi * abs(z)
+    err = abs(value) * EPS * (8.0 + 4.0 * cond + arg_scale)
+    if value == 0:
+        err = abs(pref) * abs_tot * 4.0 * EPS
+    return EvalResult(value=value, err_estimate=err, method=Method.CLOSED_FORM, work=n)
 
 
 # ---------------------------------------------------------------------------

@@ -32,16 +32,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonConvergentError
-from .numerics import EPS, Kahan, ipow, series_tail
+from .errors import NonConvergentError
+from .numerics import EPS, Kahan, series_tail
 from .types import (
     DEFAULT_TOLERANCE,
-    DomainStatus,
     EvalResult,
     Method,
     Tolerance,
-    require_finite_scalar,
-    require_order,
+    power_in_range,
     validate_domain,
 )
 
@@ -154,33 +152,17 @@ def u_direct(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     (u = EPS/2), and each term magnifies that error by its condition
     number, which is large only next to a pole.
 
-    Raises DomainError at poles and excluded points, NonConvergentError
-    if max_terms is hit first.
+    Raises DomainError at poles, excluded points and where z^n leaves the
+    double range, before any budget check; NonConvergentError if
+    max_terms is hit first.
     """
-    require_order(n)
-    z = require_finite_scalar(z)
-    status = validate_domain(n, z)
-    if status is DomainStatus.EXCLUDED:
-        raise DomainError("domain: z=0 excluded for even n")
-    if status is not DomainStatus.OK:
-        raise DomainError(f"domain: U_{n} at z={z}: {status.value}")
-
+    z = validate_domain(n, z)
+    w = power_in_range(z, n)
     k = max(16, 2 * math.ceil(abs(z)))
     where = f"u_direct(n={n}, z={z})"
     if 2 * k + 1 > tol.max_terms:
         raise NonConvergentError(
-            f"{where}: starting cutoff K={k} already exceeds max_terms={tol.max_terms}"
-        )
-    w = ipow(z, n)
-    if w == 0 or not math.isfinite(1.0 / abs(w)):
-        raise DomainError(
-            f"domain: z^{n} underflows double range at z={z}; the k=0 term "
-            "1/z^n is not representable"
-        )
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise DomainError(
-            f"domain: z^{n} overflows double range at z={z}; the direct "
-            "series cannot be formed"
+            f"{where}: starting cutoff K={k:.3g} already exceeds max_terms={tol.max_terms}"
         )
     rel_w = (n - 1) * (0.5 if z.imag == 0.0 else 1.125) * EPS
     value, err, k = lattice_series(n, w, rel_w, k, tol.max_terms,

@@ -26,14 +26,13 @@ from dataclasses import replace
 
 from .closed import u_closed
 from .errors import DomainError, RecursionPoleError
-from .numerics import EPS, ipow
+from .numerics import EPS
 from .types import (
     DEFAULT_TOLERANCE,
-    DomainStatus,
     EvalResult,
     Method,
     Tolerance,
-    require_finite_scalar,
+    power_in_range,
     require_order,
     validate_domain,
 )
@@ -57,14 +56,7 @@ def _phi_rec(m: int, z: complex, tol: Tolerance) -> EvalResult:
     if m == 1:
         return u_closed(2, z, tol)
     rotation_neg, rotation_pos = _ROTATIONS[m]
-    half = 2 ** (m - 1)
-    zp = ipow(z, half)
-    denom = 2j * zp
-    if denom == 0 or not (math.isfinite(zp.real) and math.isfinite(zp.imag)):
-        raise DomainError(
-            f"domain: z^{half} under/overflows at recursion level m={m}; "
-            "evaluate via u_closed instead"
-        )
+    denom = 2j * power_in_range(z, 2 ** (m - 1))
     try:
         res_neg = _phi_rec(m - 1, rotation_neg * z, tol)
         res_pos = _phi_rec(m - 1, rotation_pos * z, tol)
@@ -111,8 +103,10 @@ def phi(m: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
         cancellation inflation of the level subtractions.
 
     Raises:
-        DomainError: z = 0, z a pole of U_(2^m), or z^(2^(m-1)) not
-            representable.
+        DomainError: z = 0 or a pole of U_(2^m) (from
+            :func:`validate_domain`), z^(2^(m-1)) not a usable double
+            (from :func:`power_in_range`), or |U_(2^m)(z)| past the
+            double range.
         RecursionPoleError: a rotated intermediate argument hits a pole
             of a lower level.
         ValueError: m outside 1..10 (use u_closed for higher orders:
@@ -125,13 +119,8 @@ def phi(m: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
             "z^(2^(m-1)) under/overflows doubles there -- use u_closed, "
             "whose cost is linear in the order"
         )
-    z = require_finite_scalar(z)
-    if z == 0:
-        raise DomainError("domain: z=0 excluded for even n")
-    status = validate_domain(2**m, z)
-    if status is not DomainStatus.OK:
-        raise DomainError(f"domain: U_{2 ** m} at z={z}: {status.value}")
-    res = _phi_rec(m, complex(z), tol)
+    z = validate_domain(2**m, z)
+    res = _phi_rec(m, z, tol)
     # The base case carries the closed form's tag; the contract is that
     # phi always reports the recursion method.
     return replace(res, method=Method.DYADIC_RECURSION) if m == 1 else res

@@ -29,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergentError, QuadratureFailureError
-from .numerics import EPS, ipow
+from .numerics import EPS
 from .quadrature import integrate_adaptive
 from .types import (
     DEFAULT_TOLERANCE,
     EvalResult,
     Method,
     Tolerance,
+    power_in_range,
     require_finite_scalar,
     require_order,
 )
@@ -53,8 +54,7 @@ _T_FLOOR = 2.0 ** -1017
 class ThetaArg:
     """Nome q in (0, 1) stored together with its exponential view t.
 
-    The two fields satisfy q = e^(-t) exactly up to rounding of the
-    constructor used; q * e^t = 1 within a few ulps either way.
+    :meth:`from_q` sets t = -log q, so q * e^t = 1 within a few ulps.
     """
 
     q: float
@@ -66,13 +66,6 @@ class ThetaArg:
         if not (math.isfinite(q) and 0.0 < q < 1.0):
             raise DomainError(f"domain: theta nome q must lie in (0, 1), got {q!r}")
         return cls(q=q, t=-math.log(q))
-
-    @classmethod
-    def from_t(cls, t: float) -> "ThetaArg":
-        t = float(t)
-        if not (math.isfinite(t) and t > 0.0):
-            raise DomainError(f"domain: theta exponent t must be > 0, got {t!r}")
-        return cls(q=math.exp(-t), t=t)
 
 
 def _kpow(k: int, two_n: int) -> float:
@@ -164,8 +157,8 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
 
     ``n`` is the theta index: the series order of the result is 2n.
     Requires Re(z^(2n)) > 0, the convergence condition of the Laplace
-    identity; everything else raises DomainError before any quadrature
-    runs.
+    identity, with z^(2n) a usable double (:func:`power_in_range`);
+    everything else raises DomainError before any quadrature runs.
 
     The integral is split at t = 1 and t = 60.  On (0, 1] the
     substitution t = u^(2n) gives the bounded integrand
@@ -179,13 +172,7 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
     """
     require_order(n)
     z = require_finite_scalar(z)
-    s = ipow(z, 2 * n)
-    if (not (math.isfinite(s.real) and math.isfinite(s.imag)) or s == 0
-            or not math.isfinite(1.0 / abs(s))):
-        raise DomainError(
-            f"domain: z^{2 * n} leaves double range at z={z}; "
-            "the Laplace exponent is not representable"
-        )
+    s = power_in_range(z, 2 * n)
     r = s.real
     if not (r > 0.0):
         raise DomainError(

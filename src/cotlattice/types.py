@@ -1,4 +1,4 @@
-"""Shared value types and domain validation.
+"""Shared value types and the domain gate.
 
 Conventions used throughout the package:
 
@@ -7,6 +7,10 @@ Conventions used throughout the package:
   Every value returned by a public operation has finite real and
   imaginary parts; anything else raises instead of propagating inf/nan.
 * The series order n is a plain ``int`` >= 1, validated at entry.
+* U_n(z) is undefined at poles and at z = 0 for even n:
+  :func:`validate_domain` raises DomainError there, once per evaluation.
+  Each power z^k a route divides by comes from :func:`power_in_range`,
+  which raises DomainError where z^k is not a usable double.
 * Every evaluator takes a :class:`Tolerance` and returns an
   :class:`EvalResult` whose ``err_estimate`` is a justified bound, never
   a guess.
@@ -21,15 +25,16 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .errors import DomainError
 from .numerics import ipow
 
 __all__ = [
     "Method",
-    "DomainStatus",
     "Tolerance",
     "DEFAULT_TOLERANCE",
     "EvalResult",
     "validate_domain",
+    "power_in_range",
     "require_order",
     "require_finite_scalar",
 ]
@@ -46,14 +51,6 @@ class Method(enum.Enum):
     CLOSED_FORM = "closed"
     DYADIC_RECURSION = "dyadic"
     THETA_INTEGRAL = "theta"
-
-
-class DomainStatus(enum.Enum):
-    """Outcome of :func:`validate_domain` for a point (n, z)."""
-
-    OK = "ok"
-    POLE = "pole"
-    EXCLUDED = "excluded"
 
 
 @dataclass(frozen=True)
@@ -131,21 +128,22 @@ def require_order(n: int) -> int:
     return n
 
 
-def require_finite_scalar(z: complex, name: str = "z") -> complex:
+def require_finite_scalar(z: complex) -> complex:
     """Coerce to complex and reject non-finite input."""
     w = complex(z)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise ValueError(f"{name} must be finite, got {w!r}")
+        raise ValueError(f"z must be finite, got {w!r}")
     return w
 
 
-def validate_domain(n: int, z: complex) -> DomainStatus:
-    """Classify the point (n, z) for the lattice sum over 1/(k^n + z^n).
+def validate_domain(n: int, z: complex) -> complex:
+    """The domain gate of the lattice sum over 1/(k^n + z^n): returns z
+    as a complex, or raises DomainError where U_n(z) is undefined.
 
-    Returns ``EXCLUDED`` for even n at z = 0 (the singular point of the
-    closed forms), ``POLE`` when k^n + z^n vanishes for some integer k
-    (at z = 0 with odd n the k = 0 denominator is the witness), and
-    ``OK`` otherwise.
+    Raises for even n at z = 0 (the singular point of the closed forms)
+    and at a pole, where k^n + z^n vanishes for some integer k (at z = 0
+    with odd n the k = 0 denominator is the witness).  ValueError and
+    TypeError flag an invalid n or a non-finite z.
 
     A pole requires |k| = |z|, so only the integers k != 0 in the band
     |z| - 2 <= |k| <= |z| + 2 are scanned (k > 0 alone for even n, where
@@ -157,15 +155,23 @@ def validate_domain(n: int, z: complex) -> DomainStatus:
     which catches the near-cancellations that would destroy accuracy
     while never flagging a small-but-honest denominator (for |z| < 1
     and large n, |z|^n alone is tiny at the harmless k = 0).  For even
-    n and real z != 0 every denominator is at least z^n > 0, so the
-    outcome is always OK.
+    n and real z != 0 every denominator is at least z^n > 0, so there is
+    no pole.
     """
     require_order(n)
     z = require_finite_scalar(z)
+    if z == 0 and n % 2 == 0:
+        raise DomainError("domain: z=0 excluded for even n")
+    if _has_pole(n, z):
+        raise DomainError(f"domain: U_{n} at z={z}: pole")
+    return z
+
+
+def _has_pole(n: int, z: complex) -> bool:
     if z == 0:
-        return DomainStatus.EXCLUDED if n % 2 == 0 else DomainStatus.POLE
+        return True
     if n % 2 == 0 and z.imag == 0.0:
-        return DomainStatus.OK
+        return False
     az = abs(z)
     # Work with z/s and k/s so no power overflows for candidates with
     # |k| close to |z|; far-out candidates overflow to inf harmlessly.
@@ -177,5 +183,16 @@ def validate_domain(n: int, z: complex) -> DomainStatus:
         for sign in signs:
             ksn = ipow(sign * k / s, n)
             if abs(ksn + zsn) < POLE_EPS * max(abs(ksn), azn):
-                return DomainStatus.POLE
-    return DomainStatus.OK
+                return True
+    return False
+
+
+def power_in_range(z: complex, k: int) -> complex:
+    """z^k by :func:`~cotlattice.numerics.ipow`, a float when z is a
+    float, checked to be usable as a divisor: nonzero, with finite parts
+    and a finite reciprocal.  Raises DomainError otherwise."""
+    p = ipow(z, k)
+    if p == 0 or not (math.isfinite(p.real) and math.isfinite(p.imag)
+                      and math.isfinite(1.0 / abs(p))):
+        raise DomainError(f"domain: z^{k} leaves double range at z={complex(z)}")
+    return p

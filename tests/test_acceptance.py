@@ -66,7 +66,7 @@ def test_criterion_02_methods_cross_validate():
     _report(2, rep.all_pass and errs_ok and no_failures,
             f"{rep.summary.pairs_passed}/{rep.summary.pairs_total} method "
             f"pairs within combined bounds, max delta "
-            f"{rep.summary.max_delta:.2e}, all err_estimates <= 1e-8")
+            f"{rep.summary.worst.delta:.2e}, all err_estimates <= 1e-8")
 
 
 def test_criterion_03_closed_vs_direct_general_orders():

@@ -143,6 +143,20 @@ class TestEval:
         rec = parse_plain(out[0])
         assert "max_terms" in rec["error"]
 
+    def test_overflowing_power_is_domain_error(self, capsys):
+        # z^2 overflows; that is reported before the cutoff exceeds the budget.
+        code, out, err = run_cli(["eval", "-n", "2", "-z", "1e308+1e308i",
+                                  "--method", "direct"], capsys)
+        assert code == 2
+        assert "z^2 leaves double range" in parse_plain(out[0])["error"]
+
+    def test_huge_cutoff_is_printed_short(self, capsys):
+        code, out, err = run_cli(["eval", "-n", "2", "-z", "1e100",
+                                  "--method", "direct"], capsys)
+        assert code == 1
+        assert "starting cutoff K=2e+100 already exceeds max_terms=10000000" in \
+            parse_plain(out[0])["error"]
+
     def test_bad_complex_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "-n", "1", "-z", "1+i"])

@@ -1,5 +1,5 @@
-"""Golden CLI output: stdout and exit code of fixed command lines, byte
-for byte, with ``wall_time_ns`` masked.
+"""Golden CLI output: exit code, stderr and stdout of fixed command
+lines, byte for byte, with ``wall_time_ns`` masked.
 
 A change that means to keep the CLI's output as it is proves it here.
 To record new goldens after an intended output change, run
@@ -23,6 +23,10 @@ from cotlattice.cli import COLUMNS, main
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("plain", "csv", "json-lines")
 
+#: Grid of domain edges: the even origin, a pole, an odd order, a
+#: theta-domain miss, a power past the double range, a regular point.
+EDGE_GRID = str(GOLDEN / "edge.grid")
+
 #: name -> argv; each runs once per format.
 CASES = {
     "verify": ["verify"],
@@ -30,6 +34,13 @@ CASES = {
     "eval": ["eval", "-n", "4", "-z", "1.0"],
     "product": ["product", "-n", "1", "-x", "0.25", "-y", "0.5"],
     "theta": ["theta", "-n", "1", "-q", "0.1"],
+    "eval-pole": ["eval", "-n", "1", "-z", "2"],
+    "eval-origin": ["eval", "-n", "2", "-z", "0"],
+    "eval-tiny": ["eval", "-n", "4", "-z", "1e-200"],
+    "eval-underflow": ["eval", "-n", "64", "-z", "1.0723265072253539e-05"],
+    "eval-overflow": ["eval", "-n", "2", "-z", "1e308+1e308i", "--method", "direct"],
+    "verify-edge": ["verify", "--grid", EDGE_GRID],
+    "bench-edge": ["bench", "--grid", EDGE_GRID],
 }
 
 _WALL = COLUMNS.index("wall_time_ns")
@@ -49,11 +60,13 @@ def mask(text: str, fmt: str) -> str:
 
 
 def run(argv: list[str]) -> str:
-    """The masked golden text of one run: its exit code, then stdout."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """The masked golden text of one run: its exit code, each stderr line
+    prefixed ``stderr: ``, then stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return f"exit {code}\n" + mask(out.getvalue(), argv[-1])
+    err_lines = "".join(f"stderr: {line}\n" for line in err.getvalue().splitlines())
+    return f"exit {code}\n" + err_lines + mask(out.getvalue(), argv[-1])
 
 
 def _golden_path(name: str, fmt: str) -> Path:

@@ -84,10 +84,6 @@ class TestThetaArg:
         arg = ThetaArg.from_q(0.25)
         assert abs(arg.q * math.exp(arg.t) - 1.0) < 1e-15
 
-    def test_from_t(self):
-        arg = ThetaArg.from_t(2.0)
-        assert abs(arg.q - math.exp(-2.0)) < 1e-17
-
     def test_rejects_boundary_and_outside(self):
         for q in (0.0, 1.0, -0.1, 1.5, float("nan")):
             with pytest.raises(DomainError):
@@ -150,7 +146,7 @@ class TestPsiTArray:
         tol = Tolerance(abs_tol=0.0, rel_tol=1e-16)
         for ts in T_PANELS:
             for t, v in zip(ts, _psi_t_array(n, ts)):
-                ref = psi(n, ThetaArg.from_t(t), tol)
+                ref = psi(n, ThetaArg(q=math.exp(-t), t=t), tol)
                 # psi's bound plus two ulps for the array's own rounding
                 assert abs(v - ref.value.real) <= ref.err_estimate + 2 * EPS * v, (n, t)
 

@@ -8,18 +8,19 @@ import pytest
 from cotlattice import (
     DEFAULT_TOLERANCE,
     DomainError,
-    DomainStatus,
     EvalResult,
     Method,
     ProductQuery,
     Tolerance,
     phi,
     product_ratio,
+    u_closed,
     u_direct,
+    u_theta,
     validate_domain,
 )
 from cotlattice.numerics import Kahan, ipow, zeta_tail, zeta_tail_upper
-from cotlattice.types import require_finite_scalar, require_order
+from cotlattice.types import power_in_range, require_finite_scalar, require_order
 
 ZETA2 = math.pi**2 / 6.0
 
@@ -105,38 +106,51 @@ class TestRequire:
         assert require_finite_scalar(2) == 2 + 0j
 
 
+def is_pole(n, z):
+    """Whether validate_domain rejects (n, z) as a pole."""
+    try:
+        validate_domain(n, z)
+    except DomainError as exc:
+        assert str(exc).endswith(": pole"), exc
+        return True
+    return False
+
+
 class TestValidateDomain:
-    """validate_domain separates OK, excluded, and pole points."""
+    """validate_domain returns z, or raises DomainError at excluded
+    points and poles."""
 
     def test_origin_even_excluded(self):
-        assert validate_domain(2, 0j) is DomainStatus.EXCLUDED
+        with pytest.raises(DomainError, match="z=0 excluded for even n"):
+            validate_domain(2, 0j)
 
     def test_origin_odd_pole(self):
-        assert validate_domain(3, 0j) is DomainStatus.POLE
+        assert is_pole(3, 0j)
 
     def test_odd_integer_pole(self):
         # k = -z cancels k^n + z^n for odd n at every nonzero integer z.
-        assert validate_domain(1, 2 + 0j) is DomainStatus.POLE
-        assert validate_domain(3, -5 + 0j) is DomainStatus.POLE
+        assert is_pole(1, 2 + 0j)
+        assert is_pole(3, -5 + 0j)
 
     def test_odd_half_integer_ok(self):
-        assert validate_domain(1, 0.5 + 0j) is DomainStatus.OK
-        assert validate_domain(5, 7.5 + 0j) is DomainStatus.OK
+        assert validate_domain(1, 0.5) == 0.5 + 0j
+        assert type(validate_domain(5, 7.5)) is complex
 
     def test_even_real_ok(self):
-        assert validate_domain(2, 3 + 0j) is DomainStatus.OK
-        assert validate_domain(4, 1000.25 + 0j) is DomainStatus.OK
+        assert validate_domain(2, 3 + 0j) == 3 + 0j
+        assert validate_domain(4, 1000.25 + 0j) == 1000.25 + 0j
 
     def test_even_imaginary_pole(self):
         # z = i: k = 1 gives 1 + i^2 = 0.
-        assert validate_domain(2, 1j) is DomainStatus.POLE
+        with pytest.raises(DomainError, match=r"domain: U_2 at z=1j: pole"):
+            validate_domain(2, 1j)
 
     def test_eighth_root_pole(self):
         z = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-        assert validate_domain(4, z) is DomainStatus.POLE
+        assert is_pole(4, z)
 
     def test_generic_complex_ok(self):
-        assert validate_domain(4, 0.5 + 0.5j) is DomainStatus.OK
+        assert validate_domain(4, 0.5 + 0.5j) == 0.5 + 0.5j
 
     def test_band_scan_matches_full_window(self):
         # Reference: every integer k != 0 with |k| <= |z| + 2, same test.
@@ -147,8 +161,8 @@ class TestValidateDomain:
             for k in range(-int(az + 2.0), int(az + 2.0) + 1):
                 ksn = ipow(k / s, n)
                 if k != 0 and abs(ksn + zsn) < 1e-12 * max(abs(ksn), abs(zsn)):
-                    return DomainStatus.POLE
-            return DomainStatus.OK
+                    return True
+            return False
 
         rng = random.Random(4242)
         points = []
@@ -162,12 +176,33 @@ class TestValidateDomain:
             points.append((n, pole + 1e-13))
             points.append((n, pole + 1e-13j))
             points.append((n, complex(rng.uniform(-70.0, 70.0), rng.uniform(-70.0, 70.0))))
-        statuses = set()
+        verdicts = set()
         for n, z in points:
-            status = validate_domain(n, z)
-            assert status is brute(n, z), (n, z)
-            statuses.add(status)
-        assert statuses == {DomainStatus.OK, DomainStatus.POLE}
+            pole = is_pole(n, z)
+            assert pole is brute(n, z), (n, z)
+            verdicts.add(pole)
+        assert verdicts == {True, False}
+
+
+class TestPowerInRange:
+    """power_in_range returns ipow(z, k) or raises DomainError."""
+
+    def test_returns_ipow(self):
+        assert power_in_range(0.3, 7) == ipow(0.3, 7)
+        assert type(power_in_range(0.3, 7)) is float
+        assert power_in_range(0.5 + 0.25j, 9) == ipow(0.5 + 0.25j, 9)
+
+    def test_reciprocal_decides_at_the_bottom(self):
+        # 2^-1023 is subnormal but its reciprocal is a double; 2^-1024's is not.
+        assert power_in_range(0.5, 1023) == 2.0 ** -1023
+        with pytest.raises(DomainError, match=r"z\^1024 leaves double range"):
+            power_in_range(0.5, 1024)
+
+    def test_rejects_unusable_powers(self):
+        # zero, a reciprocal past the range, overflow, non-finite parts
+        for z, k in ((0.25, 1024), (1e-3, 103), (2.0, 1024), (1e308 + 1e308j, 2)):
+            with pytest.raises(DomainError, match=rf"z\^{k} leaves double range"):
+                power_in_range(z, k)
 
 
 @pytest.mark.parametrize("call", [
@@ -179,6 +214,11 @@ class TestValidateDomain:
     lambda: phi(8, 0.05),
     # one closed-form factor overflows
     lambda: product_ratio(ProductQuery(8, 6.422082031909381e-142, 0.01410156631713621)),
+    # a power z^k the route divides by leaves the double range
+    lambda: u_closed(64, 1.0723265072253539e-05),
+    lambda: phi(2, 1e-200),
+    lambda: u_theta(1, 1e-200),
+    lambda: u_direct(2, 1e308 + 1e308j),
 ])
 def test_out_of_range_value_is_domain_error(call):
     """A value past the double range is a DomainError, never a bare

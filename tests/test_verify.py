@@ -1,11 +1,16 @@
 """Tests for the cross-method verification harness."""
 
+import cmath
+import math
+import random
+
 import pytest
 
 from cotlattice import (
     ALL_METHODS,
-    SCHEMA_VERSION,
+    DomainError,
     Method,
+    ToleranceError,
     Tolerance,
     applicable_methods,
     phi,
@@ -47,6 +52,29 @@ class TestApplicableMethods:
     def test_theta_needs_representable_power(self):
         assert Method.THETA_INTEGRAL not in applicable_methods(1024, 0.5)
 
+    def test_theta_offered_exactly_where_u_theta_accepts(self):
+        # A one-node budget stops u_theta at its first panels, after the
+        # domain checks, which are all this compares.
+        tol = Tolerance(max_nodes=1)
+        rng = random.Random(2024)
+        verdicts = set()
+        for _ in range(600):
+            m = round(math.exp(rng.uniform(0.0, math.log(550))))
+            r = math.exp(rng.uniform(math.log(1e-12), math.log(1e4)))
+            ray = rng.choice((0.0, 0.5, 1.0, rng.uniform(0.0, 2.0)))
+            z = r * cmath.exp(1j * math.pi * ray)
+            offered = Method.THETA_INTEGRAL in applicable_methods(2 * m, z)
+            accepted = True
+            try:
+                u_theta(m, z, tol)
+            except DomainError:
+                accepted = False
+            except ToleranceError:
+                pass  # past the domain checks
+            assert offered is accepted, (2 * m, z)
+            verdicts.add(offered)
+        assert verdicts == {True, False}
+
     def test_dyadic_depth_cap(self):
         assert Method.DYADIC_RECURSION in applicable_methods(1024, 0.9)
         assert Method.DYADIC_RECURSION not in applicable_methods(2048, 0.9)
@@ -80,7 +108,6 @@ class TestVerifyPoints:
         assert rep.summary.runs_total == 4
         assert rep.summary.pairs_total == 6
         assert rep.all_pass
-        assert rep.schema_version == SCHEMA_VERSION
 
     def test_pair_bounds_hold(self):
         rep = verify_points(((2, 0.7 + 0j), (3, 0.45 + 0j)), ALL_METHODS, TOL)
