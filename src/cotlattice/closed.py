@@ -11,9 +11,11 @@ cotangent expansion collapse the lattice sum to n kernel terms:
 
 with a_k = cos(theta_k), b_k = sin(theta_k).  The identity holds for
 complex z as well.  Since f_k is even in b_k, the conjugate rays theta
-and 2 pi - theta give identical terms, so only the ceil(n/2) rays with
-theta in (0, pi] are evaluated: each conjugate pair counts twice, and
-the axis ray theta = pi of odd n once.  For n = 1 and n = 2 the sum is
+and 2 pi - theta give identical terms; since it is even in a_k too, for
+even n the rays theta and pi - theta do as well.  So only the ceil(n/2)
+rays with theta in (0, pi] are evaluated for odd n, and the (n + 2) // 4
+with theta in (0, pi/2] for even n, each weighted by the number of roots
+it stands for (:func:`kernel_table`).  For n = 1 and n = 2 the sum is
 pi cot(pi z) and (pi / z) coth(pi z).
 
 Two stability measures apply to every kernel term:
@@ -31,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from types import ModuleType
 from typing import NamedTuple, NoReturn
 
 from .direct import lattice_series
@@ -57,67 +60,82 @@ __all__ = [
 _BIG = 30.0
 #: Relative threshold at which a kernel denominator counts as singular.
 _SING_EPS = 1e-12
+#: 2 _SING_EPS with 1e-6 of slack for the rounding of sinh, sin, cosh, cos.
+_SING_CAP = 2.0 * _SING_EPS * (1.0 + 1e-6)
 
 
 class RootRay(NamedTuple):
-    """One distinct root ray theta = (2k - 1) pi / n with 0 < theta <= pi."""
+    """One distinct root ray theta = (2k - 1) pi / n: 0 < theta <= pi for
+    odd n, 0 < theta <= pi / 2 for even n."""
 
     theta: float
     a: float  # cos(theta)
     b: float  # sin(theta), >= 0
-    mult: int  # 2 for a conjugate pair, 1 for the axis ray theta = pi
+    mult: int  # how many of the n roots the ray stands for: 4, 2 or 1
 
 
 @lru_cache(maxsize=None)
 def kernel_table(n: int) -> tuple[RootRay, ...]:
-    """The ceil(n/2) distinct root rays of order n, angle-increasing.
+    """The distinct root rays of order n, angle-increasing: ceil(n/2) of
+    them for odd n, (n + 2) // 4 for even n.
 
-    Ray k <= ceil(n/2) stands for itself and its conjugate at
-    2 pi - theta (multiplicity 2), except the axis ray theta = pi of odd
-    n (multiplicity 1); the multiplicities sum to n.  Exact values are
+    The kernel term is even in b and in a.  So a ray stands for its
+    conjugate at -theta, and for even n also for its mirror images at
+    +-(pi - theta), which are roots too (for odd n they are roots of
+    +z^n instead).  Odd n keeps the rays with theta <= pi: multiplicity
+    2, except the axis ray theta = pi (1).  Even n keeps those with
+    theta <= pi / 2: multiplicity 4, except the ray theta = pi / 2 of
+    n = 2 mod 4 (2).  The multiplicities sum to n.  Exact values are
     snapped at the axis rays: (a, b) = (-1, 0) when 2k - 1 = n, (0, 1)
     when (2k - 1)/n = 1/2.
     """
     require_order(n)
+    full = 2 if n % 2 else 4
     rays = []
-    for k in range(1, (n + 1) // 2 + 1):
-        num = 2 * k - 1
+    for num in range(1, (n if n % 2 else n // 2) + 1, 2):
         theta = num * math.pi / n
         if num == n:
             rays.append(RootRay(theta, -1.0, 0.0, 1))
         elif 2 * num == n:
             rays.append(RootRay(theta, 0.0, 1.0, 2))
         else:
-            rays.append(RootRay(theta, math.cos(theta), math.sin(theta), 2))
+            rays.append(RootRay(theta, math.cos(theta), math.sin(theta), full))
     return tuple(rays)
 
 
-def _kernel(a: float, b: float, w: complex, r: float = 1.0) -> complex:
+def _kernel(a: float, b: float, w: complex, r: float = 1.0,
+            m: ModuleType | None = None) -> complex:
     """[a sin x + b sinh y] / [cosh y - cos x] at x = w a, y = w b.
 
-    ``w`` is 2 pi z, a float for real z (evaluated with ``math``) or a
-    complex (``cmath``).  The denominator counts as vanished below
-    ``_SING_EPS`` relative to its addends.  Below exponential scale 30 the
-    half-angle numerator and denominator are both multiplied by r^2,
-    where r is a power of two (exact) that keeps the denominator from
-    underflowing near z = 0; see :func:`u_closed`.
+    ``w`` is 2 pi z, a float for real z or a complex; ``m`` is the module
+    that evaluates it, ``math`` for a float and ``cmath`` for a complex
+    (taken from the type of ``w`` when not given).  The denominator
+    counts as vanished below ``_SING_EPS`` relative to its addends.  Below
+    exponential scale 30 the half-angle numerator and denominator are both
+    multiplied by r^2, where r is a power of two (exact) that keeps the
+    denominator from underflowing near z = 0; see :func:`u_closed`.
     """
+    if m is None:
+        m = math if isinstance(w, float) else cmath
     x = w * a
     y = w * b
-    real_in = isinstance(w, float)
-    m = math if real_in else cmath
-    scale_exp = max(abs(y.real), abs(x.imag))
-    if scale_exp <= _BIG:
+    if abs(y.real) <= _BIG and abs(x.imag) <= _BIG:
         sh = m.sinh(0.5 * y)
         sn = m.sin(0.5 * x)
+        # |cosh y| <= 1 + 2 |sinh(y/2)|^2 and |cos x| <= 1 + 2 |sin(x/2)|^2,
+        # so a denominator at or above this cap is not singular; only one
+        # below it needs the cosh and cos of the exact test.  |v^2| = |v|^2.
+        cap = _SING_CAP * (1.5 + abs(sh * sh) + abs(sn * sn))
         num = a * m.sin(x) + b * m.sinh(y)
         if r != 1.0:
             sh, sn, num = sh * r, sn * r, num * r * r
         den = 2.0 * sh * sh + 2.0 * sn * sn
-        if abs(den) < _SING_EPS * (1.0 + abs(m.cosh(y)) + abs(m.cos(x))):
+        if abs(den) < cap and (
+                abs(den) < _SING_EPS * (1.0 + abs(m.cosh(y)) + abs(m.cos(x)))):
             _singular(x, y)
         return num / den
-    if real_in:
+    scale_exp = max(abs(y.real), abs(x.imag))
+    if m is math:
         # Rescale by e^(-|y|): sinh and cosh overflow past ~710 while
         # the ratio itself stays O(1).
         e1 = math.exp(-scale_exp)
@@ -150,9 +168,10 @@ def _singular(x: complex, y: complex) -> NoReturn:
 def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     """Evaluate U_n(z) in closed form, for any n >= 1.
 
-    One loop over the ceil(n/2) distinct rays of :func:`kernel_table`,
-    each term weighted by its multiplicity.  ``work`` reports n, the
-    number of terms of the closed form, regardless of |z|.
+    One loop over the distinct rays of :func:`kernel_table` (ceil(n/2)
+    for odd n, (n + 2) // 4 for even n), each term weighted by its
+    multiplicity.  ``work`` reports n, the number of terms of the closed
+    form, regardless of |z|.
 
     Near z = 0 every kernel denominator shrinks like |2 pi z|^2 / 2 and
     underflows below |z| ~ 1e-155.  The kernel scales numerator and
@@ -168,10 +187,11 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     z = validate_domain(n, z)
     w = 2.0 * math.pi * (z.real if z.imag == 0.0 else z)
     r = math.ldexp(1.0, min(1023, 1 - math.frexp(min(1.0, abs(w)))[1]))
+    m = math if isinstance(w, float) else cmath
     tot = 0.0
     abs_tot = 0.0
     for _, a, b, mult in kernel_table(n):
-        f = mult * _kernel(a, b, w, r)
+        f = mult * _kernel(a, b, w, r, m)
         tot += f
         abs_tot += abs(f)
     term_sum = complex(tot)

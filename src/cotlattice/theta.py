@@ -202,15 +202,16 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
             live = tsub >= _T_FLOOR
             return np.where(live, integrand_u(np.where(live, us, 1.0)), 0.0)
         pref = (2 * n) * us ** (2 * n - 1)
-        if s.imag == 0.0:
-            return pref * psis * np.exp(-tsub * r)
-        return pref * psis * np.exp(-tsub * s)
+        return pref * psis * decay(tsub)
 
     def integrand_t(ts: np.ndarray) -> np.ndarray:
-        psis = _psi_t_array(n, ts)
-        if s.imag == 0.0:
-            return psis * np.exp(-ts * r)
-        return psis * np.exp(-ts * s)
+        return _psi_t_array(n, ts) * decay(ts)
+
+    def decay(ts: np.ndarray) -> np.ndarray:
+        # e^(-t z^2n); where t |z^2n| passes the double range the product
+        # overflows to inf and the factor is exp(-inf) = 0, as it should be.
+        with np.errstate(over="ignore"):
+            return np.exp(-ts * (r if s.imag == 0.0 else s))
 
     budget = int(tol.max_nodes)
     part1 = integrate_adaptive(

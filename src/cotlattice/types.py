@@ -146,8 +146,9 @@ def validate_domain(n: int, z: complex) -> complex:
     TypeError flag an invalid n or a non-finite z.
 
     A pole requires |k| = |z|, so only the integers k != 0 in the band
-    |z| - 2 <= |k| <= |z| + 2 are scanned (k > 0 alone for even n, where
-    (-k)^n = k^n).  Vanishing is tested relative to the size of the
+    |z| - 2 <= |k| <= |z| + 2 are candidates (k > 0 alone for even n,
+    where (-k)^n = k^n), and of those only the ones within 1e-10 |z| of
+    |z| are tested.  Vanishing is tested relative to the size of the
     candidate addends,
 
         |k^n + z^n| < POLE_EPS * max(|k|^n, |z|^n),
@@ -173,13 +174,21 @@ def _has_pole(n: int, z: complex) -> bool:
     if n % 2 == 0 and z.imag == 0.0:
         return False
     az = abs(z)
-    # Work with z/s and k/s so no power overflows for candidates with
-    # |k| close to |z|; far-out candidates overflow to inf harmlessly.
+    # A pole needs |k| = |z|.  An integer k with d = ||z| - k| / |z| > 1e-10
+    # has ||k|^n - |z|^n| >= min(1, n d) / 4 of the larger power, far above
+    # POLE_EPS plus the rounding of the two powers below.  So only the k
+    # within min(2, 1e-10 |z|) of |z| are tested: below |z| = 5e9 at most
+    # round(|z|), and never more than the band |z| +- 2.
+    reach = min(2.0, 1e-10 * az)
+    band = range(max(1, math.ceil(az - reach)), math.floor(az + reach) + 1)
+    if not band:
+        return False
+    # Work with z/s and k/s so no power overflows.
     s = max(1.0, az)
     zsn = ipow(z / s, n)
     azn = abs(zsn)
     signs = (1.0,) if n % 2 == 0 else (1.0, -1.0)
-    for k in range(max(1, math.ceil(az - 2.0)), math.floor(az + 2.0) + 1):
+    for k in band:
         for sign in signs:
             ksn = ipow(sign * k / s, n)
             if abs(ksn + zsn) < POLE_EPS * max(abs(ksn), azn):

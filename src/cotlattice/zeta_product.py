@@ -174,7 +174,8 @@ def _rhs_closed(n: int, x: float, y: float) -> EvalResult:
     # Factor k of the closed form, in the half-angle form that never
     # cancels: cosh(2 pi t b) - cos(2 pi t a) = 2 sinh(pi t b)^2
     # + 2 sin(pi t a)^2.  The common factors of 2 cancel in the ratio,
-    # and a conjugate pair of rays contributes its factor squared.
+    # and a ray contributes its factor to the power of its multiplicity
+    # (the factor is even in a and in b).
     #
     # Rounding, in eps relative to each half-angle sum: sin and sinh add
     # an ulp each and pass their argument errors on with derivatives

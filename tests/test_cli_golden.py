@@ -14,6 +14,7 @@ import csv
 import io
 import os
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,7 @@ CASES = {
     "eval-tiny": ["eval", "-n", "4", "-z", "1e-200"],
     "eval-underflow": ["eval", "-n", "64", "-z", "1.0723265072253539e-05"],
     "eval-overflow": ["eval", "-n", "2", "-z", "1e308+1e308i", "--method", "direct"],
+    "eval-theta-huge": ["eval", "-n", "2", "-z", "1e154", "--method", "theta"],
     "verify-edge": ["verify", "--grid", EDGE_GRID],
     "bench-edge": ["bench", "--grid", EDGE_GRID],
 }
@@ -61,10 +63,16 @@ def mask(text: str, fmt: str) -> str:
 
 def run(argv: list[str]) -> str:
     """The masked golden text of one run: its exit code, each stderr line
-    prefixed ``stderr: ``, then stdout."""
+    prefixed ``stderr: ``, then stdout.  A warning counts as a stderr
+    line ``Category: message``: outside pytest, which records warnings
+    instead, it prints to stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
+    for w in caught:
+        err.write(f"{w.category.__name__}: {w.message}\n")
     err_lines = "".join(f"stderr: {line}\n" for line in err.getvalue().splitlines())
     return f"exit {code}\n" + err_lines + mask(out.getvalue(), argv[-1])
 

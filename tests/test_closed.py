@@ -8,14 +8,18 @@ import pytest
 
 from cotlattice import (
     DomainError,
+    KernelSingularError,
     Method,
+    ProductQuery,
     Tolerance,
     phi,
     u_closed,
     u_direct,
     unit_circle_parts,
 )
-from cotlattice.closed import _kernel, kernel_table
+from cotlattice import zeta_product
+from cotlattice.closed import RootRay, _kernel, kernel_table
+from cotlattice.numerics import EPS, ipow
 
 LOOSE = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
 
@@ -23,18 +27,31 @@ LOOSE = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
 class TestKernelTable:
     """kernel_table lists the distinct odd-angle rays with multiplicities."""
 
+    @staticmethod
+    def _orbit(n, ray):
+        """The roots a ray stands for, as {j: (cos, sin)} over the odd j in
+        1..2n-1 of the root angles j pi / n: the ray at theta, its conjugate
+        at -theta and, for even n, its mirror images at +-(pi - theta), with
+        (a, b) reflected to match."""
+        j = round(ray.theta * n / math.pi)
+        images = {j: (ray.a, ray.b), -j: (ray.a, -ray.b)}
+        if n % 2 == 0:
+            images.update({n - j: (-ray.a, ray.b), j - n: (-ray.a, -ray.b)})
+        return {i % (2 * n): ab for i, ab in images.items()}
+
     def test_angles(self):
-        for n in (1, 2, 3, 4, 5, 8):
+        for n in range(1, 65):
             table = kernel_table(n)
-            assert len(table) == (n + 1) // 2
+            # An exact count of kernel terms per call, whatever the machine.
+            assert len(table) == ((n + 1) // 2 if n % 2 else (n + 2) // 4)
             for k, ray in enumerate(table, start=1):
                 assert abs(ray.theta - (2 * k - 1) * math.pi / n) < 1e-12
 
     def test_multiplicities_sum_to_order(self):
-        for n in range(1, 12):
+        for n in range(1, 65):
             table = kernel_table(n)
             assert sum(ray.mult for ray in table) == n
-            assert all(ray.mult == (1 if ray.b == 0.0 else 2) for ray in table)
+            assert all(ray.mult == len(self._orbit(n, ray)) for ray in table)
 
     def test_unit_modulus(self):
         for ray in kernel_table(7):
@@ -49,20 +66,18 @@ class TestKernelTable:
         assert kernel_table(6)[1][1:] == (0.0, 1.0, 2)
 
     def test_conjugate_closure(self):
-        # Each ray with b > 0 stands for itself and its conjugate; together
-        # they are all n roots e^(i (2k - 1) pi / n), k = 1..n.
-        for n in (3, 4, 6, 9):
-            rays = []
+        # The rays' orbits are all n roots e^(i (2k - 1) pi / n), each once.
+        for n in range(1, 65):
+            roots = {}
             for ray in kernel_table(n):
-                rays.append((ray.a, ray.b))
-                if ray.mult == 2:
-                    rays.append((ray.a, -ray.b))
-            full = sorted((math.cos((2 * k - 1) * math.pi / n),
-                           math.sin((2 * k - 1) * math.pi / n))
-                          for k in range(1, n + 1))
-            assert len(rays) == n
-            for (a, b), (ca, cb) in zip(sorted(rays), full):
-                assert abs(a - ca) < 1e-15 and abs(b - cb) < 1e-15
+                orbit = self._orbit(n, ray)
+                assert not roots.keys() & orbit.keys()
+                roots.update(orbit)
+            assert sorted(roots) == list(range(1, 2 * n, 2))
+            for j, (a, b) in roots.items():
+                angle = (j if j <= n else j - 2 * n) * math.pi / n  # in (-pi, pi]
+                assert abs(a - math.cos(angle)) < 1e-15
+                assert abs(b - math.sin(angle)) < 1e-15
 
     def test_cached(self):
         assert kernel_table(5) is kernel_table(5)
@@ -88,6 +103,57 @@ class TestKernel:
                     continue
                 assert f == _kernel(a, -b, w)
                 assert type(f) is type(w)
+
+
+class TestSingularGate:
+    """_kernel raises KernelSingularError exactly where the exact test
+    |cosh y - cos x| < 1e-12 (1 + |cosh y| + |cos x|) holds, on both sides
+    of the cheap cap that spares most terms that test."""
+
+    @staticmethod
+    def _exact(a, b, w):
+        m = math if isinstance(w, float) else cmath
+        x, y = w * a, w * b
+        sh, sn = m.sinh(0.5 * y), m.sin(0.5 * x)
+        den = 2.0 * sh * sh + 2.0 * sn * sn
+        return abs(den) < 1e-12 * (1.0 + abs(m.cosh(y)) + abs(m.cos(x)))
+
+    def test_raises_exactly_at_threshold(self):
+        outcomes = set()
+        for m in (1, 3, 40):
+            for b in (0.0, 1e-9):
+                a = math.sqrt(1.0 - b * b)
+                for im in (None, 0.0, 1e-9):  # real w, complex w
+
+                    def w_at(d):
+                        # x = w a = 2 pi m + d, y = w b ~ 0
+                        x = 2.0 * math.pi * m + d
+                        return x / a if im is None else complex(x / a, im)
+
+                    # The denominator 2 sin^2(d/2) crosses the threshold
+                    # ~3e-12 near d = 2.45e-6; bisect to the crossing.
+                    lo, hi = 1e-7, 1e-5
+                    assert self._exact(a, b, w_at(lo))
+                    assert not self._exact(a, b, w_at(hi))
+                    for _ in range(60):
+                        mid = 0.5 * (lo + hi)
+                        if self._exact(a, b, w_at(mid)):
+                            lo = mid
+                        else:
+                            hi = mid
+                    # The cap lies 1e-6 above the threshold: steps of 1e-7
+                    # reach below the threshold, between the two and above
+                    # the cap.
+                    for step in range(-12, 13):
+                        w = w_at(lo * (1.0 + 1e-7 * step))
+                        singular = self._exact(a, b, w)
+                        outcomes.add(singular)
+                        if singular:
+                            with pytest.raises(KernelSingularError):
+                                _kernel(a, b, w)
+                        else:
+                            _kernel(a, b, w)
+        assert outcomes == {True, False}
 
 
 class TestUClosed:
@@ -233,6 +299,90 @@ class TestTinyArgument:
         for z in (1e-160, -1e-200, 1e-300, 1e-160 + 1e-161j):
             res = u_closed(1, z)
             assert abs(res.value - 1.0 / z) <= res.err_estimate
+
+
+def _unfolded_table(n):
+    """kernel_table without the even-order fold: all ceil(n/2) rays with
+    0 < theta <= pi, each a conjugate pair (2) but theta = pi (1)."""
+    rays = []
+    for k in range(1, (n + 1) // 2 + 1):
+        num = 2 * k - 1
+        theta = num * math.pi / n
+        if num == n:
+            rays.append(RootRay(theta, -1.0, 0.0, 1))
+        elif 2 * num == n:
+            rays.append(RootRay(theta, 0.0, 1.0, 2))
+        else:
+            rays.append(RootRay(theta, math.cos(theta), math.sin(theta), 2))
+    return rays
+
+
+def _unfolded_closed(n, z):
+    """(value, bar) of U_n(z) by u_closed's loop and rounding model over
+    the unfolded table."""
+    zr = z.real if z.imag == 0.0 else z
+    w = 2.0 * math.pi * zr
+    r = math.ldexp(1.0, min(1023, 1 - math.frexp(min(1.0, abs(w)))[1]))
+    tot = abs_tot = 0.0
+    for _, a, b, mult in _unfolded_table(n):
+        f = mult * _kernel(a, b, w, r)
+        tot += f
+        abs_tot += abs(f)
+    pref = math.pi / (n * ipow(zr, n - 1))
+    value = complex(pref * tot)
+    if value == 0:
+        return value, abs(pref) * abs_tot * 4.0 * EPS
+    cond = abs_tot / abs(tot) if tot != 0 else 1.0
+    return value, abs(value) * EPS * (8.0 + 4.0 * cond + 2.0 * math.pi * abs(z))
+
+
+class TestEvenFold:
+    """Folding the rays theta and pi - theta of even n moves values only
+    within their bars."""
+
+    @staticmethod
+    def _points(seed, count):
+        rng = random.Random(seed)
+        # |2 pi z b| > 30 takes the rescaled branch; |2 pi z| < 1 scales
+        # the half-angle form by r > 1, up to 2^511 at the smallest |z|
+        # where U_n ~ z^-n is still a double.
+        pts = [(8, 12.3 + 0j), (16, -7.5 + 3.1j), (6, 40.5j),
+               (2, 3e-154 + 0j), (2, -2e-152 + 1e-152j), (4, 1e-76j)]
+        for i in range(count):
+            n = 2 * round(2.0 ** rng.uniform(0.0, 9.0))
+            top = 280.0 / n  # |z|^n stays a double
+            r = 10.0 ** rng.uniform(-min(12.0, top), min(4.0, top))
+            phase = rng.uniform(-math.pi, math.pi) if i % 2 else rng.choice((0.0, math.pi))
+            pts.append((n, complex(r * math.cos(phase), r * math.sin(phase))))
+        return pts
+
+    def test_u_closed_matches_unfolded_sum(self):
+        rescaled = tiny = 0
+        for n, z in self._points(8080, 400):
+            res = u_closed(n, z)
+            ref, ref_err = _unfolded_closed(n, z)
+            assert abs(res.value - ref) <= res.err_estimate + ref_err, (n, z)
+            assert res.work == n
+            rescaled += abs(2.0 * math.pi * z) * kernel_table(n)[-1].b > 30.0
+            tiny += abs(z) < 1e-75
+        assert rescaled >= 10 and tiny >= 3
+
+    def test_product_matches_unfolded_product(self, monkeypatch):
+        rng = random.Random(8081)
+        queries = []
+        for n in (2, 4, 6, 8, 10, 16, 30, 64, 128, 1024):
+            # The ratio grows like (y/x)^(2n): keep it a double.
+            x = rng.uniform(0.01, 0.49)
+            y = x * (1.0 + rng.uniform(0.0, min(1.0, 20.0 / n)))
+            queries.append(ProductQuery(n, x, y))
+        # product_ratio reports the closed side of product_parts.
+        folded = [zeta_product.product_parts(q)[1] for q in queries]
+        unfolded_rays = zeta_product._product_rays.__wrapped__
+        monkeypatch.setattr(zeta_product, "kernel_table", _unfolded_table)
+        monkeypatch.setattr(zeta_product, "_product_rays", unfolded_rays)
+        for q, res in zip(queries, folded):
+            ref = zeta_product._rhs_closed(q.n, q.x, q.y)
+            assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate, q
 
 
 class TestUnitCircleParts:

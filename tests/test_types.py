@@ -154,11 +154,15 @@ class TestValidateDomain:
 
     def test_band_scan_matches_full_window(self):
         # Reference: every integer k != 0 with |k| <= |z| + 2, same test.
+        # Above |z| = 1e4 only the band |z| - 2 <= |k| <= |z| + 2: near
+        # |z| = 1e15 integers farther out pass the relative test too, and
+        # the band is what defines a pole there.
         def brute(n, z):
             az = abs(z)
             s = max(1.0, az)
             zsn = ipow(z / s, n)
-            for k in range(-int(az + 2.0), int(az + 2.0) + 1):
+            lo, hi = (1 if az < 1e4 else math.ceil(az - 2.0)), int(az + 2.0)
+            for k in (*range(-hi, -lo + 1), *range(lo, hi + 1)):
                 ksn = ipow(k / s, n)
                 if k != 0 and abs(ksn + zsn) < 1e-12 * max(abs(ksn), abs(zsn)):
                     return True
@@ -176,6 +180,27 @@ class TestValidateDomain:
             points.append((n, pole + 1e-13))
             points.append((n, pole + 1e-13j))
             points.append((n, complex(rng.uniform(-70.0, 70.0), rng.uniform(-70.0, 70.0))))
+        # |z| at and next to |k| up to n = 1024, on a pole ray and off it,
+        # across the 1e-10 relative gap outside which k cannot be a pole.
+        for _ in range(60):
+            n = round(2.0 ** rng.uniform(0.0, 10.0))
+            k = rng.randint(1, 64)
+            j = rng.randrange(n)
+            for phase in (math.pi * (2 * j + 1) / n, rng.uniform(-math.pi, math.pi)):
+                for rel in (0.0, 1e-16, 1e-13, 1e-12 / n, 1e-11, 1e-9):
+                    for sign in (1.0, -1.0):
+                        r = k * (1.0 + sign * rel)
+                        points.append((n, complex(r * math.cos(phase), r * math.sin(phase))))
+        # Large |z|, where up to five integers lie within 1e-10 of |z|:
+        # halfway points and their neighbours, on pole rays.
+        for _ in range(40):
+            n = round(2.0 ** rng.uniform(0.0, 10.0))
+            k = rng.choice((10**6, 5 * 10**9 + 1, 10**12, 845530376712649))
+            j = rng.randrange(n)
+            phase = math.pi * (2 * j + 1) / n
+            for r in (k, k + 0.25, k + 0.5, k + 1.0 - 2.0**-5):
+                points.append((n, complex(r * math.cos(phase), r * math.sin(phase))))
+        points.append((939, 347264519225798.2 - 770927345234757j))
         verdicts = set()
         for n, z in points:
             pole = is_pole(n, z)
