@@ -196,7 +196,8 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
         abs_tot += abs(f)
     term_sum = complex(tot)
     zp = power_in_range(z.real if z.imag == 0.0 else z, n - 1)
-    pref = math.pi / (n * zp)
+    nzp = n * zp  # pi/n first where this overflows; pref is then subnormal
+    pref = math.pi / nzp if cmath.isfinite(nzp) else (math.pi / n) / zp
     value = complex(pref * term_sum)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise DomainError(
@@ -209,6 +210,8 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     err = abs(value) * EPS * (8.0 + 4.0 * cond + arg_scale)
     if value == 0:
         err = abs(pref) * abs_tot * 4.0 * EPS
+    if abs(pref) < 2.0 ** -1022:  # pref and value lose digits to underflow
+        err += (abs_tot + 2.0) * math.ulp(0.0)
     return EvalResult(value=value, err_estimate=err, method=Method.CLOSED_FORM, work=n)
 
 

@@ -11,13 +11,15 @@ integrates |f - mean|.  Adaptation bisects the panel with the largest
 error until the summed bound meets tolerance or the node budget is
 exhausted.
 
-Integrands receive a numpy array of abscissae and must return an array
-of values (real or complex), one per node; each panel costs 15 nodes.
+Integrands receive a numpy array of abscissae and must return one value
+(real or complex) per node, 15 per panel; the panels of one step, the
+first ones or the two halves of a bisection, share one call.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,40 +32,23 @@ __all__ = ["gk15_panel", "integrate_adaptive", "QuadratureResult"]
 
 # 15-point Kronrod abscissae (positive half, descending) with the
 # 7-point Gauss rule embedded at the odd positions.
-_XGK = np.array([
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
-    0.0,
-])
-_WGK = np.array([
-    0.02293532201052922,
-    0.06309209262997855,
-    0.1047900103222502,
-    0.1406532597155259,
-    0.1690047266392679,
-    0.1903505780647854,
-    0.2044329400752989,
-    0.2094821410847278,
-])
-_WG = np.array([
-    0.1294849661688697,
-    0.2797053914892767,
-    0.3818300505051189,
-    0.4179591836734694,
-])
+_XGK = np.array([0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+                 0.7415311855993944, 0.5860872354676911, 0.4058451513773972,
+                 0.2077849550078985, 0.0])
+_WGK = np.array([0.02293532201052922, 0.06309209262997855, 0.1047900103222502,
+                 0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
+                 0.2044329400752989, 0.2094821410847278])
+_WG = np.array([0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
+                0.4179591836734694])
 
 #: All 15 Kronrod nodes on [-1, 1], ascending.
 _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
 #: Kronrod weights matching _NODES.
 _WEIGHTS_K = np.concatenate((_WGK[:-1], _WGK[::-1]))
-#: Gauss weights scattered onto the 15 Kronrod positions (zero off-rule).
-_WEIGHTS_G = np.zeros(15)
-_WEIGHTS_G[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))
+#: Columns: the Kronrod weights, and Kronrod minus Gauss weights (the
+#: Gauss rule scattered onto the 15 Kronrod positions, zero off-rule).
+_WEIGHTS_KD = np.stack((_WEIGHTS_K, _WEIGHTS_K), axis=1)
+_WEIGHTS_KD[1:14:2, 1] -= np.concatenate((_WG[:-1], _WG[::-1]))
 
 
 @dataclass(frozen=True)
@@ -75,24 +60,28 @@ class QuadratureResult:
     nodes: int
 
 
+def _gk15(f, a, b) -> list[tuple[complex, float, float]]:
+    """Kronrod panels [a[i], b[i]], evaluated in one call of f on their 15
+    nodes each: one (value, err_model, resabs) per panel."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    h = 0.5 * (b - a)
+    ys = np.asarray(f(((a + h)[:, None] + h[:, None] * _NODES).ravel())).reshape(len(a), 15)
+    # einsum, not @: a BLAS product may round a row differently by batch size
+    kd = np.einsum("ij,jk->ik", ys, _WEIGHTS_KD)
+    absy = np.einsum("ij,j->i", np.abs(ys), _WEIGHTS_K)
+    dev = np.einsum("ij,j->i", np.abs(ys - 0.5 * kd[:, :1]), _WEIGHTS_K)  # mean = resk/(b-a)
+    out = []
+    for hh, (k, d), ab, dv in zip(h.tolist(), kd.tolist(), absy.tolist(), dev.tolist()):
+        diff, resabs, resasc = abs(hh * d), abs(hh) * ab, abs(hh) * dv
+        err = resasc * min(1.0, 200.0 * diff / resasc) ** 1.5 if resasc and diff else diff
+        out.append((hh * k, max(err, 50.0 * EPS * resabs), resabs))
+    return out
+
+
 def gk15_panel(f, a: float, b: float) -> tuple[complex, float, float]:
     """One Kronrod panel on [a, b]: (value, err_model, resabs)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    xs = c + h * _NODES
-    ys = np.asarray(f(xs))
-    resk = h * complex(np.sum(_WEIGHTS_K * ys))
-    resg = h * complex(np.sum(_WEIGHTS_G * ys))
-    resabs = abs(h) * float(np.sum(_WEIGHTS_K * np.abs(ys)))
-    mean = resk / (b - a)
-    resasc = abs(h) * float(np.sum(_WEIGHTS_K * np.abs(ys - mean)))
-    diff = abs(resk - resg)
-    if resasc != 0.0 and diff != 0.0:
-        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    else:
-        err = diff
-    err = max(err, 50.0 * EPS * resabs)
-    return resk, err, resabs
+    value, err, resabs = _gk15(f, (a,), (b,))[0]
+    return complex(value), err, resabs
 
 
 def integrate_adaptive(
@@ -102,6 +91,7 @@ def integrate_adaptive(
     abs_tol: float,
     rel_tol: float,
     max_nodes: int,
+    breaks: tuple[float, ...] = (),
 ) -> QuadratureResult:
     """Integrate f over [a, b] to max(abs_tol, rel_tol * |integral|).
 
@@ -110,47 +100,45 @@ def integrate_adaptive(
         a, b: finite interval endpoints, a < b.
         abs_tol, rel_tol: error targets (at least one positive).
         max_nodes: total node budget; each panel evaluation costs 15.
+        breaks: ascending interior points that start as panel edges.
 
     Raises:
         QuadratureFailureError: budget exhausted, or a panel too narrow
             to bisect still dominates the error.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"bad interval [{a!r}, {b!r}]")
-    value, err, _ = gk15_panel(f, a, b)
-    nodes = 15
+    edges = (a, *breaks, b)
+    if not (all(map(math.isfinite, edges))
+            and all(x < y for x, y in zip(edges, edges[1:]))):
+        raise ValueError(f"bad interval [{a!r}, {b!r}] with breaks {breaks!r}")
     # Heap of (-err, seq, a, b, value, err); seq makes ordering total and
-    # deterministic.
-    seq = 0
-    heap = [(-err, seq, a, b, value, err)]
-    total_value = value
-    total_err = err
+    # deterministic.  Each pass evaluates the panels lo[i]..hi[i] that
+    # replace the popped one (none, value 0, on the first pass).
+    heap: list = []
+    seq = itertools.count()
+    nodes = 0
+    total_value = total_err = pval = perr = 0.0
+    lo, hi = edges[:-1], edges[1:]
     while True:
+        panels = _gk15(f, lo, hi)
+        nodes += 15 * len(panels)
+        total_value += sum(p[0] for p in panels) - pval
+        total_err += sum(p[1] for p in panels) - perr
+        for pa, pb, (v, e, _) in zip(lo, hi, panels):
+            heapq.heappush(heap, (-e, next(seq), pa, pb, v, e))
         target = max(abs_tol, rel_tol * abs(total_value))
         if total_err <= target:
             break
         if nodes + 30 > max_nodes:
             raise QuadratureFailureError(
-                f"quadrature error bound {total_err:.3g} above target "
-                f"{target:.3g} with node budget {max_nodes} exhausted "
-                f"({nodes} used)"
-            )
-        neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
+                f"quadrature error bound {total_err:.3g} above target {target:.3g} "
+                f"with node budget {max_nodes} exhausted ({nodes} used)")
+        _, _, pa, pb, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if not (pa < mid < pb):
             raise QuadratureFailureError(
                 f"panel [{pa!r}, {pb!r}] cannot be bisected further but its "
-                f"error {perr:.3g} dominates the bound {total_err:.3g}"
-            )
-        v1, e1, _ = gk15_panel(f, pa, mid)
-        v2, e2, _ = gk15_panel(f, mid, pb)
-        nodes += 30
-        total_value += v1 + v2 - pval
-        total_err += e1 + e2 - perr
-        seq += 1
-        heapq.heappush(heap, (-e1, seq, pa, mid, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, pb, v2, e2))
+                f"error {perr:.3g} dominates the bound {total_err:.3g}")
+        lo, hi = (pa, mid), (mid, pb)
     # Recompute sums from live panels once at the end; the incremental
     # running totals accumulate cancellation over many splits.
     total_value = sum(item[4] for item in heap)

@@ -2,22 +2,19 @@
 
 Psi_n(q) = sum over all integers k of q^(k^(2n)) for 0 < q < 1; Psi_1 is
 the classical theta3.  Writing q = e^(-t), Fubini on the Laplace kernel
-gives
+gives, for s = z^(2n) with Re s > 0 (the condition of 1/a = integral_0^inf
+e^(-ta) dt),
 
-    U_2n(z) = integral_0^inf e^(-t z^(2n)) Psi_n(e^(-t)) dt,
+    U_2n(z) = integral_0^inf e^(-t s) Psi_n(e^(-t)) dt.
 
-valid whenever Re(z^(2n)) > 0 (the convergence condition of the scalar
-identity 1/a = integral_0^inf e^(-ta) dt).  The equivalent q-form
-integral_0^1 q^(z^(2n)-1) Psi_n(q) dq is never integrated directly: near
-q = 1 the theta terms pile up, while in t the integrand decays like
-e^(-t Re z^(2n)) and its t -> 0 blowup Psi ~ c t^(-1/(2n)) is algebraic
-and removed exactly by the substitution t = u^(2n).
-
-All theta series work happens in t; powers q^(k^(2n)) are evaluated as
-e^(-t k^(2n)), which never overflows.  Each quadrature node skips its
-own terms past t k^(2n) > 45 (each below 3e-20, under any supported
-tolerance), so a node next to t = 0 costs ~(45/t)^(1/(2n)) terms
-without making the other nodes of its panel pay the same.
+On t >= 1 the theta series converges super-exponentially, so that piece
+is integrated term by term in closed form.  On (0, 1] the blowup Psi ~
+c t^(-1/(2n)) at t -> 0 is algebraic and removed exactly by t = u^(2n);
+the bounded integrand goes to adaptive Gauss-Kronrod quadrature.  Theta
+powers q^(k^(2n)) are evaluated as e^(-t k^(2n)), which never overflows,
+and each node skips its own terms past t k^(2n) > 45 (each below 3e-20),
+so a node next to t = 0 costs ~(45/t)^(1/(2n)) terms without making the
+other nodes of its panel pay the same.
 """
 
 from __future__ import annotations
@@ -141,15 +138,40 @@ def _psi_t_array(n: int, ts: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(ts)
     active = np.flatnonzero(kcut >= 1.0)
     start, width = 1, 8
-    while active.size:
-        ks = np.arange(start, start + width, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            expo = np.outer(ts[active], ks ** two_n)
-        acc[active] += np.exp(-np.minimum(expo, 745.0)).sum(axis=1)
-        start += width
-        width = min(2 * width, 200_000)
-        active = active[kcut[active] >= start]
+    with np.errstate(over="ignore"):
+        while active.size:
+            kp = np.arange(start, start + width, dtype=np.float64) ** two_n
+            acc[active] += np.exp(-(ts[active, None] * kp)).sum(axis=1)
+            start += width
+            width = min(2 * width, 200_000)
+            active = active[kcut[active] >= start]
     return 1.0 + 2.0 * acc
+
+
+def _upper_piece(n: int, s: complex, target: float) -> tuple[complex, float]:
+    """integral_1^inf e^(-t s) Psi_n(e^(-t)) dt term by term, as (value, bound):
+    e^(-s)/s + 2 sum_{k>=1} e^(-s) e^(-k^(2n)) / (s + k^(2n)), stopped once
+    the next term, k = K, is at most ``target``/4.  The bound is the
+    geometric majorant of the terms k >= K (ratio e^(K^(2n) - (K+1)^(2n)),
+    as the exponent gaps grow), the rounding of each term's ~8 operations
+    and of the sum on the sum of |terms|, and a subnormal spacing per operation.
+    """
+    r = s.real
+    es = math.exp(-r) if isinstance(s, float) else cmath.exp(-s)
+    total = es / s
+    mag = abs(total)
+    k = 1
+    while True:
+        kp = _kpow(k, 2 * n)
+        nxt = 2.0 * es * math.exp(-kp) / (s + kp)
+        if abs(nxt) <= 0.25 * target:
+            break
+        total += nxt
+        mag += abs(nxt)
+        k += 1
+    lead = 2.0 * math.exp(-r - kp) / (r + kp)
+    tail = lead / (1.0 - math.exp(kp - _kpow(k + 1, 2 * n))) if lead > 0.0 else 0.0
+    return total, tail + (16 + 2 * k) * EPS * mag + 4 * k * math.ulp(0.0)
 
 
 def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
@@ -160,19 +182,16 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
     identity, with z^(2n) a usable double (:func:`power_in_range`);
     everything else raises DomainError before any quadrature runs.
 
-    The integral is split at t = 1 and t = 60.  On (0, 1] the
-    substitution t = u^(2n) gives the bounded integrand
-    2n u^(2n-1) Psi_n(e^(-u^(2n))) e^(-u^(2n) z^(2n)); on [1, 60] the
-    original integrand is integrated directly.  Above 60 the theta sum
-    is 1 to twenty-six digits, so that piece is the exact Laplace
-    transform e^(-60 s)/s plus a 2.05 e^(-60) error allowance; a fixed
-    upper quadrature endpoint keeps the panel nodes dense where the
-    k = 1 theta term still carries mass, which a cut scaled to 1/Re(s)
-    would not.  ``work`` counts quadrature nodes.
+    With s = z^(2n), t >= 1 is the closed sum of :func:`_upper_piece`.
+    On (0, 1], t = u^(2n) gives 2n u^(2n-1) Psi_n(e^(-u^(2n))) e^(-u^(2n) s),
+    integrated with the peak of its modulus, u* = ((2n-1)/(2n Re s))^(1/(2n)),
+    and the end of that peak's tail as first panel edges where they lie
+    below 1.  The bar also charges the rounding of s.  ``work`` counts the
+    quadrature nodes of the (0, 1] piece.
     """
     require_order(n)
     z = require_finite_scalar(z)
-    s = power_in_range(z, 2 * n)
+    s = power_in_range(z.real if z.imag == 0.0 else z, 2 * n)  # a float for real z
     r = s.real
     if not (r > 0.0):
         raise DomainError(
@@ -180,12 +199,7 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
             f"got Re={r!r} at z={z}"
         )
     abs_target = tol.target(abs(1.0 / s)) / 10.0
-
-    # Closed tail beyond t = 60: Psi_n - 1 <= 2.05 e^(-t) there, so
-    # integral_60^inf e^(-t s) Psi_n dt = e^(-60 s)/s up to at most
-    # 2.05 e^(-60(r+1))/(r+1) < 1.8e-26 in absolute value.
-    upper = cmath.exp(-60.0 * s) / s
-    upper_err = 1.8e-26 + 4.0 * EPS * abs(upper)
+    upper, upper_err = _upper_piece(n, s, abs_target)
 
     def integrand_u(us: np.ndarray) -> np.ndarray:
         tsub = us ** (2 * n)
@@ -201,33 +215,28 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
                     f"< {_T_FLOOR:.3g}, where its series leaves double range")
             live = tsub >= _T_FLOOR
             return np.where(live, integrand_u(np.where(live, us, 1.0)), 0.0)
-        pref = (2 * n) * us ** (2 * n - 1)
-        return pref * psis * decay(tsub)
-
-    def integrand_t(ts: np.ndarray) -> np.ndarray:
-        return _psi_t_array(n, ts) * decay(ts)
-
-    def decay(ts: np.ndarray) -> np.ndarray:
         # e^(-t z^2n); where t |z^2n| passes the double range the product
         # overflows to inf and the factor is exp(-inf) = 0, as it should be.
         with np.errstate(over="ignore"):
-            return np.exp(-ts * (r if s.imag == 0.0 else s))
+            return (2 * n) * us ** (2 * n - 1) * psis * np.exp(-tsub * s)
 
-    budget = int(tol.max_nodes)
-    part1 = integrate_adaptive(
+    # |integrand| peaks at u* = ((1 - g)/Re s)^g; past (36/Re s)^g the e^(-36)
+    # factor leaves < 3e-16 of its integral (Psi falls in t).  As first panel
+    # edges they let the first panels see the peak and its tail, however narrow.
+    g = 1.0 / (2 * n)
+    quad = integrate_adaptive(
         integrand_u, 0.0, 1.0, abs_tol=abs_target, rel_tol=tol.rel_tol / 4.0,
-        max_nodes=budget,
+        max_nodes=int(tol.max_nodes),
+        breaks=tuple(b for b in ((1.0 - g) ** g / r ** g, 36.0 ** g / r ** g) if b < 1.0),
     )
-    part2 = integrate_adaptive(
-        integrand_t, 1.0, 60.0, abs_tol=abs_target, rel_tol=tol.rel_tol / 4.0,
-        max_nodes=budget - part1.nodes,
-    )
-    value = part1.value + part2.value + upper
-    err = (part1.err_estimate + part2.err_estimate + upper_err
-           + 4.0 * EPS * abs(value))
-    return EvalResult(
-        value=complex(value),
-        err_estimate=err,
-        method=Method.THETA_INTEGRAL,
-        work=part1.nodes + part2.nodes,
-    )
+    # ipow's 2n - 1 products leave |ds| <= rel |s|.  Near s, |dU/ds| = |s^-2 +
+    # 2 sum_k (k^2n + s)^-2| <= 1.01 |s|^-2 + 2 sum_k (k^2n + rho)^-2, rho = Re s -
+    # |ds|: under 4 zeta(4) = 4.33 for rho > -1/2, its integral for rho >= 1.
+    rel = (2 * n - 1) * (0.5 if isinstance(s, float) else 1.125) * EPS
+    rho = r - rel * abs(s)
+    rest = 4.33 if rho < 1.0 else math.gamma(1.0 + g) * math.gamma(2.0 - g) * rho ** (g - 2.0)
+    value = quad.value + upper
+    err = (quad.err_estimate + upper_err + 4.0 * EPS * abs(value)
+           + 1.01 * rel / abs(s) + 2.0 * rest * (rel * abs(s)))
+    return EvalResult(value=complex(value), err_estimate=err,
+                      method=Method.THETA_INTEGRAL, work=quad.nodes)

@@ -241,6 +241,16 @@ class TestUClosed:
         with pytest.raises(DomainError):
             u_closed(1, 0.0)
 
+    def test_prefactor_past_double_range(self):
+        # n z^(n-1) overflows although z^(n-1) is a double: pi/n is taken
+        # first, and the prefactor, subnormal, is charged for its loss.
+        n, z = 440, -5.0005
+        res = u_closed(n, z)
+        ref = u_direct(n, z)
+        assert res.value.real > 2.7e-307
+        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
+        assert abs(res.value - 2.722978970578948e-307) <= res.err_estimate
+
 
 class TestTinyArgument:
     """Near z = 0 every kernel denominator is ~|2 pi z|^2 / 2; that is

@@ -15,10 +15,12 @@ from cotlattice import (
     u_closed,
     u_theta,
 )
+from cotlattice import quadrature
 from cotlattice.cli import main
 from cotlattice.numerics import EPS
 from cotlattice.quadrature import gk15_panel, integrate_adaptive
-from cotlattice.theta import _psi_t_array
+from cotlattice.theta import _psi_t_array, _upper_piece
+from cotlattice.verify import DEFAULT_VERIFY_GRID
 
 PI_COTH_PI = 3.153348094937162  # pi * coth(pi) = U_2(1)
 
@@ -75,6 +77,57 @@ class TestIntegrateAdaptive:
         with pytest.raises(ValueError):
             integrate_adaptive(np.sin, 1.0, 0.0,
                                abs_tol=1e-10, rel_tol=0.0, max_nodes=100)
+        with pytest.raises(ValueError):
+            integrate_adaptive(np.sin, 0.0, 1.0, abs_tol=1e-10, rel_tol=0.0,
+                               max_nodes=100, breaks=(1.0,))
+
+
+def wiggle(xs):
+    return np.exp(-xs * xs) * np.cos(9.0 * xs)
+
+
+class TestBatchedPanels:
+    """The halves of a bisection share one integrand call, and the batch
+    computes each panel as gk15_panel computes it alone."""
+
+    @pytest.mark.parametrize("breaks", [(), (0.4,), (0.4, 2.0)])
+    def test_one_call_per_bisection(self, breaks):
+        sizes = []
+        res = integrate_adaptive(lambda xs: sizes.append(len(xs)) or wiggle(xs),
+                                 0.0, 6.0, abs_tol=1e-12, rel_tol=0.0,
+                                 max_nodes=10_000, breaks=breaks)
+        assert sizes[0] == 15 * (len(breaks) + 1)
+        assert len(sizes) > 1 and set(sizes[1:]) == {30}
+        assert sum(sizes) == res.nodes
+        assert abs(res.value - 0.5 * math.sqrt(math.pi) * math.exp(-81.0 / 4.0)) \
+            <= res.err_estimate + 1e-16  # + the tail past 6, under 1e-16
+
+    def test_values_match_single_panels(self, monkeypatch):
+        batches = []
+        batched = quadrature._gk15
+
+        def spy(f, a, b):
+            out = batched(f, a, b)
+            batches.append((tuple(a), tuple(b), out))
+            return out
+
+        monkeypatch.setattr(quadrature, "_gk15", spy)
+        res = integrate_adaptive(wiggle, 0.0, 3.0, abs_tol=1e-12, rel_tol=0.0,
+                                 max_nodes=10_000, breaks=(0.4,))
+        monkeypatch.undo()
+        panels = {}
+        for lo, hi, out in batches:
+            for a, b, (value, err, resabs) in zip(lo, hi, out):
+                single = gk15_panel(wiggle, a, b)
+                assert value == single[0]
+                assert err == single[1]
+                panels[(a, b)] = value
+        # The panels not bisected tile [0, 3]; their values make the result.
+        split = {(a, b) for a, b in panels if (a, 0.5 * (a + b)) in panels}
+        leaves = sorted(k for k in panels if k not in split)
+        assert leaves[0][0] == 0.0 and leaves[-1][1] == 3.0
+        assert all(x[1] == y[0] for x, y in zip(leaves, leaves[1:]))
+        assert res.value == pytest.approx(math.fsum(panels[k] for k in leaves), rel=1e-15)
 
 
 class TestThetaArg:
@@ -222,7 +275,65 @@ class TestUTheta:
         ref = u_closed(198, z)
         assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
 
+    def test_peak_breakpoint_finds_narrow_mass(self):
+        # At n = 99, z = 10.47 the integrand in u is a spike of width ~5e-4
+        # at u* = 0.0955; a single first panel on (0, 1] sees none of it.
+        res = u_theta(99, 10.465838347973358)
+        assert res.value.real > 1e-201
+        assert res.err_estimate < 1e-200
+
     def test_unrepresentable_power_rejected(self):
         # 0.5^1024 is subnormal; its reciprocal overflows.
         with pytest.raises(DomainError):
             u_theta(512, 0.5)
+
+
+def lattice_mp(order, z, dps=40):
+    """U_order(z) to ``dps`` digits, as the benchmark oracle's sums do
+    it but free of the closed form: 1/s + 2 sum_{k<=K} 1/(k^order + s)
+    plus the tail 2 sum_m (-s)^(m-1) zeta(order m, K + 1), s = z^order."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(dps + 10):
+        s = mp.mpc(z) ** order
+        big = max(10, 2 * math.ceil(abs(z)))
+        total = 1 / s + 2 * mp.fsum(1 / (mp.mpf(k) ** order + s) for k in range(1, big + 1))
+        m = 1
+        while True:
+            term = 2 * (-s) ** (m - 1) * mp.zeta(order * m, big + 1)
+            total += term
+            if abs(term) < mp.mpf(10) ** -(dps + 5) * abs(total):
+                return complex(total)
+            m += 1
+
+
+class TestThetaOracle:
+    """Theta bars are bounds against independent high-precision sums."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("s", [0.05, 7.5, 1.0 + 2.0j, 0.2 - 0.7j])
+    def test_upper_piece_matches_quad(self, n, s):
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(20):
+            sm = mp.mpc(s)
+
+            def integrand(t):
+                psi_t = 1 + 2 * mp.fsum(mp.exp(-t * k ** (2 * n)) for k in range(1, 10))
+                return mp.exp(-t * sm) * psi_t
+
+            ref = complex(mp.quad(integrand, [1, 2, 4, 8, 16, 32, mp.inf]))
+        value, err = _upper_piece(n, s, 1e-20)
+        assert abs(value - ref) <= err
+        assert err <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("order, z", [
+        (4, 2.014807),
+        (4, -2.065055),
+        (6, 0.81843 - 1.34477j),
+        (198, 10.465838347973358),
+    ])
+    @pytest.mark.parametrize("tol", [DEFAULT_VERIFY_GRID.tol, Tolerance()])
+    def test_pinned_points(self, order, z, tol):
+        ref = lattice_mp(order, z)
+        res = u_theta(order // 2, z, tol)
+        assert abs(res.value - ref) <= res.err_estimate
+        assert res.err_estimate <= tol.target(abs(ref))
