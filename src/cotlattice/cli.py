@@ -42,7 +42,6 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
-from .dyadic import MAX_LEVEL
 from .errors import DomainError, ToleranceError
 from .theta import ThetaArg, psi
 from .types import (
@@ -60,6 +59,7 @@ from .verify import (
     MethodRun,
     PairCheck,
     applicable_methods,
+    order_rule,
     run_method,
     verify_points,
 )
@@ -95,13 +95,6 @@ _FLOAT_BODY = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
     rf"^([+-]?{_FLOAT_BODY})(?:([+-]{_FLOAT_BODY})i)?$"
 )
-
-#: Why an explicitly requested method does not apply at order n.
-_ORDER_RULES = {
-    Method.DYADIC_RECURSION: "domain: dyadic recursion applies to orders n = 2^m "
-                             "with 1 <= m <= {max_level}, got n={n}",
-    Method.THETA_INTEGRAL: "domain: theta integral applies to even orders, got n={n}",
-}
 
 _TOL_FIELDS = ("abs_tol", "rel_tol", "max_terms", "max_nodes")
 
@@ -319,11 +312,9 @@ def cmd_eval(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]
         methods = applicable_methods(n, z, ALL_METHODS)
     else:
         methods = (Method(args.method),)
-        # z = 1 meets every point condition, so only the order can rule
-        # the method out here; a point condition failing at z is the
-        # evaluator's to report, as a record.
-        if not applicable_methods(n, 1.0, methods):
-            raise DomainError(_ORDER_RULES[methods[0]].format(n=n, max_level=MAX_LEVEL))
+        # Only the order rules it out here; a point condition fails as a record.
+        if rule := order_rule(methods[0], n):
+            raise DomainError(rule)
     runs = [run_method(m, n, z, tol) for m in methods]
     records = [{"record": "eval", "n": n, "z": z, "wall_time_ns": run.wall_time_ns,
                 **_cells(run)} for run in runs]

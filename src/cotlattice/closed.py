@@ -103,20 +103,16 @@ def kernel_table(n: int) -> tuple[RootRay, ...]:
     return tuple(rays)
 
 
-def _kernel(a: float, b: float, w: complex, r: float = 1.0,
-            m: ModuleType | None = None) -> complex:
+def _kernel(a: float, b: float, w: complex, r: float, m: ModuleType) -> complex:
     """[a sin x + b sinh y] / [cosh y - cos x] at x = w a, y = w b.
 
-    ``w`` is 2 pi z, a float for real z or a complex; ``m`` is the module
-    that evaluates it, ``math`` for a float and ``cmath`` for a complex
-    (taken from the type of ``w`` when not given).  The denominator
-    counts as vanished below ``_SING_EPS`` relative to its addends.  Below
+    ``w`` is 2 pi z, a float for real z or a complex, evaluated by ``m``:
+    ``math`` for a float, ``cmath`` for a complex.  The denominator counts
+    as vanished below ``_SING_EPS`` relative to its addends.  Below
     exponential scale 30 the half-angle numerator and denominator are both
     multiplied by r^2, where r is a power of two (exact) that keeps the
     denominator from underflowing near z = 0; see :func:`u_closed`.
     """
-    if m is None:
-        m = math if isinstance(w, float) else cmath
     x = w * a
     y = w * b
     if abs(y.real) <= _BIG and abs(x.imag) <= _BIG:
@@ -195,7 +191,7 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
         tot += f
         abs_tot += abs(f)
     term_sum = complex(tot)
-    zp = power_in_range(z.real if z.imag == 0.0 else z, n - 1)
+    zp, rel = power_in_range(z.real if z.imag == 0.0 else z, n - 1)
     nzp = n * zp  # pi/n first where this overflows; pref is then subnormal
     pref = math.pi / nzp if cmath.isfinite(nzp) else (math.pi / n) / zp
     value = complex(pref * term_sum)
@@ -203,11 +199,10 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
         raise DomainError(
             f"domain: |U_{n}({z})| exceeds double range"
         )
-    # Rounding model: cancellation across kernel terms plus argument
-    # scale, all relative to the value.
+    # Rounding model: cancellation across kernel terms, argument scale and
+    # the rounding of z^(n-1), all relative to the value.
     cond = abs_tot / abs(term_sum) if term_sum != 0 else 1.0
-    arg_scale = 2.0 * math.pi * abs(z)
-    err = abs(value) * EPS * (8.0 + 4.0 * cond + arg_scale)
+    err = abs(value) * EPS * (8.0 + 4.0 * cond + 2.0 * math.pi * abs(z)) + rel * abs(value)
     if value == 0:
         err = abs(pref) * abs_tot * 4.0 * EPS
     if abs(pref) < 2.0 ** -1022:  # pref and value lose digits to underflow

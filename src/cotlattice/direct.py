@@ -147,24 +147,22 @@ def u_direct(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     counts the lattice terms summed explicitly (2K + 1).
 
     ``err_estimate`` is the tail bound plus the rounding bound of
-    :func:`lattice_series`: w = z^n comes from repeated squaring and is
-    good to (n - 1) u for real z, sqrt(5) (n - 1) u for complex z
-    (u = EPS/2), and each term magnifies that error by its condition
-    number, which is large only next to a pole.
+    :func:`lattice_series`: w = z^n comes with its relative rounding from
+    :func:`power_in_range`, and each term magnifies that error by its
+    condition number, which is large only next to a pole.
 
     Raises DomainError at poles, excluded points and where z^n leaves the
     double range, before any budget check; NonConvergentError if
     max_terms is hit first.
     """
     z = validate_domain(n, z)
-    w = power_in_range(z, n)
+    w, rel_w = power_in_range(z, n)
     k = max(16, 2 * math.ceil(abs(z)))
     where = f"u_direct(n={n}, z={z})"
     if 2 * k + 1 > tol.max_terms:
         raise NonConvergentError(
             f"{where}: starting cutoff K={k:.3g} already exceeds max_terms={tol.max_terms}"
         )
-    rel_w = (n - 1) * (0.5 if z.imag == 0.0 else 1.125) * EPS
     value, err, k = lattice_series(n, w, rel_w, k, tol.max_terms,
                                    lambda v: tol.target(abs(v)), where)
     return EvalResult(value=value, err_estimate=err, method=Method.DIRECT_SUM, work=2 * k + 1)

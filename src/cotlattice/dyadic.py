@@ -56,7 +56,8 @@ def _phi_rec(m: int, z: complex, tol: Tolerance) -> EvalResult:
     if m == 1:
         return u_closed(2, z, tol)
     rotation_neg, rotation_pos = _ROTATIONS[m]
-    denom = 2j * power_in_range(z, 2 ** (m - 1))
+    zp, rel = power_in_range(z, 2 ** (m - 1))
+    denom = 2j * zp
     try:
         res_neg = _phi_rec(m - 1, rotation_neg * z, tol)
         res_pos = _phi_rec(m - 1, rotation_pos * z, tol)
@@ -71,12 +72,11 @@ def _phi_rec(m: int, z: complex, tol: Tolerance) -> EvalResult:
     diff = a - b
     abs_sum = abs(a) + abs(b)
     value = diff / denom
-    scale = abs(denom)
     # Child errors propagate through the division; the subtraction adds
     # rounding at the abs-sum scale, which is what inflates the estimate
-    # when a and b nearly cancel.
-    err = (res_neg.err_estimate + res_pos.err_estimate + 2.0 * EPS * abs_sum) / scale
-    err += 4.0 * EPS * abs(value)
+    # when a and b nearly cancel; the divisor's rounding is relative.
+    err = (res_neg.err_estimate + res_pos.err_estimate + 2.0 * EPS * abs_sum) / abs(denom)
+    err += (4.0 * EPS + rel) * abs(value)
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise DomainError(
             f"domain: |U_{2 ** m}({z})| exceeds double range at recursion level m={m}"

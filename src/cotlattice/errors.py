@@ -45,4 +45,4 @@ class NonConvergentError(ToleranceError):
 
 
 class QuadratureFailureError(ToleranceError):
-    """Adaptive quadrature hit max_nodes before its error sum met tolerance."""
+    """Adaptive quadrature cannot bring its error sum to tolerance within max_nodes."""

@@ -8,8 +8,9 @@ error model
 
 floored at 50 eps * resabs, where resabs integrates |f| and resasc
 integrates |f - mean|.  Adaptation bisects the panel with the largest
-error until the summed bound meets tolerance or the node budget is
-exhausted.
+error until the summed bound meets tolerance.  It gives up when the node
+budget is spent or when the floors of the resolved panels alone exceed
+the largest target still reachable: no bisection lowers those.
 
 Integrands receive a numpy array of abscissae and must return one value
 (real or complex) per node, 15 per panel; the panels of one step, the
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import QuadratureFailureError
 from .numerics import EPS
 
-__all__ = ["gk15_panel", "integrate_adaptive", "QuadratureResult"]
+__all__ = ["integrate_adaptive", "QuadratureResult"]
 
 # 15-point Kronrod abscissae (positive half, descending) with the
 # 7-point Gauss rule embedded at the odd positions.
@@ -78,12 +79,6 @@ def _gk15(f, a, b) -> list[tuple[complex, float, float]]:
     return out
 
 
-def gk15_panel(f, a: float, b: float) -> tuple[complex, float, float]:
-    """One Kronrod panel on [a, b]: (value, err_model, resabs)."""
-    value, err, resabs = _gk15(f, (a,), (b,))[0]
-    return complex(value), err, resabs
-
-
 def integrate_adaptive(
     f,
     a: float,
@@ -103,36 +98,46 @@ def integrate_adaptive(
         breaks: ascending interior points that start as panel edges.
 
     Raises:
-        QuadratureFailureError: budget exhausted, or a panel too narrow
-            to bisect still dominates the error.
+        QuadratureFailureError: budget exhausted, the resolved panels'
+            floors above the largest reachable target, or a panel too
+            narrow to bisect still dominates the error.
     """
     edges = (a, *breaks, b)
     if not (all(map(math.isfinite, edges))
             and all(x < y for x, y in zip(edges, edges[1:]))):
         raise ValueError(f"bad interval [{a!r}, {b!r}] with breaks {breaks!r}")
-    # Heap of (-err, seq, a, b, value, err); seq makes ordering total and
-    # deterministic.  Each pass evaluates the panels lo[i]..hi[i] that
+    # Heap of (-err, seq, a, b, value, err, floor); seq makes ordering total
+    # and deterministic.  Each pass evaluates the panels lo[i]..hi[i] that
     # replace the popped one (none, value 0, on the first pass).
     heap: list = []
     seq = itertools.count()
     nodes = 0
-    total_value = total_err = pval = perr = 0.0
+    total_value = total_err = total_floor = pval = perr = pfloor = 0.0
     lo, hi = edges[:-1], edges[1:]
     while True:
         panels = _gk15(f, lo, hi)
         nodes += 15 * len(panels)
         total_value += sum(p[0] for p in panels) - pval
         total_err += sum(p[1] for p in panels) - perr
-        for pa, pb, (v, e, _) in zip(lo, hi, panels):
-            heapq.heappush(heap, (-e, next(seq), pa, pb, v, e))
+        # A panel within 100x of its floor is resolved; bisection only splits its resabs.
+        floors = [50.0 * EPS * ra if e <= 5000.0 * EPS * ra else 0.0 for _, e, ra in panels]
+        total_floor += sum(floors) - pfloor
+        for pa, pb, (v, e, _), fl in zip(lo, hi, panels, floors):
+            heapq.heappush(heap, (-e, next(seq), pa, pb, v, e, fl))
         target = max(abs_tol, rel_tol * abs(total_value))
         if total_err <= target:
             break
+        # |integral| <= |total_value| + total_err, so no later target exceeds this one.
+        reachable = max(abs_tol, rel_tol * (abs(total_value) + total_err))
+        if total_floor > reachable:
+            raise QuadratureFailureError(
+                f"quadrature floor {total_floor:.3g} of resolved panels above the "
+                f"largest reachable target {reachable:.3g} after {nodes} nodes")
         if nodes + 30 > max_nodes:
             raise QuadratureFailureError(
                 f"quadrature error bound {total_err:.3g} above target {target:.3g} "
                 f"with node budget {max_nodes} exhausted ({nodes} used)")
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
+        _, _, pa, pb, pval, perr, pfloor = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if not (pa < mid < pb):
             raise QuadratureFailureError(
@@ -141,6 +146,5 @@ def integrate_adaptive(
         lo, hi = (pa, mid), (mid, pb)
     # Recompute sums from live panels once at the end; the incremental
     # running totals accumulate cancellation over many splits.
-    total_value = sum(item[4] for item in heap)
-    total_err = float(sum(item[5] for item in heap))
-    return QuadratureResult(value=complex(total_value), err_estimate=total_err, nodes=nodes)
+    return QuadratureResult(value=complex(sum(item[4] for item in heap)),
+                            err_estimate=float(sum(item[5] for item in heap)), nodes=nodes)

@@ -186,12 +186,12 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
     On (0, 1], t = u^(2n) gives 2n u^(2n-1) Psi_n(e^(-u^(2n))) e^(-u^(2n) s),
     integrated with the peak of its modulus, u* = ((2n-1)/(2n Re s))^(1/(2n)),
     and the end of that peak's tail as first panel edges where they lie
-    below 1.  The bar also charges the rounding of s.  ``work`` counts the
-    quadrature nodes of the (0, 1] piece.
+    below 1.  The bar also charges the rounding of s, bounded by
+    :func:`power_in_range`.  ``work`` counts the (0, 1] quadrature nodes.
     """
     require_order(n)
     z = require_finite_scalar(z)
-    s = power_in_range(z.real if z.imag == 0.0 else z, 2 * n)  # a float for real z
+    s, rel = power_in_range(z.real if z.imag == 0.0 else z, 2 * n)  # a float for real z
     r = s.real
     if not (r > 0.0):
         raise DomainError(
@@ -229,10 +229,9 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
         max_nodes=int(tol.max_nodes),
         breaks=tuple(b for b in ((1.0 - g) ** g / r ** g, 36.0 ** g / r ** g) if b < 1.0),
     )
-    # ipow's 2n - 1 products leave |ds| <= rel |s|.  Near s, |dU/ds| = |s^-2 +
+    # power_in_range leaves |ds| <= rel |s|.  Near s, |dU/ds| = |s^-2 +
     # 2 sum_k (k^2n + s)^-2| <= 1.01 |s|^-2 + 2 sum_k (k^2n + rho)^-2, rho = Re s -
     # |ds|: under 4 zeta(4) = 4.33 for rho > -1/2, its integral for rho >= 1.
-    rel = (2 * n - 1) * (0.5 if isinstance(s, float) else 1.125) * EPS
     rho = r - rel * abs(s)
     rest = 4.33 if rho < 1.0 else math.gamma(1.0 + g) * math.gamma(2.0 - g) * rho ** (g - 2.0)
     value = quad.value + upper

@@ -9,8 +9,8 @@ Conventions used throughout the package:
 * The series order n is a plain ``int`` >= 1, validated at entry.
 * U_n(z) is undefined at poles and at z = 0 for even n:
   :func:`validate_domain` raises DomainError there, once per evaluation.
-  Each power z^k a route divides by comes from :func:`power_in_range`,
-  which raises DomainError where z^k is not a usable double.
+  Each power z^k a route divides by, with its rounding bound, comes from
+  :func:`power_in_range`, which raises DomainError where z^k is unusable.
 * Every evaluator takes a :class:`Tolerance` and returns an
   :class:`EvalResult` whose ``err_estimate`` is a justified bound, never
   a guess.
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numerics import ipow
+from .numerics import EPS, ipow
 
 __all__ = [
     "Method",
@@ -196,12 +196,18 @@ def _has_pole(n: int, z: complex) -> bool:
     return False
 
 
-def power_in_range(z: complex, k: int) -> complex:
-    """z^k by :func:`~cotlattice.numerics.ipow`, a float when z is a
-    float, checked to be usable as a divisor: nonzero, with finite parts
-    and a finite reciprocal.  Raises DomainError otherwise."""
+def power_in_range(z: complex, k: int) -> tuple[complex, float]:
+    """(z^k, rel): z^k by :func:`~cotlattice.numerics.ipow`, a float when z
+    is a float, and rel, a bound on its relative rounding.  Raises
+    DomainError unless z^k is nonzero, with finite parts and reciprocal.
+
+    Each product rounds by at most u = EPS/2 (sqrt(5) u for complex z), and
+    their multiplicities in z^k sum to k - 1; a product with subnormal parts
+    may add sqrt(2) ulp(0), charged as 2 ulp(0)/|z^k| (none is smaller).
+    """
     p = ipow(z, k)
     if p == 0 or not (math.isfinite(p.real) and math.isfinite(p.imag)
                       and math.isfinite(1.0 / abs(p))):
         raise DomainError(f"domain: z^{k} leaves double range at z={complex(z)}")
-    return p
+    per_product = (0.5 if z.imag == 0.0 else 1.125) * EPS + 2.0 * math.ulp(0.0) / abs(p)
+    return p, max(k - 1, 0) * per_product

@@ -43,6 +43,7 @@ __all__ = [
     "VerifySummary",
     "VerifyReport",
     "applicable_methods",
+    "order_rule",
     "run_method",
     "verify_points",
     "DEFAULT_VERIFY_GRID",
@@ -139,29 +140,32 @@ class VerifyReport:
     all_pass: bool
 
 
+def order_rule(method: Method, n: int) -> str | None:
+    """Why ``method`` cannot evaluate order n (the dyadic recursion needs
+    n = 2^m with 1 <= m <= 10, the theta integral even n), or None."""
+    if method is Method.DYADIC_RECURSION and not (n.bit_count() == 1 and 2 <= n <= 2**MAX_LEVEL):
+        return ("domain: dyadic recursion applies to orders n = 2^m "
+                f"with 1 <= m <= {MAX_LEVEL}, got n={n}")
+    if method is Method.THETA_INTEGRAL and n % 2:
+        return f"domain: theta integral applies to even orders, got n={n}"
+    return None
+
+
 def applicable_methods(n: int, z: complex,
                        requested: tuple[Method, ...] = ALL_METHODS) -> tuple[Method, ...]:
     """Requested methods that can in principle evaluate U_n(z).
 
-    Direct summation and the closed form apply everywhere; the dyadic
-    recursion needs n = 2^m with 1 <= m <= 10; the theta integral needs
-    even n and a z^n that ``power_in_range`` accepts with Re z^n > 0.  Domain
-    failures at specific points (poles, z = 0) are not filtered here --
-    they surface as recorded run errors.
+    A method applies where :func:`order_rule` allows order n, the theta
+    integral only where ``power_in_range`` accepts z^n with Re z^n > 0.
+    Poles and z = 0 are not filtered: they surface as recorded run errors.
     """
     require_order(n)
     z = require_finite_scalar(z)
     out = []
     for m in requested:
-        if m in (Method.DIRECT_SUM, Method.CLOSED_FORM):
-            out.append(m)
-        elif m is Method.DYADIC_RECURSION:
-            level = n.bit_length() - 1
-            if n == 2**level and 1 <= level <= MAX_LEVEL:
-                out.append(m)
-        elif m is Method.THETA_INTEGRAL and n % 2 == 0:
+        if order_rule(m, n) is None:
             with suppress(DomainError):
-                if power_in_range(z, n).real > 0.0:
+                if m is not Method.THETA_INTEGRAL or power_in_range(z, n)[0].real > 0.0:
                     out.append(m)
     return tuple(out)
 

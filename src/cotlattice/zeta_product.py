@@ -41,12 +41,13 @@ import numpy as np
 
 from .closed import kernel_table, u_closed
 from .errors import DomainError, NonConvergentError
-from .numerics import EPS, ipow, series_tail
+from .numerics import EPS, series_tail
 from .types import (
     DEFAULT_TOLERANCE,
     EvalResult,
     Method,
     Tolerance,
+    power_in_range,
     require_order,
 )
 
@@ -105,8 +106,8 @@ def zeta_contour(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     conj g(w), it is the mean of Re g over the 32 upper-half nodes, each
     one ``u_closed(2n, w_k^(1/2n))`` (``work`` 32 * 2n).  The bar is half
     the largest node bar plus the aliasing, plus the final rounding; a
-    node's bar adds the rounding of 1/z^(2n) by repeated squaring, charged
-    as u_direct charges its z^n.
+    node's bar adds the rounding of 1/z^(2n): that of z^(2n) as
+    :func:`power_in_range` bounds it, and 4 eps for the reciprocal.
     """
     require_order(n)
     s = 2 * n
@@ -115,9 +116,10 @@ def zeta_contour(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     for k in range(32):
         z = cmath.rect(0.5 ** (1.0 / s), math.pi * (k + 0.5) / (32 * s))
         res = u_closed(s, z, tol)
-        inv = 1.0 / ipow(z, s)
+        zs, rel = power_in_range(z, s)
+        inv = 1.0 / zs
         parts.append((res.value - inv).real)
-        node_err = max(node_err, res.err_estimate + (1.125 * s + 2.0) * EPS * abs(inv))
+        node_err = max(node_err, res.err_estimate + (rel + 4.0 * EPS) * abs(inv))
     value = math.fsum(parts) / 64.0
     aliasing = math.pi**2 / 3.0 * 2.0**-64 / (1.0 - 2.0**-64)
     err = 0.5 * (node_err + aliasing) + 4.0 * EPS * abs(value)

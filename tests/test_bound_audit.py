@@ -1,13 +1,15 @@
-"""Audit: every err_estimate of the direct route is a real bound.
+"""Audit: err_estimate is a real bound, against an independent oracle.
 
 The oracle is the raw lattice series in 40-digit arithmetic: the
 symmetric partial sum over |k| <= K0 term by term, plus ``mp.nsum`` of
 the rest.  It never uses the closed form.  A seeded hypothesis property
 checks |value - oracle| <= err_estimate for ``u_direct`` over orders
 1..64 and |z| in [1e-3, 1e3], real and complex, and for the series side
-of the product ratio; the points where earlier rounding models claimed
-too little are pinned as explicit cases, one of them on the closed side
-of the product ratio.
+of the product ratio.  The points where earlier rounding models claimed
+too little are pinned as explicit cases: on the direct route, on the
+closed form and the dyadic recursion (which once left out the rounding
+of the power of z they divide by), and on the closed side of the
+product ratio.
 """
 
 import math
@@ -18,7 +20,7 @@ mp = pytest.importorskip("mpmath").mp
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from cotlattice import DomainError, ProductQuery, product_ratio, u_direct
+from cotlattice import DomainError, ProductQuery, phi, product_ratio, u_closed, u_direct
 from cotlattice.zeta_product import product_parts
 
 AUDIT = hypothesis.settings(max_examples=100, derandomize=True, database=None,
@@ -74,6 +76,21 @@ def check_direct(n, z):
 ])
 def test_reported_points(n, z):
     check_direct(n, z)
+
+
+@pytest.mark.parametrize("evaluate, n, z", [
+    # z^(n-1) by repeated squaring carries up to (n - 2) u of |U| (complex:
+    # sqrt(5) (n - 2) u); a bar without it missed by 6.3x and 5.0x.
+    (u_closed, 255, 0.27055805368211544 - 0.04357393199868767j),
+    (u_closed, 272, -0.18869572332203458),
+    # Every level divides by z^(2^(m-1)); without its rounding, 2.3x and 1.4x.
+    (phi, 10, 0.5770014910274417 - 0.10082659174937274j),
+    (phi, 9, -0.1708024709037915 + 0.24294684362824517j),
+])
+def test_power_rounding_points(evaluate, n, z):
+    res = evaluate(n, z)
+    miss = abs(res.value - lattice_oracle(n if evaluate is u_closed else 2**n, z))
+    assert miss <= res.err_estimate, (n, z, miss, res.err_estimate)
 
 
 @AUDIT

@@ -96,12 +96,12 @@ class TestKernel:
             w_real = rng.choice((-1.0, 1.0)) * mag
             phase = rng.uniform(-math.pi, math.pi)
             w_cplx = complex(mag * math.cos(phase), mag * math.sin(phase))
-            for w in (w_real, w_cplx):
+            for w, m in ((w_real, math), (w_cplx, cmath)):
                 try:
-                    f = _kernel(a, b, w)
+                    f = _kernel(a, b, w, 1.0, m)
                 except DomainError:
                     continue
-                assert f == _kernel(a, -b, w)
+                assert f == _kernel(a, -b, w, 1.0, m)
                 assert type(f) is type(w)
 
 
@@ -144,15 +144,16 @@ class TestSingularGate:
                     # The cap lies 1e-6 above the threshold: steps of 1e-7
                     # reach below the threshold, between the two and above
                     # the cap.
+                    mod = math if im is None else cmath
                     for step in range(-12, 13):
                         w = w_at(lo * (1.0 + 1e-7 * step))
                         singular = self._exact(a, b, w)
                         outcomes.add(singular)
                         if singular:
                             with pytest.raises(KernelSingularError):
-                                _kernel(a, b, w)
+                                _kernel(a, b, w, 1.0, mod)
                         else:
-                            _kernel(a, b, w)
+                            _kernel(a, b, w, 1.0, mod)
         assert outcomes == {True, False}
 
 
@@ -333,9 +334,10 @@ def _unfolded_closed(n, z):
     zr = z.real if z.imag == 0.0 else z
     w = 2.0 * math.pi * zr
     r = math.ldexp(1.0, min(1023, 1 - math.frexp(min(1.0, abs(w)))[1]))
+    m = math if z.imag == 0.0 else cmath
     tot = abs_tot = 0.0
     for _, a, b, mult in _unfolded_table(n):
-        f = mult * _kernel(a, b, w, r)
+        f = mult * _kernel(a, b, w, r, m)
         tot += f
         abs_tot += abs(f)
     pref = math.pi / (n * ipow(zr, n - 1))

@@ -15,10 +15,10 @@ from cotlattice import (
     u_closed,
     u_theta,
 )
-from cotlattice import quadrature
+from cotlattice import quadrature, theta
 from cotlattice.cli import main
 from cotlattice.numerics import EPS
-from cotlattice.quadrature import gk15_panel, integrate_adaptive
+from cotlattice.quadrature import _gk15, integrate_adaptive
 from cotlattice.theta import _psi_t_array, _upper_piece
 from cotlattice.verify import DEFAULT_VERIFY_GRID
 
@@ -31,12 +31,12 @@ class TestGK15Panel:
     def test_polynomial_exactness(self):
         # The 15-point Kronrod extension of G7 is exact through degree 22.
         for deg in (0, 5, 13, 22):
-            value, err, _ = gk15_panel(lambda x, d=deg: x**d, 0.0, 1.0)
+            value, err, _ = _gk15(lambda x, d=deg: x**d, (0.0,), (1.0,))[0]
             exact = 1.0 / (deg + 1)
             assert abs(value - exact) < 1e-14 * exact + 1e-16
 
     def test_error_model_covers_smooth(self):
-        value, err, _ = gk15_panel(np.sin, 0.0, 1.0)
+        value, err, _ = _gk15(np.sin, (0.0,), (1.0,))[0]
         exact = 1.0 - math.cos(1.0)
         assert abs(value - exact) <= err
 
@@ -88,7 +88,7 @@ def wiggle(xs):
 
 class TestBatchedPanels:
     """The halves of a bisection share one integrand call, and the batch
-    computes each panel as gk15_panel computes it alone."""
+    computes each panel as _gk15 computes it alone."""
 
     @pytest.mark.parametrize("breaks", [(), (0.4,), (0.4, 2.0)])
     def test_one_call_per_bisection(self, breaks):
@@ -118,7 +118,7 @@ class TestBatchedPanels:
         panels = {}
         for lo, hi, out in batches:
             for a, b, (value, err, resabs) in zip(lo, hi, out):
-                single = gk15_panel(wiggle, a, b)
+                single = _gk15(wiggle, (a,), (b,))[0]
                 assert value == single[0]
                 assert err == single[1]
                 panels[(a, b)] = value
@@ -182,7 +182,7 @@ class TestPsi:
 def kronrod_nodes(a, b):
     """The 15 abscissae one Kronrod panel on [a, b] evaluates."""
     seen = []
-    gk15_panel(lambda xs: seen.append(xs) or np.zeros_like(xs), a, b)
+    _gk15(lambda xs: seen.append(xs) or np.zeros_like(xs), (a,), (b,))
     return seen[0]
 
 
@@ -246,6 +246,18 @@ class TestUTheta:
             res = u_theta(n, z)
             ref = u_closed(2 * n, z)
             assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
+
+    def test_unreachable_target_raises_early(self, monkeypatch):
+        # The resolved panels' 50 eps resabs floors exceed the 1e-13
+        # relative target, which no bisection lowers: raise within a few
+        # hundred nodes, not after the whole 100,000-node budget.
+        nodes = []
+        psi_t = theta._psi_t_array
+        monkeypatch.setattr(theta, "_psi_t_array",
+                            lambda n, ts: nodes.append(len(ts)) or psi_t(n, ts))
+        with pytest.raises(QuadratureFailureError, match="floor .* of resolved panels"):
+            u_theta(4, 2.57530430523625 - 0.3921527485311234j, Tolerance(0.0, 1e-13))
+        assert sum(nodes) < 1_000
 
     def test_complex_point(self):
         z = 0.5 + 0.5j  # z^8 = 1/16, real and positive

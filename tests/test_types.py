@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -210,16 +211,63 @@ class TestValidateDomain:
 
 
 class TestPowerInRange:
-    """power_in_range returns ipow(z, k) or raises DomainError."""
+    """power_in_range returns (ipow(z, k), rel) or raises DomainError."""
+
+    KS = (0, 1, 2, 3, 7, 64, 255, 1023, 1024)
 
     def test_returns_ipow(self):
-        assert power_in_range(0.3, 7) == ipow(0.3, 7)
-        assert type(power_in_range(0.3, 7)) is float
-        assert power_in_range(0.5 + 0.25j, 9) == ipow(0.5 + 0.25j, 9)
+        p, _ = power_in_range(0.3, 7)
+        assert p == ipow(0.3, 7)
+        assert type(p) is float
+        assert power_in_range(0.5 + 0.25j, 9)[0] == ipow(0.5 + 0.25j, 9)
+        # z^0 and z^1 take no rounding product
+        assert power_in_range(0.3, 0)[1] == power_in_range(0.3 + 1j, 1)[1] == 0.0
+
+    @staticmethod
+    def _points(seed, k, count, complex_z):
+        """Seeded z with |z^k| in [2^-1000, 2^1000], both signs and phases."""
+        rng = random.Random(seed)
+        reach = 1000.0 / max(k, 1)
+        for _ in range(count):
+            r = 2.0 ** rng.uniform(-min(reach, 50.0), min(reach, 50.0))
+            if complex_z:
+                t = rng.uniform(-math.pi, math.pi)
+                yield complex(r * math.cos(t), r * math.sin(t))
+            else:
+                yield rng.choice((-r, r))
+
+    def test_rel_bounds_real_powers(self):
+        # Exact z^k by rational arithmetic.
+        for k in self.KS:
+            for z in self._points(k, k, 40, complex_z=False):
+                p, rel = power_in_range(z, k)
+                exact = Fraction(z) ** k
+                assert abs(Fraction(p) - exact) <= Fraction(rel) * abs(exact), (z, k)
+
+    def test_rel_bounds_complex_powers(self):
+        mp = pytest.importorskip("mpmath").mp
+        for k in self.KS:
+            for z in self._points(k + 1, k, 40, complex_z=True):
+                p, rel = power_in_range(z, k)
+                with mp.workdps(50):
+                    exact = mp.mpc(z) ** k
+                    assert abs(mp.mpc(p) - exact) <= rel * abs(exact), (z, k)
+
+    def test_rel_covers_subnormal_powers(self):
+        # Below 2^-1022 a product rounds to a fixed spacing, up to 4 u of
+        # |z^k| at the bottom of the range.
+        rng = random.Random(7)
+        for k in (2, 3, 7, 64):
+            for _ in range(40):
+                z = rng.choice((-1.0, 1.0)) * 2.0 ** ((rng.uniform(1022.1, 1023.9)) / -k)
+                p, rel = power_in_range(z, k)
+                assert abs(p) < 2.0 ** -1022
+                exact = Fraction(z) ** k
+                assert abs(Fraction(p) - exact) <= Fraction(rel) * abs(exact), (z, k)
 
     def test_reciprocal_decides_at_the_bottom(self):
         # 2^-1023 is subnormal but its reciprocal is a double; 2^-1024's is not.
-        assert power_in_range(0.5, 1023) == 2.0 ** -1023
+        assert power_in_range(0.5, 1023)[0] == 2.0 ** -1023
         with pytest.raises(DomainError, match=r"z\^1024 leaves double range"):
             power_in_range(0.5, 1024)
 
