@@ -15,8 +15,12 @@ and 2 pi - theta give identical terms; since it is even in a_k too, for
 even n the rays theta and pi - theta do as well.  So only the ceil(n/2)
 rays with theta in (0, pi] are evaluated for odd n, and the (n + 2) // 4
 with theta in (0, pi/2] for even n, each weighted by the number of roots
-it stands for (:func:`kernel_table`).  For n = 1 and n = 2 the sum is
-pi cot(pi z) and (pi / z) coth(pi z).
+it stands for (:func:`kernel_table`, a table of numpy columns).  For n = 1
+and n = 2 the sum is pi cot(pi z) and (pi / z) coth(pi z).
+
+Below ``_CROSSOVER`` rays the terms are summed by a scalar loop, from
+there up in one numpy pass over the table; both pick the same form for
+each ray and sum the terms in angle order.
 
 Two stability measures apply to every kernel term:
 
@@ -34,7 +38,9 @@ import cmath
 import math
 from functools import lru_cache
 from types import ModuleType
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
+
+import numpy as np
 
 from .direct import lattice_series
 from .errors import DomainError, KernelSingularError
@@ -50,7 +56,6 @@ from .types import (
 )
 
 __all__ = [
-    "RootRay",
     "kernel_table",
     "u_closed",
     "unit_circle_parts",
@@ -62,22 +67,17 @@ _BIG = 30.0
 _SING_EPS = 1e-12
 #: 2 _SING_EPS with 1e-6 of slack for the rounding of sinh, sin, cosh, cos.
 _SING_CAP = 2.0 * _SING_EPS * (1.0 + 1e-6)
-
-
-class RootRay(NamedTuple):
-    """One distinct root ray theta = (2k - 1) pi / n: 0 < theta <= pi for
-    odd n, 0 < theta <= pi / 2 for even n."""
-
-    theta: float
-    a: float  # cos(theta)
-    b: float  # sin(theta), >= 0
-    mult: int  # how many of the n roots the ray stands for: 4, 2 or 1
+#: Ray count from which u_closed evaluates the kernel in one numpy pass:
+#: below it numpy's fixed cost per call outweighs the scalar loop.
+_CROSSOVER = 28
 
 
 @lru_cache(maxsize=None)
-def kernel_table(n: int) -> tuple[RootRay, ...]:
-    """The distinct root rays of order n, angle-increasing: ceil(n/2) of
-    them for odd n, (n + 2) // 4 for even n.
+def kernel_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct root rays theta = (2k - 1) pi / n of order n,
+    angle-increasing, as read-only columns (theta, a, b, mult): a = cos
+    theta, b = sin theta >= 0, and mult, how many of the n roots the ray
+    stands for.  ceil(n/2) rays for odd n, (n + 2) // 4 for even n.
 
     The kernel term is even in b and in a.  So a ray stands for its
     conjugate at -theta, and for even n also for its mirror images at
@@ -95,12 +95,64 @@ def kernel_table(n: int) -> tuple[RootRay, ...]:
     for num in range(1, (n if n % 2 else n // 2) + 1, 2):
         theta = num * math.pi / n
         if num == n:
-            rays.append(RootRay(theta, -1.0, 0.0, 1))
+            rays.append((theta, -1.0, 0.0, 1))
         elif 2 * num == n:
-            rays.append(RootRay(theta, 0.0, 1.0, 2))
+            rays.append((theta, 0.0, 1.0, 2))
         else:
-            rays.append(RootRay(theta, math.cos(theta), math.sin(theta), full))
-    return tuple(rays)
+            rays.append((theta, math.cos(theta), math.sin(theta), full))
+    columns = tuple(np.array(col) for col in zip(*rays))
+    for col in columns:
+        col.flags.writeable = False
+    return columns
+
+
+@lru_cache(maxsize=None)
+def _rows(n: int) -> tuple[tuple[float, float, int], ...]:
+    """The (a, b, mult) rows of :func:`kernel_table` as Python numbers,
+    for the scalar loop, which numpy scalars would slow."""
+    _, a, b, mult = kernel_table(n)
+    return tuple(zip(a.tolist(), b.tolist(), mult.tolist()))
+
+
+def _half_angle(a, b, x, y, r):
+    """(num, den, cap) of numpy columns: a sin x + b sinh y and
+    2 sinh^2(y/2) + 2 sin^2(x/2) = cosh y - cos x, both times r^2, and
+    the cap below which den needs the exact test (as in :func:`_kernel`)."""
+    sh = np.sinh(0.5 * y)
+    sn = np.sin(0.5 * x)
+    cap = _SING_CAP * (1.5 + np.abs(sh * sh) + np.abs(sn * sn))
+    num = a * np.sin(x) + b * np.sinh(y)
+    if r != 1.0:
+        sh, sn, num = sh * r, sn * r, num * r * r
+    return num, 2.0 * sh * sh + 2.0 * sn * sn, cap
+
+
+def _vanished(den, x, y, m):
+    """The exact singularity test |den| < 1e-12 (1 + |cosh y| + |cos x|)."""
+    return abs(den) < _SING_EPS * (1.0 + abs(m.cosh(y)) + abs(m.cos(x)))
+
+
+def _rescaled_real(a, b, x, y, m):
+    """(num, den) for real x, y, both rescaled by e^(-|y|): sinh and cosh
+    overflow past ~710 while the ratio itself stays O(1)."""
+    e1 = m.exp(-abs(y))
+    e2 = e1 * e1
+    num = 2.0 * a * m.sin(x) * e1 + b * m.copysign(1.0, y) * (1.0 - e2)
+    return num, 1.0 + e2 - 2.0 * m.cos(x) * e1
+
+
+def _rescaled_complex(a, b, x, y, s, m):
+    """(num, den, limit) through e^(+-y), e^(+-ix) rescaled by e^(-s),
+    s = max(|Re y|, |Im x|): all exponents then have non-positive real
+    part, so nothing overflows.  den counts as vanished below ``limit``."""
+    ep = m.exp(y - s)
+    em = m.exp(-y - s)
+    fp = m.exp(1j * x - s)
+    fm = m.exp(-1j * x - s)
+    num = a * (fp - fm) / 2j + b * (ep - em) / 2.0
+    den = (ep + em - fp - fm) / 2.0
+    scale = (abs(ep) + abs(em) + abs(fp) + abs(fm)) / 2.0 + abs(m.exp(-s))
+    return num, den, _SING_EPS * scale
 
 
 def _kernel(a: float, b: float, w: complex, r: float, m: ModuleType) -> complex:
@@ -116,6 +168,8 @@ def _kernel(a: float, b: float, w: complex, r: float, m: ModuleType) -> complex:
     x = w * a
     y = w * b
     if abs(y.real) <= _BIG and abs(x.imag) <= _BIG:
+        # The half-angle form, as _half_angle has it for columns (a call
+        # per ray would cost the loop ~15%).
         sh = m.sinh(0.5 * y)
         sn = m.sin(0.5 * x)
         # |cosh y| <= 1 + 2 |sinh(y/2)|^2 and |cos x| <= 1 + 2 |sin(x/2)|^2,
@@ -126,31 +180,50 @@ def _kernel(a: float, b: float, w: complex, r: float, m: ModuleType) -> complex:
         if r != 1.0:
             sh, sn, num = sh * r, sn * r, num * r * r
         den = 2.0 * sh * sh + 2.0 * sn * sn
-        if abs(den) < cap and (
-                abs(den) < _SING_EPS * (1.0 + abs(m.cosh(y)) + abs(m.cos(x)))):
+        if abs(den) < cap and _vanished(den, x, y, m):
             _singular(x, y)
         return num / den
-    scale_exp = max(abs(y.real), abs(x.imag))
     if m is math:
-        # Rescale by e^(-|y|): sinh and cosh overflow past ~710 while
-        # the ratio itself stays O(1).
-        e1 = math.exp(-scale_exp)
-        e2 = e1 * e1
-        sgn = 1.0 if y > 0 else -1.0
-        num = 2.0 * a * math.sin(x) * e1 + b * sgn * (1.0 - e2)
-        return num / (1.0 + e2 - 2.0 * math.cos(x) * e1)
-    # Express everything through the four exponentials e^(+-y), e^(+-ix)
-    # rescaled by e^(-scale_exp); all exponents then have non-positive
-    # real part, so nothing overflows and the common factor cancels.
-    ep = cmath.exp(y - scale_exp)
-    em = cmath.exp(-y - scale_exp)
-    fp = cmath.exp(1j * x - scale_exp)
-    fm = cmath.exp(-1j * x - scale_exp)
-    num = a * (fp - fm) / 2j + b * (ep - em) / 2.0
-    den = (ep + em - fp - fm) / 2.0
-    scale = (abs(ep) + abs(em) + abs(fp) + abs(fm)) / 2.0 + math.exp(-scale_exp)
-    if abs(den) < _SING_EPS * scale:
+        num, den = _rescaled_real(a, b, x, y, m)
+        return num / den
+    num, den, limit = _rescaled_complex(a, b, x, y, max(abs(y.real), abs(x.imag)), m)
+    if abs(den) < limit:
         _singular(x, y)
+    return num / den
+
+
+def _kernel_terms(a: np.ndarray, b: np.ndarray, w: complex, r: float) -> np.ndarray:
+    """The :func:`_kernel` terms of columns a, b in one numpy pass.
+
+    Each ray takes the regime that :func:`_kernel` picks for it, by mask;
+    |Re w|, |Im w| <= 30 put every ray in the half-angle form.  Raises
+    KernelSingularError at the first singular ray in angle order.
+    """
+    x = w * a
+    y = w * b
+    if abs(w.real) <= _BIG and abs(w.imag) <= _BIG:
+        num, den, cap = _half_angle(a, b, x, y, r)
+        sing = abs(den) < cap
+        if np.count_nonzero(sing):
+            sing[sing] = _vanished(den[sing], x[sing], y[sing], np)
+    else:
+        scale_exp = np.maximum(np.abs(y.real), np.abs(x.imag))
+        half = scale_exp <= _BIG
+        far = ~half
+        num, den = np.empty_like(x), np.empty_like(x)
+        sing = np.zeros(len(a), dtype=bool)
+        num[half], den[half], cap = _half_angle(a[half], b[half], x[half], y[half], r)
+        near = np.flatnonzero(half)[np.abs(den[half]) < cap]
+        sing[near] = _vanished(den[near], x[near], y[near], np)
+        if isinstance(w, float):
+            num[far], den[far] = _rescaled_real(a[far], b[far], x[far], y[far], np)
+        else:
+            num[far], den[far], limit = _rescaled_complex(
+                a[far], b[far], x[far], y[far], scale_exp[far], np)
+            sing[far] = np.abs(den[far]) < limit
+    if np.count_nonzero(sing):
+        k = int(np.argmax(sing))
+        _singular(x[k], y[k])
     return num / den
 
 
@@ -164,9 +237,10 @@ def _singular(x: complex, y: complex) -> NoReturn:
 def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     """Evaluate U_n(z) in closed form, for any n >= 1.
 
-    One loop over the distinct rays of :func:`kernel_table` (ceil(n/2)
-    for odd n, (n + 2) // 4 for even n), each term weighted by its
-    multiplicity.  ``work`` reports n, the number of terms of the closed
+    One sum over the distinct rays of :func:`kernel_table` ((n + 2) // 4
+    for even n, ceil(n/2) for odd n), each term weighted by its
+    multiplicity: a scalar loop below ``_CROSSOVER`` rays, one numpy pass
+    from there up.  ``work`` reports n, the number of terms of the closed
     form, regardless of |z|.
 
     Near z = 0 every kernel denominator shrinks like |2 pi z|^2 / 2 and
@@ -177,37 +251,50 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     = 1e300 evaluates.
 
     Raises DomainError at poles and z = 0 of even n (validate_domain) and
-    where z^(n-1) (power_in_range) or |U_n(z)| leaves the double range;
-    KernelSingularError where a kernel denominator vanishes.
+    where z^(n-1) (power_in_range) or |U_n(z)| plus its bar leaves the
+    double range; KernelSingularError where a kernel denominator vanishes.
     """
     z = validate_domain(n, z)
-    w = 2.0 * math.pi * (z.real if z.imag == 0.0 else z)
-    r = math.ldexp(1.0, min(1023, 1 - math.frexp(min(1.0, abs(w)))[1]))
-    m = math if isinstance(w, float) else cmath
-    tot = 0.0
-    abs_tot = 0.0
-    for _, a, b, mult in kernel_table(n):
-        f = mult * _kernel(a, b, w, r, m)
-        tot += f
-        abs_tot += abs(f)
+    zr = z.real if z.imag == 0.0 else z  # a float for real z
+    w = 2.0 * math.pi * zr
+    aw = abs(w)
+    r = 1.0 if aw >= 1.0 else math.ldexp(1.0, min(1023, 1 - math.frexp(aw)[1]))
+    _, a, b, mult = kernel_table(n)
+    # At a subnormal w (r = 2^1023) num r^2 may overflow, which numpy
+    # would warn of; such a z^(n-1) leaves the double range anyway.
+    if len(a) >= _CROSSOVER and r < 2.0 ** 1023:
+        f = mult * _kernel_terms(a, b, w, r)
+        tot = sum(f.tolist())
+        abs_tot = sum(np.abs(f).tolist())
+    else:
+        m = math if isinstance(w, float) else cmath
+        tot = abs_tot = 0.0
+        for a_k, b_k, mult_k in _rows(n):
+            f = mult_k * _kernel(a_k, b_k, w, r, m)
+            tot += f
+            abs_tot += abs(f)
     term_sum = complex(tot)
-    zp, rel = power_in_range(z.real if z.imag == 0.0 else z, n - 1)
+    zp, rel = power_in_range(zr, n - 1)
     nzp = n * zp  # pi/n first where this overflows; pref is then subnormal
     pref = math.pi / nzp if cmath.isfinite(nzp) else (math.pi / n) / zp
     value = complex(pref * term_sum)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise DomainError(
-            f"domain: |U_{n}({z})| exceeds double range"
-        )
+    try:
+        size = abs(value)
+    except OverflowError:  # finite parts whose modulus is no double
+        size = math.inf
     # Rounding model: cancellation across kernel terms, argument scale and
     # the rounding of z^(n-1), all relative to the value.
     cond = abs_tot / abs(term_sum) if term_sum != 0 else 1.0
-    err = abs(value) * EPS * (8.0 + 4.0 * cond + 2.0 * math.pi * abs(z)) + rel * abs(value)
+    err = size * EPS * (8.0 + 4.0 * cond + 2.0 * math.pi * abs(z)) + rel * size
     if value == 0:
         err = abs(pref) * abs_tot * 4.0 * EPS
     if abs(pref) < 2.0 ** -1022:  # pref and value lose digits to underflow
         err += (abs_tot + 2.0) * math.ulp(0.0)
-    return EvalResult(value=value, err_estimate=err, method=Method.CLOSED_FORM, work=n)
+    if not math.isfinite(size + err):  # the value or its bar is no double
+        raise DomainError(
+            f"domain: |U_{n}({z})| exceeds double range"
+        )
+    return EvalResult(value, err, Method.CLOSED_FORM, n)
 
 
 # ---------------------------------------------------------------------------

@@ -48,29 +48,50 @@ __all__ = ["u_direct"]
 _CHUNK = 2_000_000
 
 
+def _ldexp(v: complex, e: int) -> complex:
+    return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
+
+
 def _pair_sums(n: int, w: complex, lo: int, hi: int) -> tuple[complex, float, float]:
     """Terms at +-k for lo <= k <= hi: their sum, sum |t| kappa, sum |t|.
 
     Each term t = 1/(d + w), d = (+-k)^n, is summed as it stands (for
     even n the two coincide); kappa = (|d| + |w|)/|d + w| is the
     condition number of its denominator, large only in the band
-    |k|^n ~ |w| next to a pole.  Terms whose k^n overflowed are 0.
+    |k|^n ~ |w| next to a pole.  Where k^n or |w| nears the top of the
+    double range, t is taken as 2^(-e) / ((+-k 2^-j)^n + w 2^-e), e = j n,
+    which scales exactly and keeps d + |w| a double; j is capped so that
+    w 2^-e stays far from underflow, and terms whose scaled k^n still
+    overflows are 0.
     """
     acc = Kahan()
     cond = 0.0
     mag = 0.0
     signs = (1.0,) if n % 2 == 0 else (1.0, -1.0)
     for start in range(lo, hi + 1, _CHUNK):
-        ks = np.arange(start, min(start + _CHUNK - 1, hi) + 1, dtype=np.float64)
+        top = min(start + _CHUNK - 1, hi)
+        ks = np.arange(start, top + 1, dtype=np.float64)
+        e, ws = 0, w
+        if n * math.log2(top) > 1022 or abs(w) > 2.0 ** 1022:
+            lw = math.log2(abs(w))
+            j = max(0, min(math.ceil(max(math.log2(top) - 1022 / n, (lw - 1022) / n)),
+                           math.floor((lw + 969) / n)))
+            ks *= 0.5 ** j
+            e, ws = j * n, _ldexp(w, -j * n)
         with np.errstate(over="ignore", under="ignore"):
             d = ks * ks if n == 2 else ks ** n
             d = d[np.isfinite(d)]
             for sign in signs:
-                inv = 1.0 / (sign * d + w)
-                acc.add(complex(inv.sum()))
+                inv = 1.0 / (sign * d + ws)
                 m = np.abs(inv)  # |inv|^2 would underflow for large k^n
-                cond += float(((d + abs(w)) * m * m).sum())
-                mag += float(m.sum())
+                t = complex(inv.sum())
+                c = float(((d + abs(ws)) * m * m).sum())
+                s = float(m.sum())
+                if e:
+                    t, c, s = _ldexp(t, -e), math.ldexp(c, -e), math.ldexp(s, -e)
+                acc.add(t)
+                cond += c
+                mag += s
     if n % 2 == 0:
         return 2.0 * acc.total, 2.0 * cond, 2.0 * mag
     return acc.total, cond, mag
@@ -129,7 +150,7 @@ def lattice_series(n: int, w: complex, rel_w: float, cutoff: int, max_terms: int
     acc.add(k0_term)  # added last so compensation absorbs the large term
     # Every tail term has kappa <= (1 + q)/(1 - q) <= 3 and the terms'
     # moduli sum to at most 2 |c_1| zeta_tail_upper(p, K) since q <= 1/2.
-    tail_mag = 2.0 * abs(c1) * cutoff ** (1.0 - p) / (p - 1)
+    tail_mag = 2.0 * (abs(c1) * cutoff ** (1.0 - p)) / (p - 1)  # 2 |c1| may overflow
     cond += abs(k0_term) + 3.0 * tail_mag
     mag += abs(k0_term) + tail_mag
     rounding = max(EPS, rel_w) * cond + (13.0 + 0.5 * math.log2(cutoff)) * EPS * mag

@@ -52,15 +52,21 @@ _ROTATIONS = tuple(
 )
 
 
-def _phi_rec(m: int, z: complex, tol: Tolerance) -> EvalResult:
-    if m == 1:
-        return u_closed(2, z, tol)
+def _phi_rec(m: int, z: complex, tol: Tolerance) -> tuple[complex, float, int]:
+    """(value, err_estimate, work) of phi_m(z), m >= 2.  Each level checks
+    its own range, so only the base calls build an EvalResult."""
     rotation_neg, rotation_pos = _ROTATIONS[m]
     zp, rel = power_in_range(z, 2 ** (m - 1))
     denom = 2j * zp
     try:
-        res_neg = _phi_rec(m - 1, rotation_neg * z, tol)
-        res_pos = _phi_rec(m - 1, rotation_pos * z, tol)
+        if m == 2:
+            res_neg = u_closed(2, rotation_neg * z, tol)
+            res_pos = u_closed(2, rotation_pos * z, tol)
+            a, err_a, work_a = res_neg.value, res_neg.err_estimate, res_neg.work
+            b, err_b, work_b = res_pos.value, res_pos.err_estimate, res_pos.work
+        else:
+            a, err_a, work_a = _phi_rec(m - 1, rotation_neg * z, tol)
+            b, err_b, work_b = _phi_rec(m - 1, rotation_pos * z, tol)
     except RecursionPoleError:
         raise
     except DomainError as exc:
@@ -68,25 +74,19 @@ def _phi_rec(m: int, z: complex, tol: Tolerance) -> EvalResult:
             f"recursion: rotated argument at level m={m - 1} hits a pole "
             f"of U_{2 ** (m - 1)} ({exc})"
         ) from exc
-    a, b = res_neg.value, res_pos.value
     diff = a - b
     abs_sum = abs(a) + abs(b)
     value = diff / denom
     # Child errors propagate through the division; the subtraction adds
     # rounding at the abs-sum scale, which is what inflates the estimate
     # when a and b nearly cancel; the divisor's rounding is relative.
-    err = (res_neg.err_estimate + res_pos.err_estimate + 2.0 * EPS * abs_sum) / abs(denom)
+    err = (err_a + err_b + 2.0 * EPS * abs_sum) / abs(denom)
     err += (4.0 * EPS + rel) * abs(value)
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise DomainError(
             f"domain: |U_{2 ** m}({z})| exceeds double range at recursion level m={m}"
         )
-    return EvalResult(
-        value=value,
-        err_estimate=err,
-        method=Method.DYADIC_RECURSION,
-        work=res_neg.work + res_pos.work,
-    )
+    return value, err, work_a + work_b
 
 
 def phi(m: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
@@ -120,7 +120,9 @@ def phi(m: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
             "whose cost is linear in the order"
         )
     z = validate_domain(2**m, z)
-    res = _phi_rec(m, z, tol)
-    # The base case carries the closed form's tag; the contract is that
-    # phi always reports the recursion method.
-    return replace(res, method=Method.DYADIC_RECURSION) if m == 1 else res
+    if m == 1:
+        # The base case carries the closed form's tag; the contract is
+        # that phi always reports the recursion method.
+        return replace(u_closed(2, z, tol), method=Method.DYADIC_RECURSION)
+    value, err, work = _phi_rec(m, z, tol)
+    return EvalResult(value=value, err_estimate=err, method=Method.DYADIC_RECURSION, work=work)

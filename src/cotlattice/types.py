@@ -21,6 +21,7 @@ is safe to share across threads.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -112,9 +113,8 @@ class EvalResult:
     work: int
 
     def __post_init__(self) -> None:
-        v = complex(self.value)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError(f"non-finite value {v!r}")
+        if not cmath.isfinite(self.value):
+            raise ValueError(f"non-finite value {complex(self.value)!r}")
         if not (math.isfinite(self.err_estimate) and self.err_estimate >= 0.0):
             raise ValueError(f"err_estimate must be finite and >= 0, got {self.err_estimate!r}")
 
@@ -131,7 +131,7 @@ def require_order(n: int) -> int:
 def require_finite_scalar(z: complex) -> complex:
     """Coerce to complex and reject non-finite input."""
     w = complex(z)
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+    if not cmath.isfinite(w):
         raise ValueError(f"z must be finite, got {w!r}")
     return w
 
@@ -209,5 +209,7 @@ def power_in_range(z: complex, k: int) -> tuple[complex, float]:
     if p == 0 or not (math.isfinite(p.real) and math.isfinite(p.imag)
                       and math.isfinite(1.0 / abs(p))):
         raise DomainError(f"domain: z^{k} leaves double range at z={complex(z)}")
+    if k <= 1:  # no product, no rounding
+        return p, 0.0
     per_product = (0.5 if z.imag == 0.0 else 1.125) * EPS + 2.0 * math.ulp(0.0) / abs(p)
-    return p, max(k - 1, 0) * per_product
+    return p, (k - 1) * per_product

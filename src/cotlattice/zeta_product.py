@@ -164,7 +164,7 @@ def _product_rays(n: int) -> tuple[tuple[float, float, int, float, float], ...]:
     their shift by the 1.5 eps rounding of theta.
     """
     rays = []
-    for theta, a, b, mult in kernel_table(n):
+    for theta, a, b, mult in zip(*(col.tolist() for col in kernel_table(n))):
         exact = a == 0.0 or b == 0.0
         ka = 1.25 * abs(a) + (0.0 if exact else abs(a) + 1.5 * theta * abs(b))
         kb = 1.25 * abs(b) + (0.0 if exact else abs(b) + 1.5 * theta * abs(a))

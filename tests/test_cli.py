@@ -150,6 +150,13 @@ class TestEval:
         assert code == 2
         assert "z^2 leaves double range" in parse_plain(out[0])["error"]
 
+    def test_direct_at_top_of_double_range(self, capsys):
+        # z^195 ~ -8.7e307, where 38^195 + |z^195| overflows.
+        code, out, err = run_cli(["eval", "-n", "195", "-z", "-37.947359624453796",
+                                  "--method", "direct"], capsys)
+        assert code == 0
+        assert "error" not in parse_plain(out[0])
+
     def test_huge_cutoff_is_printed_short(self, capsys):
         code, out, err = run_cli(["eval", "-n", "2", "-z", "1e100",
                                   "--method", "direct"], capsys)

@@ -3,7 +3,9 @@
 import cmath
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from cotlattice import (
@@ -17,60 +19,68 @@ from cotlattice import (
     u_direct,
     unit_circle_parts,
 )
-from cotlattice import zeta_product
-from cotlattice.closed import RootRay, _kernel, kernel_table
+from cotlattice import closed, zeta_product
+from cotlattice.closed import _kernel, kernel_table
 from cotlattice.numerics import EPS, ipow
 
 LOOSE = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
 
 
+def _rows(table):
+    """The rows (theta, a, b, mult) of a table's columns, as Python numbers."""
+    return list(zip(*(col.tolist() for col in table)))
+
+
 class TestKernelTable:
-    """kernel_table lists the distinct odd-angle rays with multiplicities."""
+    """kernel_table lists the distinct odd-angle rays with multiplicities,
+    as read-only columns."""
 
     @staticmethod
-    def _orbit(n, ray):
+    def _orbit(n, theta, a, b):
         """The roots a ray stands for, as {j: (cos, sin)} over the odd j in
         1..2n-1 of the root angles j pi / n: the ray at theta, its conjugate
         at -theta and, for even n, its mirror images at +-(pi - theta), with
         (a, b) reflected to match."""
-        j = round(ray.theta * n / math.pi)
-        images = {j: (ray.a, ray.b), -j: (ray.a, -ray.b)}
+        j = round(theta * n / math.pi)
+        images = {j: (a, b), -j: (a, -b)}
         if n % 2 == 0:
-            images.update({n - j: (-ray.a, ray.b), j - n: (-ray.a, -ray.b)})
+            images.update({n - j: (-a, b), j - n: (-a, -b)})
         return {i % (2 * n): ab for i, ab in images.items()}
 
     def test_angles(self):
         for n in range(1, 65):
-            table = kernel_table(n)
+            theta, a, b, mult = kernel_table(n)
             # An exact count of kernel terms per call, whatever the machine.
-            assert len(table) == ((n + 1) // 2 if n % 2 else (n + 2) // 4)
-            for k, ray in enumerate(table, start=1):
-                assert abs(ray.theta - (2 * k - 1) * math.pi / n) < 1e-12
+            count = (n + 1) // 2 if n % 2 else (n + 2) // 4
+            assert len(theta) == len(a) == len(b) == len(mult) == count
+            for k, t in enumerate(theta.tolist(), start=1):
+                assert abs(t - (2 * k - 1) * math.pi / n) < 1e-12
 
     def test_multiplicities_sum_to_order(self):
         for n in range(1, 65):
             table = kernel_table(n)
-            assert sum(ray.mult for ray in table) == n
-            assert all(ray.mult == len(self._orbit(n, ray)) for ray in table)
+            assert sum(table[3].tolist()) == n
+            assert all(mult == len(self._orbit(n, theta, a, b))
+                       for theta, a, b, mult in _rows(table))
 
     def test_unit_modulus(self):
-        for ray in kernel_table(7):
-            assert abs(ray.a**2 + ray.b**2 - 1.0) < 4e-16
+        for _, a, b, _ in _rows(kernel_table(7)):
+            assert abs(a**2 + b**2 - 1.0) < 4e-16
 
     def test_axis_values_exact(self):
-        (r,) = kernel_table(1)
-        assert (r.a, r.b, r.mult) == (-1.0, 0.0, 1)
-        (r,) = kernel_table(2)
-        assert (r.a, r.b, r.mult) == (0.0, 1.0, 2)
-        assert kernel_table(3)[-1][1:] == (-1.0, 0.0, 1)
-        assert kernel_table(6)[1][1:] == (0.0, 1.0, 2)
+        (r,) = _rows(kernel_table(1))
+        assert r[1:] == (-1.0, 0.0, 1)
+        (r,) = _rows(kernel_table(2))
+        assert r[1:] == (0.0, 1.0, 2)
+        assert _rows(kernel_table(3))[-1][1:] == (-1.0, 0.0, 1)
+        assert _rows(kernel_table(6))[1][1:] == (0.0, 1.0, 2)
 
     def test_conjugate_closure(self):
         # The rays' orbits are all n roots e^(i (2k - 1) pi / n), each once.
         for n in range(1, 65):
             roots = {}
-            for ray in kernel_table(n):
-                orbit = self._orbit(n, ray)
+            for theta, a, b, _ in _rows(kernel_table(n)):
+                orbit = self._orbit(n, theta, a, b)
                 assert not roots.keys() & orbit.keys()
                 roots.update(orbit)
             assert sorted(roots) == list(range(1, 2 * n, 2))
@@ -81,6 +91,7 @@ class TestKernelTable:
 
     def test_cached(self):
         assert kernel_table(5) is kernel_table(5)
+        assert not any(col.flags.writeable for col in kernel_table(5))
 
 
 class TestKernel:
@@ -155,6 +166,161 @@ class TestSingularGate:
                         else:
                             _kernel(a, b, w, 1.0, mod)
         assert outcomes == {True, False}
+
+
+class TestVectorPass:
+    """From _CROSSOVER rays up u_closed evaluates every ray in one numpy
+    pass, each in the regime the scalar loop picks for it."""
+
+    @staticmethod
+    def _loop(n, z):
+        """u_closed by the scalar loop, whatever the ray count."""
+        saved = closed._CROSSOVER
+        closed._CROSSOVER = math.inf
+        try:
+            return u_closed(n, z)
+        finally:
+            closed._CROSSOVER = saved
+
+    @staticmethod
+    def _regime(n, z):
+        """half, rescaled or mixed: where the rays' exponential scales
+        max(|Re w| b, |Im w| |a|), w = 2 pi z, lie against 30."""
+        w = 2.0 * math.pi * z
+        _, a, b, _ = kernel_table(n)
+        big = np.maximum(abs(w.real) * b, abs(w.imag) * np.abs(a)) > 30.0
+        return "rescaled" if big.all() else "mixed" if big.any() else "half"
+
+    @staticmethod
+    def _points(seed, count):
+        rng = random.Random(seed)
+        # Every ray rescaled, complex and real (even n: every b > 0); mixed
+        # real and complex; |2 pi z| < 1, where the pass scales by r^2 (at
+        # |z| = 1e-7 z^56 underflows, while the unscaled denominators would
+        # already meet the singularity threshold).
+        pts = [(110, 16 + 16j), (97, -20 + 15j), (114, 200.0), (118, -220.0),
+               (95, 8.0), (112, -6.5 + 3.0j), (95, 1e-3), (110, 3e-3j), (57, -2e-4 + 1e-4j),
+               (57, 1e-7), (57, 1e-7j)]
+        lo = closed._CROSSOVER
+        for i in range(count):
+            rays = rng.randint(lo - 6, 3 * lo)
+            n = 2 * rays - 1 if i % 2 else 4 * rays - 2
+            top = 280.0 / n  # |z|^n stays a double
+            r = 10.0 ** rng.uniform(-min(6.0, top), min(3.0, top))
+            phase = rng.uniform(-math.pi, math.pi) if i % 4 > 1 else rng.choice((0.0, math.pi))
+            pts.append((n, complex(r * math.cos(phase), r * math.sin(phase))))
+        return pts
+
+    def test_matches_scalar_loop(self):
+        seen = {"half": 0, "rescaled": 0, "mixed": 0, "tiny": 0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning
+            for n, z in self._points(1111, 300):
+                z = z.real if z.imag == 0.0 else z
+                try:
+                    ref = self._loop(n, z)
+                except DomainError as exc:
+                    with pytest.raises(DomainError) as got:
+                        u_closed(n, z)
+                    assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+                    continue
+                res = u_closed(n, z)
+                assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate, (n, z)
+                assert res.work == n
+                seen[self._regime(n, z)] += 1
+                seen["tiny"] += abs(2.0 * math.pi * z) < 1.0
+            with pytest.raises(DomainError):  # subnormal w: the loop's overflow
+                u_closed(101, 1e-310)
+        assert min(seen.values()) >= 3, seen
+
+    def test_raises_exactly_at_threshold(self):
+        # The axis ray theta = pi of an odd order (a = -1, b = 0) has
+        # x = -w, w = 2 pi m + d; every other ray has y = w b far from 0.
+        n = 2 * closed._CROSSOVER + 1
+        _, a, b, _ = kernel_table(n)
+        assert b[-1] == 0.0 and len(a) >= closed._CROSSOVER
+
+        def exact(w):
+            x, y = w * a, w * b
+            den = 2.0 * np.sinh(0.5 * y) ** 2 + 2.0 * np.sin(0.5 * x) ** 2
+            return bool((np.abs(den) < 1e-12 * (1.0 + np.abs(np.cosh(y))
+                                                + np.abs(np.cos(x)))).any())
+
+        outcomes = set()
+        for m in (1, 3, 40):
+            for im in (0.0, 1e-9):
+                def z_at(d):
+                    x = 2.0 * math.pi * m + d
+                    return (x if im == 0.0 else complex(x, im)) / (2.0 * math.pi)
+
+                lo, hi = 1e-7, 1e-5
+                assert exact(2.0 * math.pi * z_at(lo))
+                assert not exact(2.0 * math.pi * z_at(hi))
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    if exact(2.0 * math.pi * z_at(mid)):
+                        lo = mid
+                    else:
+                        hi = mid
+                for step in range(-12, 13):
+                    z = z_at(lo * (1.0 + 1e-7 * step))
+                    singular = exact(2.0 * math.pi * z)
+                    outcomes.add(singular)
+                    if singular:
+                        with pytest.raises(KernelSingularError):
+                            u_closed(n, z)
+                    else:
+                        u_closed(n, z)
+        assert outcomes == {True, False}
+
+    def test_rescaled_singular_ray_matches_loop(self):
+        # Next to the pole z = 12 e^(11 pi i / 47) of order 47 the singular
+        # ray's exponential scale is ~37: the rescaled complex form's test,
+        # in the pass's mixed branch.
+        n = 47
+        _, a, b, _ = kernel_table(n)
+        pole = 12.0 * cmath.exp(11j * math.pi / n)
+
+        def w_at(t):
+            return 2.0 * math.pi * pole * (1.0 + t)
+
+        def loop_raises(w):
+            try:
+                for a_k, b_k in zip(a.tolist(), b.tolist()):
+                    _kernel(a_k, b_k, w, 1.0, cmath)
+            except KernelSingularError:
+                return True
+            return False
+
+        lo, hi = 2.0 ** -50, 2.0 ** -40
+        assert loop_raises(w_at(lo)) and not loop_raises(w_at(hi))
+        for _ in range(40):
+            mid = math.sqrt(lo * hi)
+            if loop_raises(w_at(mid)):
+                lo = mid
+            else:
+                hi = mid
+        outcomes = set()
+        for step in range(-12, 13):
+            w = w_at(lo * (1.0 + 0.02 * step))
+            singular = loop_raises(w)
+            outcomes.add(singular)
+            if singular:
+                with pytest.raises(KernelSingularError):
+                    closed._kernel_terms(a, b, w, 1.0)
+            else:
+                closed._kernel_terms(a, b, w, 1.0)
+        assert outcomes == {True, False}
+
+    def test_conjugate_symmetry_bitwise(self):
+        for n in (96, 112, 255, 1024):  # 112: the least even n of the pass
+            top = 10.0 ** (280.0 / n)
+            for r in (1e-3, 0.3, 0.9, 1.4, 8.0, 40.0):
+                if not 1.0 / top < r < top:  # |z|^n stays a double
+                    continue
+                for phase in (0.3, 1.2, 2.9):
+                    z = complex(r * math.cos(phase), r * math.sin(phase))
+                    assert u_closed(n, z.conjugate()).value == u_closed(n, z).value.conjugate()
 
 
 class TestUClosed:
@@ -320,12 +486,12 @@ def _unfolded_table(n):
         num = 2 * k - 1
         theta = num * math.pi / n
         if num == n:
-            rays.append(RootRay(theta, -1.0, 0.0, 1))
+            rays.append((theta, -1.0, 0.0, 1))
         elif 2 * num == n:
-            rays.append(RootRay(theta, 0.0, 1.0, 2))
+            rays.append((theta, 0.0, 1.0, 2))
         else:
-            rays.append(RootRay(theta, math.cos(theta), math.sin(theta), 2))
-    return rays
+            rays.append((theta, math.cos(theta), math.sin(theta), 2))
+    return tuple(np.array(col) for col in zip(*rays))
 
 
 def _unfolded_closed(n, z):
@@ -336,7 +502,7 @@ def _unfolded_closed(n, z):
     r = math.ldexp(1.0, min(1023, 1 - math.frexp(min(1.0, abs(w)))[1]))
     m = math if z.imag == 0.0 else cmath
     tot = abs_tot = 0.0
-    for _, a, b, mult in _unfolded_table(n):
+    for _, a, b, mult in _rows(_unfolded_table(n)):
         f = mult * _kernel(a, b, w, r, m)
         tot += f
         abs_tot += abs(f)
@@ -375,7 +541,7 @@ class TestEvenFold:
             ref, ref_err = _unfolded_closed(n, z)
             assert abs(res.value - ref) <= res.err_estimate + ref_err, (n, z)
             assert res.work == n
-            rescaled += abs(2.0 * math.pi * z) * kernel_table(n)[-1].b > 30.0
+            rescaled += abs(2.0 * math.pi * z) * kernel_table(n)[2][-1] > 30.0
             tiny += abs(z) < 1e-75
         assert rescaled >= 10 and tiny >= 3
 

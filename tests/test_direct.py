@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cotlattice import DomainError, NonConvergentError, Method, Tolerance, u_direct
+from cotlattice import DomainError, NonConvergentError, Method, Tolerance, u_closed, u_direct
 from cotlattice.errors import InvalidCutoffError
 from cotlattice.numerics import series_tail
 
@@ -139,6 +139,17 @@ class TestUDirect:
         # ~1.7e7 terms for this target.
         tol = Tolerance(abs_tol=2.5e-7, rel_tol=0.0, max_terms=10**8)
         assert u_direct(2, 0.3 + 0.2j, tol).work == 33
+
+    def test_top_of_double_range(self):
+        # |z^195| ~ 8.7e307: 38^195 + |w| overflows (its term once came out
+        # -0, and inf * 0 made the bar NaN) and 39^195 overflows, while
+        # those terms still count at U ~ -8.3e-307.  At n = 118 the terms
+        # past k^118 ~ 1.8e308 add up to 17 times the bar.
+        for n, z in ((195, -37.947359624453796),
+                     (118, -214.78674425210454 - 257.77142323720113j)):
+            res = u_direct(n, z)
+            ref = u_closed(n, z)
+            assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
 
     def test_origin_even_excluded(self):
         with pytest.raises(DomainError):
