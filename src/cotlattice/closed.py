@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import ModuleType
 from typing import NoReturn
 
@@ -269,10 +269,13 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     else:
         m = math if isinstance(w, float) else cmath
         tot = abs_tot = 0.0
-        for a_k, b_k, mult_k in _rows(n):
-            f = mult_k * _kernel(a_k, b_k, w, r, m)
-            tot += f
-            abs_tot += abs(f)
+        try:
+            for a_k, b_k, mult_k in _rows(n):
+                f = mult_k * _kernel(a_k, b_k, w, r, m)
+                tot += f
+                abs_tot += abs(f)
+        except OverflowError:  # a term's modulus is no double, nor is U_n's
+            tot = abs_tot = math.inf
     term_sum = complex(tot)
     zp, rel = power_in_range(zr, n - 1)
     nzp = n * zp  # pi/n first where this overflows; pref is then subnormal
@@ -333,8 +336,8 @@ def unit_circle_parts(
                 f"domain: unit-circle denominator vanishes at k={k} for "
                 f"n={n}, theta={theta!r} (sin(n theta) = 0 with k^n = -cos(n theta))"
             )
-    where = f"unit_circle_parts(n={n}, theta={theta})"
     value, _, _ = lattice_series(
         n, complex(c, s), EPS, 16, tol.max_terms,
-        lambda v: tol.target(max(abs(v.real), abs(v.imag))), where)
+        lambda v: tol.target(max(abs(v.real), abs(v.imag))),
+        partial("unit_circle_parts(n={}, theta={})".format, n, theta))
     return value.real, value.imag

@@ -26,6 +26,7 @@ the route never touches the closed form.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable
@@ -33,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonConvergentError
-from .numerics import EPS, Kahan, series_tail
+from .numerics import EPS, Kahan, powers, series_tail
 from .types import (
     DEFAULT_TOLERANCE,
     EvalResult,
@@ -46,6 +47,8 @@ from .types import (
 __all__ = ["u_direct"]
 
 _CHUNK = 2_000_000
+#: The signs of k in the terms 1/((+-k)^n + w): one row for even n.
+_SIGNS = (np.array([[1.0 + 0j]]), np.array([[1.0 + 0j], [-1.0 + 0j]]))
 
 
 def _ldexp(v: complex, e: int) -> complex:
@@ -55,43 +58,41 @@ def _ldexp(v: complex, e: int) -> complex:
 def _pair_sums(n: int, w: complex, lo: int, hi: int) -> tuple[complex, float, float]:
     """Terms at +-k for lo <= k <= hi: their sum, sum |t| kappa, sum |t|.
 
-    Each term t = 1/(d + w), d = (+-k)^n, is summed as it stands (for
-    even n the two coincide); kappa = (|d| + |w|)/|d + w| is the
-    condition number of its denominator, large only in the band
-    |k|^n ~ |w| next to a pole.  Where k^n or |w| nears the top of the
-    double range, t is taken as 2^(-e) / ((+-k 2^-j)^n + w 2^-e), e = j n,
-    which scales exactly and keeps d + |w| a double; j is capped so that
-    w 2^-e stays far from underflow, and terms whose scaled k^n still
-    overflows are 0.
+    Each term t = 1/(d + w), d = (+-k)^n, is summed as it stands, a row per
+    sign (one for even n), each row by numpy's pairwise sum as if alone;
+    kappa = (|d| + |w|)/|d + w|, its denominator's condition number, is
+    large only next to a pole.  d comes from :func:`powers` except where
+    k^n or |w| nears the top of the double range: there t is 2^(-e) /
+    ((+-k 2^-j)^n + w 2^-e), e = j n, which scales exactly and keeps
+    d + |w| a double; j is capped so that w 2^-e stays far from underflow,
+    and terms whose scaled k^n still overflows are 0.
     """
     acc = Kahan()
-    cond = 0.0
-    mag = 0.0
-    signs = (1.0,) if n % 2 == 0 else (1.0, -1.0)
+    cond = mag = 0.0
+    signs = _SIGNS[n % 2]
     for start in range(lo, hi + 1, _CHUNK):
         top = min(start + _CHUNK - 1, hi)
-        ks = np.arange(start, top + 1, dtype=np.float64)
         e, ws = 0, w
         if n * math.log2(top) > 1022 or abs(w) > 2.0 ** 1022:
             lw = math.log2(abs(w))
             j = max(0, min(math.ceil(max(math.log2(top) - 1022 / n, (lw - 1022) / n)),
                            math.floor((lw + 969) / n)))
-            ks *= 0.5 ** j
+            ks = np.arange(start, top + 1, dtype=np.float64) * 0.5 ** j
             e, ws = j * n, _ldexp(w, -j * n)
-        with np.errstate(over="ignore", under="ignore"):
-            d = ks * ks if n == 2 else ks ** n
+            with np.errstate(over="ignore", under="ignore"):
+                d = ks ** n
             d = d[np.isfinite(d)]
-            for sign in signs:
-                inv = 1.0 / (sign * d + ws)
-                m = np.abs(inv)  # |inv|^2 would underflow for large k^n
-                t = complex(inv.sum())
-                c = float(((d + abs(ws)) * m * m).sum())
-                s = float(m.sum())
-                if e:
-                    t, c, s = _ldexp(t, -e), math.ldexp(c, -e), math.ldexp(s, -e)
-                acc.add(t)
-                cond += c
-                mag += s
+        else:
+            d = powers(n, start, top)
+        inv = 1.0 / (signs * d + ws)
+        m = np.abs(inv)  # |inv|^2 would underflow for large k^n
+        cs = np.add.reduce(np.concatenate(((d + abs(ws)) * m * m, m)), axis=1).tolist()
+        for t, c, s in zip(np.add.reduce(inv, axis=1).tolist(), cs, cs[len(signs):]):
+            if e:
+                t, c, s = _ldexp(t, -e), math.ldexp(c, -e), math.ldexp(s, -e)
+            acc.add(t)
+            cond += c
+            mag += s
     if n % 2 == 0:
         return 2.0 * acc.total, 2.0 * cond, 2.0 * mag
     return acc.total, cond, mag
@@ -99,13 +100,13 @@ def _pair_sums(n: int, w: complex, lo: int, hi: int) -> tuple[complex, float, fl
 
 def lattice_series(n: int, w: complex, rel_w: float, cutoff: int, max_terms: int,
                    target: Callable[[complex], float],
-                   where: str) -> tuple[complex, float, int]:
+                   where: Callable[[], str]) -> tuple[complex, float, int]:
     """U_n as 1/w + sum_{k>=1} (terms at +-k) with z^n = w, tail corrected.
 
     Sums the terms at +-k up to ``cutoff`` and adds the expanded tail;
     the cutoff doubles while the tail bound exceeds ``target(value)``,
     each doubling extending the previous partial sum.  Raises
-    NonConvergentError (naming ``where``) when doubling would exceed
+    NonConvergentError (naming ``where()``) when doubling would exceed
     ``max_terms``.
 
     Returns (value, err, final cutoff).  ``err`` is the tail bound plus
@@ -118,39 +119,43 @@ def lattice_series(n: int, w: complex, rel_w: float, cutoff: int, max_terms: int
                + (13 + log2(K) / 2) * sum |t|)
 
     over the k = 0 term, the terms at +-k and a majorant of the tail.
+    Where |w| >= 2^1023, 2 w and 1/w may overflow: the k = 0 term and,
+    for odd n, c_1 are then formed from w / 2, the tail summed for c_1 / 2.
     """
+    e = 1 if abs(w) >= 2.0 ** 1023 else 0
+    k0_term = 0.5 / _ldexp(w, -1) if e else 1.0 / w
     if n % 2:  # paired: 1/(k^n + w) + 1/(-k^n + w) = 2w/(w^2 - k^(2n))
-        p, c1, step = 2 * n, -2.0 * w, w * w
-    else:
-        p, c1, step = n, 2.0, -w
+        p, c1, step = 2 * n, math.ldexp(-2.0, -e) * w, w * w
+    else:  # c_1 = 2 needs no scaling
+        p, c1, step, e = n, 2.0, -w, 0
     radius = abs(w) ** (1.0 / n)  # |c_m| = |c_1| radius^(p (m-1))
 
-    k0_term = 1.0 / w
     acc = Kahan()
-    partial, cond, mag = _pair_sums(n, w, 1, cutoff)
-    acc.add(partial)
+    cond, mag, lo = 0.0, 0.0, 1
     while True:
+        head, more_cond, more_mag = _pair_sums(n, w, lo, cutoff)
+        acc.add(head)
+        cond += more_cond
+        mag += more_mag
         coeffs = accumulate(repeat(step), mul, initial=c1)  # c1 step^(m-1)
         tail, bound = series_tail(coeffs, p, cutoff, abs(c1), radius)
+        if e:
+            tail, bound = _ldexp(tail, e), math.ldexp(bound, e)
         value = acc.total + tail + k0_term
         if bound <= target(value):
             break
         if 2 * (2 * cutoff) + 1 > max_terms:
             raise NonConvergentError(
-                f"{where}: tail bound {bound:.3g} still above target "
+                f"{where()}: tail bound {bound:.3g} still above target "
                 f"{target(value):.3g} at K={cutoff} and doubling "
                 f"would exceed max_terms={max_terms}"
             )
-        partial, more_cond, more_mag = _pair_sums(n, w, cutoff + 1, 2 * cutoff)
-        acc.add(partial)
-        cond += more_cond
-        mag += more_mag
-        cutoff *= 2
+        lo, cutoff = cutoff + 1, 2 * cutoff
     acc.add(tail)
     acc.add(k0_term)  # added last so compensation absorbs the large term
     # Every tail term has kappa <= (1 + q)/(1 - q) <= 3 and the terms'
     # moduli sum to at most 2 |c_1| zeta_tail_upper(p, K) since q <= 1/2.
-    tail_mag = 2.0 * (abs(c1) * cutoff ** (1.0 - p)) / (p - 1)  # 2 |c1| may overflow
+    tail_mag = 2.0 * math.ldexp(abs(c1) * cutoff ** (1.0 - p), e) / (p - 1)
     cond += abs(k0_term) + 3.0 * tail_mag
     mag += abs(k0_term) + tail_mag
     rounding = max(EPS, rel_w) * cond + (13.0 + 0.5 * math.log2(cutoff)) * EPS * mag
@@ -179,10 +184,10 @@ def u_direct(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     z = validate_domain(n, z)
     w, rel_w = power_in_range(z, n)
     k = max(16, 2 * math.ceil(abs(z)))
-    where = f"u_direct(n={n}, z={z})"
+    where = partial("u_direct(n={}, z={})".format, n, z)
     if 2 * k + 1 > tol.max_terms:
         raise NonConvergentError(
-            f"{where}: starting cutoff K={k:.3g} already exceeds max_terms={tol.max_terms}"
+            f"{where()}: starting cutoff K={k:.3g} already exceeds max_terms={tol.max_terms}"
         )
     value, err, k = lattice_series(n, w, rel_w, k, tol.max_terms,
                                    lambda v: tol.target(abs(v)), where)

@@ -1,11 +1,14 @@
 """Small numeric building blocks: compensated accumulation, integer
-powers, and zeta-style tail estimates."""
+powers, cached tables of k^p, and memoized zeta-style tail estimates."""
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from typing import Iterable
+
+import numpy as np
 
 from .errors import InvalidCutoffError
 
@@ -19,6 +22,8 @@ __all__ = [
 
 EPS = 2.0 ** -52
 _LOG_EPS = math.log(EPS)
+#: Cache sizes: k^p tables (of up to _TABLE_LEN terms) and zeta_tail's memo.
+_POWER_TABLES, _TABLE_LEN, _ZETA_TAILS = 256, 1024, 1024
 
 
 def ipow(base, e: int):
@@ -61,6 +66,20 @@ class Kahan:
         self.total = t
 
 
+@lru_cache(maxsize=_POWER_TABLES)
+def _power_table(p: int, lo: int, hi: int) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        table = np.arange(lo, hi + 1, dtype=np.float64) ** p
+    table.flags.writeable = False
+    return table
+
+
+def powers(p: int, lo: int, hi: int) -> np.ndarray:
+    """k^p for lo <= k <= hi, read-only, inf on overflow; cached up to _TABLE_LEN terms."""
+    return (_power_table if hi - lo < _TABLE_LEN else _power_table.__wrapped__)(p, lo, hi)
+
+
+@lru_cache(maxsize=_ZETA_TAILS)
 def zeta_tail(s: float, cutoff: int) -> tuple[float, float]:
     """Estimate sum_{k > cutoff} k**-s with a certified remainder bound.
 
@@ -125,8 +144,7 @@ def series_tail(coeffs: Iterable[complex], p: int, cutoff: int,
             f"(radius / K)^{p} = {math.exp(log_q):.3g} > 1/2"
         )
     est = 0j
-    bound = 0.0
-    mag = 0.0
+    bound = mag = 0.0
     j = 0
     for c in coeffs:
         if j and not cmath.isfinite(c):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .closed import kernel_table, u_closed
 from .errors import DomainError, NonConvergentError
-from .numerics import EPS, series_tail
+from .numerics import EPS, powers, series_tail
 from .types import (
     DEFAULT_TOLERANCE,
     EvalResult,
@@ -75,9 +75,9 @@ def zeta_even(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     """
     require_order(n)
     s = float(2 * n)
-    cutoff = 16
-    partial = float(np.sum(np.arange(cutoff, 0, -1, dtype=np.float64) ** (-s)))
+    partial, lo, cutoff = 0.0, 0, 16
     while True:
+        partial += np.add.reduce(np.arange(cutoff, lo, -1, dtype=np.float64) ** (-s)).item()
         est, rem = series_tail((1.0,), 2 * n, cutoff, 0.0, 0.0)
         value = partial + est.real
         if rem <= 0.25 * tol.target(value):
@@ -87,9 +87,7 @@ def zeta_even(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
                 f"zeta tail bound {rem:.3g} above target {tol.target(value):.3g} "
                 f"at cutoff {cutoff} with max_terms={tol.max_terms}"
             )
-        ks = np.arange(2 * cutoff, cutoff, -1, dtype=np.float64)
-        partial += float(np.sum(ks ** (-s)))
-        cutoff *= 2
+        lo, cutoff = cutoff, 2 * cutoff
     err = rem + EPS * value * (4.0 + math.log2(cutoff))
     return EvalResult(value=complex(value), err_estimate=err,
                       method=Method.DIRECT_SUM, work=cutoff)
@@ -220,9 +218,7 @@ def _log_coeffs(f: float, a: float, b: float) -> Iterator[float]:
     pa, pb, m = a, b, 1
     while True:
         yield f * (pb - pa) / m
-        pa *= -a
-        pb *= -b
-        m += 1
+        pa, pb, m = pa * -a, pb * -b, m + 1
 
 
 def _lhs_series(n: int, x: float, y: float, tol: Tolerance,
@@ -244,30 +240,23 @@ def _lhs_series(n: int, x: float, y: float, tol: Tolerance,
     stop is not an error, it just leaves a larger (honest) err_estimate
     on the cross-check.
     """
-    xn = x ** n
-    yn = y ** n
+    xn, yn = x ** n, y ** n
     # the pair term is f log1p((b - a) / (k^p + a))
     #               = f (log(1 + b k^-p) - log(1 + a k^-p))
     f, a, b, p = (2.0, xn, yn, n) if n % 2 == 0 else (1.0, -xn * xn, -yn * yn, 2 * n)
     target = 0.25 * tol.target(scale) / max(scale, 1e-300)
-    pair_sum = 0.0
-    cond = 0.0
-    cutoff = 16
-    lo = 1
+    pair_sum, cond, lo, cutoff = 0.0, 0.0, 1, 16
     while True:
-        ks = np.arange(lo, cutoff + 1, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            den = ks ** p + a
-            u = (b - a) / den
-            pair_sum += f * float(np.log1p(u).sum())
-            # log1p magnifies the error of its argument (a few ulps of
-            # |b| / den and of u) by 1 / (1 + u), large as y -> 1 at odd n
-            cond += f * float(((6.0 * abs(b) / den + 5.0 * abs(u)) / (1.0 + u)).sum())
+        den = powers(p, lo, cutoff) + a
+        u = (b - a) / den
+        pair_sum += f * np.add.reduce(np.log1p(u)).item()
+        # log1p magnifies the error of its argument (a few ulps of
+        # |b| / den and of u) by 1 / (1 + u), large as y -> 1 at odd n
+        cond += f * np.add.reduce((6.0 * abs(b) / den + 5.0 * np.abs(u)) / (1.0 + u)).item()
         tail, bound = series_tail(_log_coeffs(f, a, b), p, cutoff, f * abs(b - a), y)
         if bound <= target or 2 * cutoff > int(tol.max_terms):
             break
-        lo = cutoff + 1
-        cutoff *= 2
+        lo, cutoff = cutoff + 1, 2 * cutoff
     log_lhs = 2.0 * (n * (math.log(y) - math.log(x)) + pair_sum + tail.real)
     value = math.exp(log_lhs)
     # log x and log y are good to half an ulp each and are multiplied by

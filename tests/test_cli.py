@@ -151,11 +151,20 @@ class TestEval:
         assert "z^2 leaves double range" in parse_plain(out[0])["error"]
 
     def test_direct_at_top_of_double_range(self, capsys):
-        # z^195 ~ -8.7e307, where 38^195 + |z^195| overflows.
-        code, out, err = run_cli(["eval", "-n", "195", "-z", "-37.947359624453796",
-                                  "--method", "direct"], capsys)
-        assert code == 0
-        assert "error" not in parse_plain(out[0])
+        # z^195 ~ -8.7e307, where 38^195 + |z^195| overflows, and z^195 =
+        # -1e308, where -2 z^195 overflows too.
+        for z in ("-37.947359624453796", "-37.97407287373919"):
+            code, out, err = run_cli(["eval", "-n", "195", "-z", z,
+                                      "--method", "direct"], capsys)
+            assert code == 0
+            assert "error" not in parse_plain(out[0])
+
+    def test_closed_term_past_double_range_is_domain_error(self, capsys):
+        code, out, err = run_cli(["eval", "-n", "1", "-z", "1.2e-309+1.2e-309i",
+                                  "--method", "closed"], capsys)
+        assert code == 2
+        assert "exceeds double range" in parse_plain(out[0])["error"]
+        assert "Traceback" not in err
 
     def test_huge_cutoff_is_printed_short(self, capsys):
         code, out, err = run_cli(["eval", "-n", "2", "-z", "1e100",

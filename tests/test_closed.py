@@ -470,6 +470,14 @@ class TestTinyArgument:
         with pytest.raises(DomainError):
             u_closed(1, 1e-310)
 
+    def test_term_modulus_past_double_range_raises(self):
+        # The kernel term's parts are finite, its modulus (~5.9e308) is
+        # not: the domain error of |U_n| past the double range, not a
+        # bare OverflowError.
+        for z in (1.2e-309 + 1.2e-309j, -1.2e-309 + 1.2e-309j, 1e-309j):
+            with pytest.raises(DomainError, match="exceeds double range"):
+                u_closed(1, z)
+
     def test_n1_below_normal_denominator(self):
         # 2 sin^2(pi z) is subnormal below |z| ~ 5.8e-155; the kernel's
         # exact rescaling keeps U_1 ~ 1/z evaluable down to ~1e-308.

@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cotlattice import DomainError, NonConvergentError, Method, Tolerance, u_closed, u_direct
 from cotlattice.errors import InvalidCutoffError
+from cotlattice import numerics
 from cotlattice.numerics import series_tail
 
 LOOSE = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
@@ -144,9 +146,14 @@ class TestUDirect:
         # |z^195| ~ 8.7e307: 38^195 + |w| overflows (its term once came out
         # -0, and inf * 0 made the bar NaN) and 39^195 overflows, while
         # those terms still count at U ~ -8.3e-307.  At n = 118 the terms
-        # past k^118 ~ 1.8e308 add up to 17 times the bar.
+        # past k^118 ~ 1.8e308 add up to 17 times the bar.  At z^195 =
+        # -1e308 the tail's c_1 = -2 z^195 overflows (its bound came out
+        # NaN), and at |z^196| = 1.7e308 with a complex z so does 1/z^196
+        # (it came out 0).
         for n, z in ((195, -37.947359624453796),
-                     (118, -214.78674425210454 - 257.77142323720113j)):
+                     (118, -214.78674425210454 - 257.77142323720113j),
+                     (195, -(1e308) ** (1 / 195)),
+                     (196, cmath.rect(1.7e308 ** (1 / 196), 0.5 / 196))):
             res = u_direct(n, z)
             ref = u_closed(n, z)
             assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
@@ -164,3 +171,43 @@ class TestUDirect:
         tight = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_terms=20)
         with pytest.raises(NonConvergentError):
             u_direct(1, 0.25, tight)
+
+
+class TestCaches:
+    """The k^p tables and the zeta-tail memo are read-only and bounded."""
+
+    def test_tables_are_read_only(self):
+        table = numerics.powers(3, 1, 16)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 2.0
+        assert table.tolist() == [float(k) ** 3 for k in range(1, 17)]
+        assert numerics.powers(3, 1, 16) is table
+
+    def test_fixed_sizes(self):
+        assert numerics._power_table.cache_info().maxsize == numerics._POWER_TABLES
+        assert numerics.zeta_tail.cache_info().maxsize == numerics._ZETA_TAILS
+        for s, k in ((2.0, 16), (7.0, 33)):
+            assert numerics.zeta_tail(s, k) == numerics.zeta_tail.__wrapped__(s, k)
+
+    def test_long_ranges_are_not_kept(self):
+        before = numerics._power_table.cache_info().currsize
+        hi = numerics._TABLE_LEN + 1
+        first = numerics.powers(2, 1, hi)
+        assert numerics.powers(2, 1, hi) is not first
+        assert numerics._power_table.cache_info().currsize == before
+        assert first.tolist() == [float(k) ** 2 for k in range(1, hi + 1)]
+
+    def test_call_at_max_terms_keeps_no_chunk(self):
+        # K = 3,000,002 needs a full 2M-term chunk and a second one; none
+        # of their arrays (16 MB or more) may outlive the call.
+        u_direct(1, 0.3)  # fill the small caches first
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            res = u_direct(1, 1.5e6 + 0.25)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.work == 2 * 3_000_002 + 1
+        assert after - before < 1_000_000
