@@ -172,13 +172,12 @@ def _config_path() -> Path | None:
     the user pointed at would hide typos)."""
     override = os.environ.get("COTLATTICE_CONFIG")
     if override:
-        p = Path(override)
-        if not p.is_file():
+        if not os.path.isfile(override):
             raise _UsageError(f"config: COTLATTICE_CONFIG={override} does not exist")
-        return p
+        return Path(override)
     base = os.environ.get("XDG_CONFIG_HOME") or "~/.config"
-    p = Path(base).expanduser() / "cotlattice" / "config.json"
-    return p if p.is_file() else None
+    p = os.path.join(os.path.expanduser(base), "cotlattice", "config.json")
+    return Path(p) if os.path.isfile(p) else None
 
 
 def load_config() -> dict[str, float | int]:
@@ -241,8 +240,10 @@ def parse_grid_file(path: str) -> tuple[tuple[int, complex], ...]:
     """
     points: list[tuple[int, complex]] = []
     try:
-        lines = Path(path).read_text().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
+        exc.filename = str(Path(path))  # the file as messages name it: no ./ or //
         raise _UsageError(f"grid: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -68,8 +68,9 @@ class Kahan:
 
 @lru_cache(maxsize=_POWER_TABLES)
 def _power_table(p: int, lo: int, hi: int) -> np.ndarray:
+    table = np.arange(lo, hi + 1, dtype=np.float64)
     with np.errstate(over="ignore"):
-        table = np.arange(lo, hi + 1, dtype=np.float64) ** p
+        table **= p
     table.flags.writeable = False
     return table
 

@@ -7,14 +7,14 @@ error model
     err = resasc * min(1, (200 |K15 - G7| / resasc)^1.5)
 
 floored at 50 eps * resabs, where resabs integrates |f| and resasc
-integrates |f - mean|.  Adaptation bisects the panel with the largest
-error until the summed bound meets tolerance.  It gives up when the node
-budget is spent or when the floors of the resolved panels alone exceed
-the largest target still reachable: no bisection lowers those.
+integrates |f - mean|.  Each round bisects the largest panels while the
+rest's errors sum above target (one split at a time would split them too),
+and gives up when the node budget cannot pay for that or when the resolved
+panels' floors exceed the largest reachable target, which no split lowers.
 
 Integrands receive a numpy array of abscissae and must return one value
-(real or complex) per node, 15 per panel; the panels of one step, the
-first ones or the two halves of a bisection, share one call.
+(real or complex) per node, 15 per panel; the panels of one round, the
+first ones or the halves of that round's bisections, share one call.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ def integrate_adaptive(
             and all(x < y for x, y in zip(edges, edges[1:]))):
         raise ValueError(f"bad interval [{a!r}, {b!r}] with breaks {breaks!r}")
     # Heap of (-err, seq, a, b, value, err, floor); seq makes ordering total
-    # and deterministic.  Each pass evaluates the panels lo[i]..hi[i] that
-    # replace the popped one (none, value 0, on the first pass).
+    # and deterministic.  Each round evaluates the panels lo[i]..hi[i] that
+    # replace the popped ones (none, value 0, in the first round).
     heap: list = []
     seq = itertools.count()
     nodes = 0
@@ -133,17 +133,24 @@ def integrate_adaptive(
             raise QuadratureFailureError(
                 f"quadrature floor {total_floor:.3g} of resolved panels above the "
                 f"largest reachable target {reachable:.3g} after {nodes} nodes")
-        if nodes + 30 > max_nodes:
+        split, rest = [], total_err  # the panels this round must bisect
+        while heap and rest > target:
+            split.append(heapq.heappop(heap))
+            rest -= split[-1][5]
+        if nodes + 30 * len(split) > max_nodes:
             raise QuadratureFailureError(
                 f"quadrature error bound {total_err:.3g} above target {target:.3g} "
                 f"with node budget {max_nodes} exhausted ({nodes} used)")
-        _, _, pa, pb, pval, perr, pfloor = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if not (pa < mid < pb):
-            raise QuadratureFailureError(
-                f"panel [{pa!r}, {pb!r}] cannot be bisected further but its "
-                f"error {perr:.3g} dominates the bound {total_err:.3g}")
-        lo, hi = (pa, mid), (mid, pb)
+        lo, hi = [], []
+        for _, _, pa, pb, _, perr, _ in split:
+            mid = 0.5 * (pa + pb)
+            if not (pa < mid < pb):
+                raise QuadratureFailureError(
+                    f"panel [{pa!r}, {pb!r}] cannot be bisected further but its "
+                    f"error {perr:.3g} dominates the bound {total_err:.3g}")
+            lo += (pa, mid)
+            hi += (mid, pb)
+        pval, perr, pfloor = (sum(p[i] for p in split) for i in (4, 5, 6))
     # Recompute sums from live panels once at the end; the incremental
     # running totals accumulate cancellation over many splits.
     return QuadratureResult(value=complex(sum(item[4] for item in heap)),

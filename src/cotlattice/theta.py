@@ -14,7 +14,8 @@ the bounded integrand goes to adaptive Gauss-Kronrod quadrature.  Theta
 powers q^(k^(2n)) are evaluated as e^(-t k^(2n)), which never overflows,
 and each node skips its own terms past t k^(2n) > 45 (each below 3e-20),
 so a node next to t = 0 costs ~(45/t)^(1/(2n)) terms without making the
-other nodes of its panel pay the same.
+other nodes of its panel pay the same.  At n = 1 Jacobi's exact transform
+Psi_1(e^(-t)) = sqrt(pi/t) Psi_1(e^(-pi^2/t)) caps that at 3 terms.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergentError, QuadratureFailureError
-from .numerics import EPS
+from .numerics import EPS, powers
 from .quadrature import integrate_adaptive
 from .types import (
     DEFAULT_TOLERANCE,
@@ -45,6 +46,9 @@ __all__ = ["ThetaArg", "psi", "u_theta"]
 _EXP_CUT = 45.0
 #: Below this t, 45/t and the k^(2n) <= 45/t the series needs overflow.
 _T_FLOOR = 2.0 ** -1017
+#: k per table and (node, k) pairs per pass of _psi_t_array: memory bounded at any kmax.
+_CHUNK = 1 << 14
+_IOTA = np.arange(_CHUNK)
 
 
 @dataclass(frozen=True)
@@ -117,35 +121,42 @@ def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult
 
 def _psi_t_array(n: int, ts: np.ndarray) -> np.ndarray:
     """Psi_n(e^(-t)) for an array of t >= _T_FLOOR, each node truncated
-    at its own t k^(2n) > 45.
+    at its own t k^(2n) > 45; a node with t > 45 returns exactly 1.
 
-    Terms are summed in blocks of k of growing width (8, 16, ... up to
-    200,000), each over the nodes whose cut lies beyond the block start,
-    so a node costs about its own term count rather than that of the
-    smallest t among the nodes.  A node with t > 45 returns exactly 1.
+    At n = 1, nodes with t < pi sum Jacobi's dual series (<= 3 terms).  k runs
+    in windows of _CHUNK, one k^(2n) table each; a window's (node, k) pairs lie
+    flat, node after node, summed _CHUNK at a time per node by np.add.reduceat.
     """
-    tmin = float(np.min(ts))
+    tmin = float(ts.min())
     if tmin < _T_FLOOR:
         raise ValueError(f"theta series requires t >= {_T_FLOOR:.3g}, got {tmin:.3g}")
-    two_n = 2 * n
-    kcut = (_EXP_CUT / ts) ** (1.0 / two_n)  # node i keeps k <= kcut[i]
-    kmax = math.ceil(kcut.max())
+    if n == 1:  # Jacobi's dual where t < pi, i.e. q > 1; q = 1 keeps the rest
+        q = math.pi / np.where(ts < math.pi, ts, math.pi)
+        ts = np.where(q > 1.0, math.pi * q, ts)
+    kcut = (_EXP_CUT / ts) ** (0.5 / n)
+    kmax = int(kcut.max())
     if kmax > 10_000_000:
         raise QuadratureFailureError(
             f"theta series at t={tmin:.3g} needs ~{kmax} terms per node; "
             "the quadrature has subdivided deeper than the series can support"
         )
-    acc = np.zeros_like(ts)
-    active = np.flatnonzero(kcut >= 1.0)
-    start, width = 1, 8
-    with np.errstate(over="ignore"):
-        while active.size:
-            kp = np.arange(start, start + width, dtype=np.float64) ** two_n
-            acc[active] += np.exp(-(ts[active, None] * kp)).sum(axis=1)
-            start += width
-            width = min(2 * width, 200_000)
-            active = active[kcut[active] >= start]
-    return 1.0 + 2.0 * acc
+    counts, minus_t = kcut.astype(np.int64), -ts  # node i keeps k <= kcut_i
+    acc = np.zeros(ts.shape)
+    for k0 in range(0, kmax, _CHUNK):
+        top = min(kmax, k0 + _CHUNK)  # up to 1024, a power of two: a few cached tables serve
+        table = powers(2 * n, k0 + 1, max(top, min(1 << (top - 1).bit_length(), 1024)))
+        span = np.minimum(np.maximum(counts - k0, 0), _CHUNK)  # each node's k in the window
+        ends = span.cumsum()
+        heads = ends - span
+        for p0 in range(0, int(ends[-1]), _CHUNK):
+            lo, hi = np.maximum(heads, p0), np.minimum(ends, p0 + _CHUNK)
+            live = (hi > lo).nonzero()[0]
+            width = (hi - lo)[live]
+            off = (heads[live] - p0).repeat(width)  # pair j is term k0 + j - off + 1
+            terms = table.take(np.subtract(_IOTA[:off.size], off, out=off))
+            terms *= minus_t[live].repeat(width)
+            acc[live] += np.add.reduceat(np.exp(terms, out=terms), lo[live] - p0)
+    return (1.0 + 2.0 * acc) * (np.sqrt(q) if n == 1 else 1.0)
 
 
 def _upper_piece(n: int, s: complex, target: float) -> tuple[complex, float]:

@@ -86,6 +86,26 @@ class TestGridFiles:
         code, out, err = run_cli(["verify", "--grid", str(p)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("arg, message", [
+        ("./missing.grid", "[Errno 2] No such file or directory: 'missing.grid'"),
+        (".//missing.grid", "[Errno 2] No such file or directory: 'missing.grid'"),
+        ("sub", "[Errno 21] Is a directory: 'sub'"),
+        ("./sub/", "[Errno 21] Is a directory: 'sub'"),
+    ])
+    def test_unreadable_file_message(self, monkeypatch, tmp_path, capsys, arg, message):
+        # The file is named without ./ or doubled slashes, as pathlib spells it.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code, out, err = run_cli(["verify", "--grid", arg], capsys)
+        assert (code, out, err) == (2, [], f"cotlattice: grid: {message}\n")
+
+    def test_bad_line_message_keeps_the_path_as_given(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.txt").write_text("n 4 w 1\n")
+        code, out, err = run_cli(["verify", "--grid", ".//g.txt"], capsys)
+        assert err == ("cotlattice: grid: .//g.txt:1: expected 'n <int> z <complex>', "
+                       "got 'n 4 w 1'\n")
+
 
 class TestEval:
     """eval emits one record per method and meaningful exit codes."""
@@ -428,6 +448,29 @@ class TestConfigFile:
         code, out, err = run_cli(["eval", "-n", "1", "-z", "0.3"], capsys)
         assert code == 2
         assert "COTLATTICE_CONFIG" in err
+
+    @pytest.mark.parametrize("env, body, message", [
+        ({"COTLATTICE_CONFIG": "./absent.json"}, None,
+         "COTLATTICE_CONFIG=./absent.json does not exist"),
+        ({"COTLATTICE_CONFIG": "./sub"}, None, "COTLATTICE_CONFIG=./sub does not exist"),
+        ({"COTLATTICE_CONFIG": ".//c.json"}, "{oops",
+         "c.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ({"COTLATTICE_CONFIG": "./c.json"}, "[1]", "c.json: top level must be a JSON object"),
+        ({"XDG_CONFIG_HOME": ".//xdg//"}, "[1]",
+         "xdg/cotlattice/config.json: top level must be a JSON object"),
+    ])
+    def test_bad_config_message(self, monkeypatch, tmp_path, capsys, env, body, message):
+        # A config file is named without ./ or doubled slashes, as pathlib
+        # spells it; COTLATTICE_CONFIG is quoted as given.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        if body is not None:
+            self._write_config(tmp_path, body)
+            (tmp_path / "c.json").write_text(body)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.3"], capsys)
+        assert (code, out, err) == (2, [], f"cotlattice: config: {message}\n")
 
 
 #: The cells a successful run carries, and those of a failed one.

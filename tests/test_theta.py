@@ -87,18 +87,26 @@ def wiggle(xs):
 
 
 class TestBatchedPanels:
-    """The halves of a bisection share one integrand call, and the batch
+    """Each round's bisections share one integrand call, and the batch
     computes each panel as _gk15 computes it alone."""
 
     @pytest.mark.parametrize("breaks", [(), (0.4,), (0.4, 2.0)])
-    def test_one_call_per_bisection(self, breaks):
-        sizes = []
+    def test_one_call_per_round(self, breaks, monkeypatch):
+        sizes, panels = [], []
+        batched = quadrature._gk15
+        monkeypatch.setattr(quadrature, "_gk15",
+                            lambda f, a, b: panels.append(len(a)) or batched(f, a, b))
         res = integrate_adaptive(lambda xs: sizes.append(len(xs)) or wiggle(xs),
                                  0.0, 6.0, abs_tol=1e-12, rel_tol=0.0,
                                  max_nodes=10_000, breaks=breaks)
         assert sizes[0] == 15 * (len(breaks) + 1)
-        assert len(sizes) > 1 and set(sizes[1:]) == {30}
+        # Each later call bisects the round's panels: two halves of 15 nodes each.
+        assert len(sizes) > 1
+        assert all(size == 15 * count and count % 2 == 0
+                   for size, count in zip(sizes[1:], panels[1:]))
         assert sum(sizes) == res.nodes
+        # One bisection per call makes 1 + (nodes - first call) / 30 calls; no more here.
+        assert len(sizes) <= 1 + (res.nodes - sizes[0]) // 30
         assert abs(res.value - 0.5 * math.sqrt(math.pi) * math.exp(-81.0 / 4.0)) \
             <= res.err_estimate + 1e-16  # + the tail past 6, under 1e-16
 
@@ -226,9 +234,40 @@ class TestPsiTArray:
         assert mixed[1] == 1.0 and mixed[0] > 1.0
 
     def test_too_many_terms_raises(self):
-        # sqrt(45 / 1e-13) ~ 2.1e7 terms at the smallest node, over 1e7
-        with pytest.raises(QuadratureFailureError):
-            _psi_t_array(1, np.array([1e-13, 1.0]))
+        # (45 / 1e-27)^(1/4) ~ 1.5e7 terms at the smallest node, over 1e7;
+        # at 1e-200 the count itself, 2.6e50, is past every integer type.
+        for t in (1e-27, 1e-200):
+            with pytest.raises(QuadratureFailureError):
+                _psi_t_array(2, np.array([t, 1.0]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_flat_pairs_match_scalar_psi(self, n):
+        # Nodes past the cut (no terms) sit between the others, and the
+        # smallest t needs more terms than two chunks hold.
+        deep = 2.5 * theta._CHUNK
+        ts = np.array([1e-6, 50.0, 1e-3, 46.0, 45.0 / deep ** (2 * n), 100.0, 0.5, 1e3])
+        assert (45.0 / ts[4]) ** (0.5 / n) > 2 * theta._CHUNK
+        got = _psi_t_array(n, ts)
+        assert got[[1, 3, 5, 7]].tolist() == [1.0] * 4
+        tol = Tolerance(abs_tol=0.0, rel_tol=1e-16, max_terms=10 * theta._CHUNK)
+        for t, v in zip(ts, got):
+            ref = psi(n, ThetaArg(q=math.exp(-t), t=t), tol)
+            assert abs(v - ref.value.real) <= ref.err_estimate + 2 * EPS * v, (n, t)
+
+    def test_jacobi_dual_matches_jtheta(self):
+        # n = 1 sums Jacobi's dual series for t < pi, the direct one above.
+        mp = pytest.importorskip("mpmath").mp
+
+        def theta3(t):
+            if mp.exp(-t) < mp.THETA_Q_LIM:
+                return mp.jtheta(3, 0, mp.exp(-t))
+            return mp.sqrt(mp.pi / t) * mp.jtheta(3, 0, mp.exp(-mp.pi ** 2 / t))
+
+        ts = np.array([1e-300, 1e-13, 1e-6, math.pi - 1e-12, math.pi + 1e-12, 10.0])
+        with mp.workdps(40):
+            for t, v in zip(ts, _psi_t_array(1, ts)):
+                ref = theta3(mp.mpf(float(t)))
+                assert abs(v - ref) <= 4 * EPS * ref, t
 
 
 class TestUTheta:
@@ -293,6 +332,17 @@ class TestUTheta:
         res = u_theta(99, 10.465838347973358)
         assert res.value.real > 1e-201
         assert res.err_estimate < 1e-200
+
+    @pytest.mark.parametrize("z", ["6000", "1e5"])
+    def test_large_z_u2(self, z, capsys, monkeypatch, tmp_path):
+        # Jacobi's transform lets U_2's nodes next to t = 0 cost a few terms.
+        res, ref = u_theta(1, float(z)), u_closed(2, float(z))
+        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
+        monkeypatch.delenv("COTLATTICE_CONFIG", raising=False)
+        monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path))
+        assert main(["eval", "-n", "2", "-z", z, "--method", "theta"]) == 0
+        cells = dict(cell.split("=", 1) for cell in capsys.readouterr().out.split())
+        assert float(cells["value_re"]) == res.value.real
 
     def test_unrepresentable_power_rejected(self):
         # 0.5^1024 is subnormal; its reciprocal overflows.
