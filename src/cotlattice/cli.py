@@ -105,7 +105,8 @@ class _UsageError(Exception):
 
 def parse_complex(text: str) -> complex:
     """Parse 'a', 'a+bi', or 'a-bi' (no whitespace, scientific notation
-    allowed) into a complex number.  Raises ValueError otherwise."""
+    allowed) into a complex number with finite parts.  Raises ValueError
+    otherwise, also for a literal that overflows, such as '1e400'."""
     m = _COMPLEX_RE.match(text)
     if m is None:
         raise ValueError(
@@ -114,6 +115,8 @@ def parse_complex(text: str) -> complex:
         )
     re_part = float(m.group(1))
     im_part = float(m.group(2)) if m.group(2) is not None else 0.0
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise ValueError(f"expected a finite complex number, got {text!r}")
     return complex(re_part, im_part)
 
 
@@ -447,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_order_arg, required=True, help="series order")
     p.add_argument("-z", type=_complex_arg, required=True,
                    help="evaluation point, as 'a', 'a+bi', or 'a-bi'")
-    p.add_argument("--method", choices=("direct", "closed", "dyadic", "theta", "all"),
+    p.add_argument("--method", choices=(*(m.value for m in Method), "all"),
                    default="all", help="evaluation route (default all applicable)")
     p.set_defaults(handler=cmd_eval, base_tol=DEFAULT_TOLERANCE)
 

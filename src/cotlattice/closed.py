@@ -15,7 +15,8 @@ and 2 pi - theta give identical terms; since it is even in a_k too, for
 even n the rays theta and pi - theta do as well.  So only the ceil(n/2)
 rays with theta in (0, pi] are evaluated for odd n, and the (n + 2) // 4
 with theta in (0, pi/2] for even n, each weighted by the number of roots
-it stands for (:func:`kernel_table`, a table of numpy columns).  For n = 1
+it stands for (:func:`kernel_table`, a table of numpy columns, and
+:func:`kernel_rows`, its rows as Python numbers).  For n = 1
 and n = 2 the sum is pi cot(pi z) and (pi / z) coth(pi z).
 
 Below ``_CROSSOVER`` rays the terms are summed by a scalar loop, from
@@ -56,6 +57,7 @@ from .types import (
 )
 
 __all__ = [
+    "kernel_rows",
     "kernel_table",
     "u_closed",
     "unit_circle_parts",
@@ -73,11 +75,12 @@ _CROSSOVER = 28
 
 
 @lru_cache(maxsize=None)
-def kernel_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def kernel_table(n: int) -> tuple[np.ndarray, ...]:
     """The distinct root rays theta = (2k - 1) pi / n of order n,
-    angle-increasing, as read-only columns (theta, a, b, mult): a = cos
-    theta, b = sin theta >= 0, and mult, how many of the n roots the ray
-    stands for.  ceil(n/2) rays for odd n, (n + 2) // 4 for even n.
+    angle-increasing, as read-only columns (a, b, mult, ka, kb): a = cos
+    theta, b = sin theta >= 0, mult, how many of the n roots the ray
+    stands for, and the argument-error constants ka, kb.  ceil(n/2) rays
+    for odd n, (n + 2) // 4 for even n.
 
     The kernel term is even in b and in a.  So a ray stands for its
     conjugate at -theta, and for even n also for its mirror images at
@@ -88,6 +91,12 @@ def kernel_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     n = 2 mod 4 (2).  The multiplicities sum to n.  Exact values are
     snapped at the axis rays: (a, b) = (-1, 0) when 2k - 1 = n, (0, 1)
     when (2k - 1)/n = 1/2.
+
+    For a double w = pi t, ka |w| eps and kb |w| eps bound the errors of
+    the computed arguments w a and w b, as the closed product's bar
+    charges them: 1.25 eps relative from pi and the two products, and
+    off the snapped rays an ulp of a and of b plus their shift by the
+    1.5 eps rounding of theta.
     """
     require_order(n)
     full = 2 if n % 2 else 4
@@ -95,11 +104,14 @@ def kernel_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     for num in range(1, (n if n % 2 else n // 2) + 1, 2):
         theta = num * math.pi / n
         if num == n:
-            rays.append((theta, -1.0, 0.0, 1))
+            rays.append((-1.0, 0.0, 1, 1.25, 0.0))
         elif 2 * num == n:
-            rays.append((theta, 0.0, 1.0, 2))
+            rays.append((0.0, 1.0, 2, 0.0, 1.25))
         else:
-            rays.append((theta, math.cos(theta), math.sin(theta), full))
+            a, b = math.cos(theta), math.sin(theta)
+            ka = 1.25 * abs(a) + (abs(a) + 1.5 * theta * b)
+            kb = 1.25 * b + (b + 1.5 * theta * abs(a))
+            rays.append((a, b, full, ka, kb))
     columns = tuple(np.array(col) for col in zip(*rays))
     for col in columns:
         col.flags.writeable = False
@@ -107,11 +119,11 @@ def kernel_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _rows(n: int) -> tuple[tuple[float, float, int], ...]:
-    """The (a, b, mult) rows of :func:`kernel_table` as Python numbers,
-    for the scalar loop, which numpy scalars would slow."""
-    _, a, b, mult = kernel_table(n)
-    return tuple(zip(a.tolist(), b.tolist(), mult.tolist()))
+def kernel_rows(n: int) -> tuple[tuple[float, float, int, float, float], ...]:
+    """The (a, b, mult, ka, kb) rows of :func:`kernel_table` as Python
+    numbers, for the scalar loops of u_closed and the closed product,
+    which numpy scalars would slow."""
+    return tuple(zip(*(col.tolist() for col in kernel_table(n))))
 
 
 def _half_angle(a, b, x, y, r):
@@ -259,7 +271,7 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     w = 2.0 * math.pi * zr
     aw = abs(w)
     r = 1.0 if aw >= 1.0 else math.ldexp(1.0, min(1023, 1 - math.frexp(aw)[1]))
-    _, a, b, mult = kernel_table(n)
+    a, b, mult, _, _ = kernel_table(n)
     # At a subnormal w (r = 2^1023) num r^2 may overflow, which numpy
     # would warn of; such a z^(n-1) leaves the double range anyway.
     if len(a) >= _CROSSOVER and r < 2.0 ** 1023:
@@ -270,7 +282,7 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
         m = math if isinstance(w, float) else cmath
         tot = abs_tot = 0.0
         try:
-            for a_k, b_k, mult_k in _rows(n):
+            for a_k, b_k, mult_k, _, _ in kernel_rows(n):
                 f = mult_k * _kernel(a_k, b_k, w, r, m)
                 tot += f
                 abs_tot += abs(f)

@@ -108,7 +108,7 @@ def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult
         total = s
         if 2 * k + 1 > tol.max_terms:
             raise NonConvergentError(
-                f"psi(n={n}, q={arg.q}): {k} terms exceed max_terms="
+                f"psi(n={n}, q={arg.q}): {2 * k + 1} terms exceed max_terms="
                 f"{tol.max_terms} before meeting tolerance"
             )
     ratio = math.exp(-t * (_kpow(k + 2, two_n) - head)) if nxt > 0.0 else 0.0

@@ -54,12 +54,7 @@ __all__ = [
 #: Version tag of the output schema, printed on every CLI verify summary.
 SCHEMA_VERSION = 1
 
-ALL_METHODS = (
-    Method.DIRECT_SUM,
-    Method.CLOSED_FORM,
-    Method.DYADIC_RECURSION,
-    Method.THETA_INTEGRAL,
-)
+ALL_METHODS = tuple(Method)
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-from .closed import kernel_table, u_closed
+from .closed import kernel_rows, u_closed
 from .errors import DomainError, NonConvergentError
 from .numerics import EPS, powers, series_tail
 from .types import (
@@ -152,24 +151,6 @@ class ProductQuery:
         object.__setattr__(self, "y", y)
 
 
-@lru_cache(maxsize=None)
-def _product_rays(n: int) -> tuple[tuple[float, float, int, float, float], ...]:
-    """(a, b, mult, ka, kb) for each root ray of order n.
-
-    For w = pi t, ka |w| eps and kb |w| eps bound the errors of the
-    computed arguments w a and w b: 1.25 eps relative from pi and the
-    two products, and off the snapped rays an ulp of a and of b plus
-    their shift by the 1.5 eps rounding of theta.
-    """
-    rays = []
-    for theta, a, b, mult in zip(*(col.tolist() for col in kernel_table(n))):
-        exact = a == 0.0 or b == 0.0
-        ka = 1.25 * abs(a) + (0.0 if exact else abs(a) + 1.5 * theta * abs(b))
-        kb = 1.25 * abs(b) + (0.0 if exact else abs(b) + 1.5 * theta * abs(a))
-        rays.append((a, b, mult, ka, kb))
-    return tuple(rays)
-
-
 def _rhs_closed(n: int, x: float, y: float) -> EvalResult:
     # Factor k of the closed form, in the half-angle form that never
     # cancels: cosh(2 pi t b) - cos(2 pi t a) = 2 sinh(pi t b)^2
@@ -178,16 +159,16 @@ def _rhs_closed(n: int, x: float, y: float) -> EvalResult:
     # (the factor is even in a and in b).
     #
     # Rounding, in eps relative to each half-angle sum: sin and sinh add
-    # an ulp each and pass their argument errors on with derivatives
-    # |cos| <= 1 and cosh <= 1 + |sinh|, weighted by each part's share
-    # of the sum (the squares and the sum add 1.5).  Near a zero of
-    # sin(pi y a) (y -> 1 on the axis ray) this charges the condition
-    # |pi y a / sin(pi y a)| in full.
+    # an ulp each and pass their argument errors (ka, kb of kernel_table)
+    # on with derivatives |cos| <= 1 and cosh <= 1 + |sinh|, weighted by
+    # each part's share of the sum (the squares and the sum add 1.5).
+    # Near a zero of sin(pi y a) (y -> 1 on the axis ray) this charges
+    # the condition |pi y a / sin(pi y a)| in full.
     total = 1.0
     rel = 0.0
     wy = math.pi * y
     wx = math.pi * x
-    for a, b, mult, ka, kb in _product_rays(n):
+    for a, b, mult, ka, kb in kernel_rows(n):
         sn_y = math.sin(wy * a)
         sh_y = math.sinh(wy * b)
         sn_x = math.sin(wx * a)

@@ -53,7 +53,8 @@ class TestParseComplex:
         assert parse_complex(".5+.25i") == 0.5 + 0.25j
 
     def test_rejections(self):
-        for bad in ("1+i", "i", "2i", "1 + 2i", "1+2j", "nan", "inf", "", "abc"):
+        for bad in ("1+i", "i", "2i", "1 + 2i", "1+2j", "nan", "inf", "", "abc",
+                    "1e400", "1+1e400i"):
             with pytest.raises(ValueError):
                 parse_complex(bad)
 
@@ -105,6 +106,19 @@ class TestGridFiles:
         code, out, err = run_cli(["verify", "--grid", ".//g.txt"], capsys)
         assert err == ("cotlattice: grid: .//g.txt:1: expected 'n <int> z <complex>', "
                        "got 'n 4 w 1'\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("n 0 z 1", "order must be >= 1, got 0"),
+        ("n two z 1", "invalid literal for int() with base 10: 'two'"),
+        ("n 2 z 1+", "expected a complex number as 'a', 'a+bi', or 'a-bi' "
+                     "(no whitespace), got '1+'"),
+        ("n 2 z 1e400", "expected a finite complex number, got '1e400'"),
+    ])
+    def test_bad_value_message(self, monkeypatch, tmp_path, capsys, line, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.txt").write_text(f"n 4 z 1\n{line}\n")
+        code, out, err = run_cli(["verify", "--grid", "g.txt"], capsys)
+        assert (code, out, err) == (2, [], f"cotlattice: grid: g.txt:2: {message}\n")
 
 
 class TestEval:
@@ -262,6 +276,13 @@ class TestZetaCommand:
         assert abs(float(limit["value_re"]) - 1.0000152822594086) <= 1e-13
         assert limit["work"] == str(32 * 16)
 
+    def test_tolerance_error_exits_1(self, capsys):
+        code, out, err = run_cli(["zeta", "-n", "1", "--abs-tol", "0", "--rel-tol", "1e-17",
+                                  "--max-terms", "40"], capsys)
+        assert (code, out) == (1, [])
+        assert err == ("cotlattice: zeta tail bound 5.59e-13 above target 1.64e-17 "
+                       "at cutoff 32 with max_terms=40\n")
+
 
 class TestProductCommand:
     """product reports the closed ratio and the series cross-check."""
@@ -307,6 +328,13 @@ class TestThetaCommand:
     def test_bad_nome(self, capsys):
         code, out, err = run_cli(["theta", "-n", "1", "-q", "1.5"], capsys)
         assert code == 2
+
+    def test_budget_miss_exits_1(self, capsys):
+        code, out, err = run_cli(["theta", "-n", "1", "-q", "0.999999",
+                                  "--max-terms", "5"], capsys)
+        assert (code, out) == (1, [])
+        assert err == ("cotlattice: psi(n=1, q=0.999999): 7 terms exceed max_terms=5 "
+                       "before meeting tolerance\n")
 
 
 class TestVerifyCommand:

@@ -20,15 +20,25 @@ from cotlattice import (
     unit_circle_parts,
 )
 from cotlattice import closed, zeta_product
-from cotlattice.closed import _kernel, kernel_table
+from cotlattice.closed import _kernel, kernel_rows, kernel_table
 from cotlattice.numerics import EPS, ipow
 
 LOOSE = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
 
 
 def _rows(table):
-    """The rows (theta, a, b, mult) of a table's columns, as Python numbers."""
+    """The rows (a, b, mult, ka, kb) of a table's columns, as Python numbers."""
     return list(zip(*(col.tolist() for col in table)))
+
+
+def _ray(theta, a, b, mult):
+    """A table row (a, b, mult, ka, kb): the argument-error constants are
+    1.25 |a| and 1.25 |b| on a snapped axis ray (a or b 0), and add an
+    ulp of a and of b and their shift by 1.5 eps of theta elsewhere."""
+    exact = a == 0.0 or b == 0.0
+    ka = 1.25 * abs(a) + (0.0 if exact else abs(a) + 1.5 * theta * abs(b))
+    kb = 1.25 * abs(b) + (0.0 if exact else abs(b) + 1.5 * theta * abs(a))
+    return a, b, mult, ka, kb
 
 
 class TestKernelTable:
@@ -36,12 +46,12 @@ class TestKernelTable:
     as read-only columns."""
 
     @staticmethod
-    def _orbit(n, theta, a, b):
+    def _orbit(n, a, b):
         """The roots a ray stands for, as {j: (cos, sin)} over the odd j in
-        1..2n-1 of the root angles j pi / n: the ray at theta, its conjugate
-        at -theta and, for even n, its mirror images at +-(pi - theta), with
-        (a, b) reflected to match."""
-        j = round(theta * n / math.pi)
+        1..2n-1 of the root angles j pi / n: the ray at theta = atan2(b, a),
+        its conjugate at -theta and, for even n, its mirror images at
+        +-(pi - theta), with (a, b) reflected to match."""
+        j = round(math.atan2(b, a) * n / math.pi)
         images = {j: (a, b), -j: (a, -b)}
         if n % 2 == 0:
             images.update({n - j: (-a, b), j - n: (-a, -b)})
@@ -49,38 +59,46 @@ class TestKernelTable:
 
     def test_angles(self):
         for n in range(1, 65):
-            theta, a, b, mult = kernel_table(n)
+            a, b, mult, ka, kb = kernel_table(n)
             # An exact count of kernel terms per call, whatever the machine.
             count = (n + 1) // 2 if n % 2 else (n + 2) // 4
-            assert len(theta) == len(a) == len(b) == len(mult) == count
-            for k, t in enumerate(theta.tolist(), start=1):
-                assert abs(t - (2 * k - 1) * math.pi / n) < 1e-12
+            assert len(a) == len(b) == len(mult) == len(ka) == len(kb) == count
+            for k, (a_k, b_k) in enumerate(zip(a.tolist(), b.tolist()), start=1):
+                assert abs(math.atan2(b_k, a_k) - (2 * k - 1) * math.pi / n) < 1e-12
 
     def test_multiplicities_sum_to_order(self):
         for n in range(1, 65):
             table = kernel_table(n)
-            assert sum(table[3].tolist()) == n
-            assert all(mult == len(self._orbit(n, theta, a, b))
-                       for theta, a, b, mult in _rows(table))
+            assert sum(table[2].tolist()) == n
+            assert all(mult == len(self._orbit(n, a, b))
+                       for a, b, mult, _, _ in _rows(table))
 
     def test_unit_modulus(self):
-        for _, a, b, _ in _rows(kernel_table(7)):
+        for a, b, _, _, _ in _rows(kernel_table(7)):
             assert abs(a**2 + b**2 - 1.0) < 4e-16
 
     def test_axis_values_exact(self):
         (r,) = _rows(kernel_table(1))
-        assert r[1:] == (-1.0, 0.0, 1)
+        assert r[:3] == (-1.0, 0.0, 1)
         (r,) = _rows(kernel_table(2))
-        assert r[1:] == (0.0, 1.0, 2)
-        assert _rows(kernel_table(3))[-1][1:] == (-1.0, 0.0, 1)
-        assert _rows(kernel_table(6))[1][1:] == (0.0, 1.0, 2)
+        assert r[:3] == (0.0, 1.0, 2)
+        assert _rows(kernel_table(3))[-1][:3] == (-1.0, 0.0, 1)
+        assert _rows(kernel_table(6))[1][:3] == (0.0, 1.0, 2)
+
+    def test_argument_error_constants(self):
+        for n in range(1, 129):
+            rows = _rows(kernel_table(n))
+            assert rows == [_ray((2 * k - 1) * math.pi / n, a, b, mult)
+                            for k, (a, b, mult, _, _) in enumerate(rows, start=1)]
+        assert _rows(kernel_table(1)) == [(-1.0, 0.0, 1, 1.25, 0.0)]
+        assert _rows(kernel_table(2)) == [(0.0, 1.0, 2, 0.0, 1.25)]
 
     def test_conjugate_closure(self):
         # The rays' orbits are all n roots e^(i (2k - 1) pi / n), each once.
         for n in range(1, 65):
             roots = {}
-            for theta, a, b, _ in _rows(kernel_table(n)):
-                orbit = self._orbit(n, theta, a, b)
+            for a, b, _, _, _ in _rows(kernel_table(n)):
+                orbit = self._orbit(n, a, b)
                 assert not roots.keys() & orbit.keys()
                 roots.update(orbit)
             assert sorted(roots) == list(range(1, 2 * n, 2))
@@ -92,6 +110,8 @@ class TestKernelTable:
     def test_cached(self):
         assert kernel_table(5) is kernel_table(5)
         assert not any(col.flags.writeable for col in kernel_table(5))
+        assert kernel_rows(5) is kernel_rows(5)
+        assert list(kernel_rows(5)) == _rows(kernel_table(5))
 
 
 class TestKernel:
@@ -187,7 +207,7 @@ class TestVectorPass:
         """half, rescaled or mixed: where the rays' exponential scales
         max(|Re w| b, |Im w| |a|), w = 2 pi z, lie against 30."""
         w = 2.0 * math.pi * z
-        _, a, b, _ = kernel_table(n)
+        a, b, _, _, _ = kernel_table(n)
         big = np.maximum(abs(w.real) * b, abs(w.imag) * np.abs(a)) > 30.0
         return "rescaled" if big.all() else "mixed" if big.any() else "half"
 
@@ -237,7 +257,7 @@ class TestVectorPass:
         # The axis ray theta = pi of an odd order (a = -1, b = 0) has
         # x = -w, w = 2 pi m + d; every other ray has y = w b far from 0.
         n = 2 * closed._CROSSOVER + 1
-        _, a, b, _ = kernel_table(n)
+        a, b, _, _, _ = kernel_table(n)
         assert b[-1] == 0.0 and len(a) >= closed._CROSSOVER
 
         def exact(w):
@@ -278,7 +298,7 @@ class TestVectorPass:
         # ray's exponential scale is ~37: the rescaled complex form's test,
         # in the pass's mixed branch.
         n = 47
-        _, a, b, _ = kernel_table(n)
+        a, b, _, _, _ = kernel_table(n)
         pole = 12.0 * cmath.exp(11j * math.pi / n)
 
         def w_at(t):
@@ -494,11 +514,11 @@ def _unfolded_table(n):
         num = 2 * k - 1
         theta = num * math.pi / n
         if num == n:
-            rays.append((theta, -1.0, 0.0, 1))
+            rays.append(_ray(theta, -1.0, 0.0, 1))
         elif 2 * num == n:
-            rays.append((theta, 0.0, 1.0, 2))
+            rays.append(_ray(theta, 0.0, 1.0, 2))
         else:
-            rays.append((theta, math.cos(theta), math.sin(theta), 2))
+            rays.append(_ray(theta, math.cos(theta), math.sin(theta), 2))
     return tuple(np.array(col) for col in zip(*rays))
 
 
@@ -510,7 +530,7 @@ def _unfolded_closed(n, z):
     r = math.ldexp(1.0, min(1023, 1 - math.frexp(min(1.0, abs(w)))[1]))
     m = math if z.imag == 0.0 else cmath
     tot = abs_tot = 0.0
-    for _, a, b, mult in _rows(_unfolded_table(n)):
+    for a, b, mult, _, _ in _rows(_unfolded_table(n)):
         f = mult * _kernel(a, b, w, r, m)
         tot += f
         abs_tot += abs(f)
@@ -549,7 +569,7 @@ class TestEvenFold:
             ref, ref_err = _unfolded_closed(n, z)
             assert abs(res.value - ref) <= res.err_estimate + ref_err, (n, z)
             assert res.work == n
-            rescaled += abs(2.0 * math.pi * z) * kernel_table(n)[2][-1] > 30.0
+            rescaled += abs(2.0 * math.pi * z) * kernel_table(n)[1][-1] > 30.0
             tiny += abs(z) < 1e-75
         assert rescaled >= 10 and tiny >= 3
 
@@ -563,9 +583,8 @@ class TestEvenFold:
             queries.append(ProductQuery(n, x, y))
         # product_ratio reports the closed side of product_parts.
         folded = [zeta_product.product_parts(q)[1] for q in queries]
-        unfolded_rays = zeta_product._product_rays.__wrapped__
-        monkeypatch.setattr(zeta_product, "kernel_table", _unfolded_table)
-        monkeypatch.setattr(zeta_product, "_product_rays", unfolded_rays)
+        monkeypatch.setattr(zeta_product, "kernel_rows",
+                            lambda n: tuple(_rows(_unfolded_table(n))))
         for q, res in zip(queries, folded):
             ref = zeta_product._rhs_closed(q.n, q.x, q.y)
             assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate, q

@@ -11,6 +11,7 @@ from cotlattice import (
     RecursionPoleError,
     phi,
     u_closed,
+    validate_domain,
 )
 
 
@@ -74,3 +75,15 @@ class TestPhiDomain:
 
     def test_recursion_pole_is_domain_error(self):
         assert issubclass(RecursionPoleError, DomainError)
+
+    def test_rotated_argument_near_pole_raises(self):
+        # z = e^(i pi/4) (1 + 4e-13) is legal and closed evaluates it, but
+        # the rotated argument i (1 + 4e-13) of phi_1 = U_2 is within the
+        # pole test's reach of the pole i: the recursion rejects it.
+        z = complex(0.70710678118683035, 0.70710678118683024)
+        assert validate_domain(4, z) == z
+        assert math.isfinite(abs(u_closed(4, z).value))
+        with pytest.raises(RecursionPoleError) as exc:
+            phi(2, z)
+        assert str(exc.value).startswith(
+            "recursion: rotated argument at level m=1 hits a pole of U_2 (domain: U_2 at z=")

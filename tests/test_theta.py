@@ -7,6 +7,7 @@ import pytest
 
 from cotlattice import (
     DomainError,
+    NonConvergentError,
     QuadratureFailureError,
     Method,
     ThetaArg,
@@ -175,6 +176,14 @@ class TestPsi:
     def test_work_is_odd_term_count(self):
         res = psi(1, ThetaArg.from_q(0.1))
         assert res.work % 2 == 1
+
+    def test_budget_message_quotes_the_charged_terms(self):
+        # k = 3 pairs of terms plus the leading 1: the 2k + 1 = 7 that
+        # work counts, not k.
+        with pytest.raises(NonConvergentError) as exc:
+            psi(1, ThetaArg.from_q(0.999999), Tolerance(max_terms=5))
+        assert str(exc.value) == ("psi(n=1, q=0.999999): 7 terms exceed max_terms=5 "
+                                  "before meeting tolerance")
 
     def test_overflowing_power_is_a_zero_term(self, capsys, monkeypatch, tmp_path):
         # 3^912 leaves the double range: that term and the tail are 0.
