@@ -115,6 +115,10 @@ def integrate_adaptive(
     total_value = total_err = total_floor = pval = perr = pfloor = 0.0
     lo, hi = edges[:-1], edges[1:]
     while True:
+        if nodes + 15 * len(lo) > max_nodes:  # the first round included
+            raise QuadratureFailureError(
+                f"quadrature node budget {max_nodes} exhausted: {nodes} used, "
+                f"{15 * len(lo)} more needed")
         panels = _gk15(f, lo, hi)
         nodes += 15 * len(panels)
         total_value += sum(p[0] for p in panels) - pval
@@ -127,6 +131,8 @@ def integrate_adaptive(
         target = max(abs_tol, rel_tol * abs(total_value))
         if total_err <= target:
             break
+        if not math.isfinite(total_err):  # no split can mend it, and nan would pick none
+            raise QuadratureFailureError(f"quadrature error bound {total_err} after {nodes} nodes")
         # |integral| <= |total_value| + total_err, so no later target exceeds this one.
         reachable = max(abs_tol, rel_tol * (abs(total_value) + total_err))
         if total_floor > reachable:
@@ -137,10 +143,6 @@ def integrate_adaptive(
         while heap and rest > target:
             split.append(heapq.heappop(heap))
             rest -= split[-1][5]
-        if nodes + 30 * len(split) > max_nodes:
-            raise QuadratureFailureError(
-                f"quadrature error bound {total_err:.3g} above target {target:.3g} "
-                f"with node budget {max_nodes} exhausted ({nodes} used)")
         lo, hi = [], []
         for _, _, pa, pb, _, perr, _ in split:
             mid = 0.5 * (pa + pb)

@@ -12,21 +12,22 @@ is integrated term by term in closed form.  On (0, 1] the blowup Psi ~
 c t^(-1/(2n)) at t -> 0 is algebraic and removed exactly by t = u^(2n);
 the bounded integrand goes to adaptive Gauss-Kronrod quadrature.  Theta
 powers q^(k^(2n)) are evaluated as e^(-t k^(2n)), which never overflows,
-and each node skips its own terms past t k^(2n) > 45 (each below 3e-20),
-so a node next to t = 0 costs ~(45/t)^(1/(2n)) terms without making the
-other nodes of its panel pay the same.  At n = 1 Jacobi's exact transform
-Psi_1(e^(-t)) = sqrt(pi/t) Psi_1(e^(-pi^2/t)) caps that at 3 terms.
+and each node skips its own terms past t k^(2n) > 45 (each below 3e-20).
+Next to t = 0 a dual series stands in: Jacobi's exact Psi_1(e^(-t)) =
+sqrt(pi/t) Psi_1(e^(-pi^2/t)) at n = 1, at n >= 2 the lead 2 Gamma(1 +
+1/(2n)) t^(-1/(2n)) of Poisson summation; so a node costs at most 40n terms.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergentError, QuadratureFailureError
+from .errors import DomainError, NonConvergentError
 from .numerics import EPS, powers
 from .quadrature import integrate_adaptive
 from .types import (
@@ -44,9 +45,13 @@ __all__ = ["ThetaArg", "psi", "u_theta"]
 #: e^(-45) ~ 2.9e-20: theta terms beyond this exponent cannot move any
 #: double-precision target supported here.
 _EXP_CUT = 45.0
-#: Below this t, 45/t and the k^(2n) <= 45/t the series needs overflow.
-_T_FLOOR = 2.0 ** -1017
-#: k per table and (node, k) pairs per pass of _psi_t_array: memory bounded at any kmax.
+#: Poisson's lead is Psi_n(e^(-t)) once y = sin(pi/(6n)) t^(-g) >= _Y_LEAD, g = 1/(2n):
+#: on Im x = -y, Re x^(2n) >= |Re x|^(2n)/2 past |Re x| = y cot(pi/(6n)), so its other
+#: terms sum to < 4 (e + 2^g Gamma(1 + g)) t^(-g) e^(-2 pi y)/(1 - e^(-2 pi y)) < e^(-45) of it.
+_Y_LEAD = 47.2 / (2.0 * math.pi)
+#: Below this t the k^(2n) <= 45/t of the series leave the double range.
+_T_MIN = _EXP_CUT / sys.float_info.max
+#: (node, k) pairs per pass of _psi_t_array: memory bounded at any node count.
 _CHUNK = 1 << 14
 _IOTA = np.arange(_CHUNK)
 
@@ -119,44 +124,43 @@ def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult
     )
 
 
-def _psi_t_array(n: int, ts: np.ndarray) -> np.ndarray:
-    """Psi_n(e^(-t)) for an array of t >= _T_FLOOR, each node truncated
-    at its own t k^(2n) > 45; a node with t > 45 returns exactly 1.
+def _psi_t_array(n: int, ts: np.ndarray, us: np.ndarray | None = None) -> np.ndarray:
+    """Psi_n(e^(-t)) for an array of t > 0, each node truncated at its own
+    t k^(2n) > 45; a node with t > 45 returns exactly 1.  t^(-g), g = 1/(2n),
+    is 1/u from ``us`` = t^g where given, right where t = u^(2n) underflows.
 
-    At n = 1, nodes with t < pi sum Jacobi's dual series (<= 3 terms).  k runs
-    in windows of _CHUNK, one k^(2n) table each; a window's (node, k) pairs lie
-    flat, node after node, summed _CHUNK at a time per node by np.add.reduceat.
+    At n = 1, nodes with t < pi sum Jacobi's dual series (<= 3 terms).  At
+    n >= 2, nodes past _Y_LEAD take Poisson's lead 2 Gamma(1 + g) t^(-g), as do
+    those of n >= 54 with t < _T_MIN, for which it is within 1 of Psi (the
+    integral test).  The rest need k <= 40n, never over 800; their (node, k)
+    pairs lie flat, node after node, summed _CHUNK at a time by np.add.reduceat.
     """
-    tmin = float(ts.min())
-    if tmin < _T_FLOOR:
-        raise ValueError(f"theta series requires t >= {_T_FLOOR:.3g}, got {tmin:.3g}")
-    if n == 1:  # Jacobi's dual where t < pi, i.e. q > 1; q = 1 keeps the rest
-        q = math.pi / np.where(ts < math.pi, ts, math.pi)
-        ts = np.where(q > 1.0, math.pi * q, ts)
-    kcut = (_EXP_CUT / ts) ** (0.5 / n)
-    kmax = int(kcut.max())
-    if kmax > 10_000_000:
-        raise QuadratureFailureError(
-            f"theta series at t={tmin:.3g} needs ~{kmax} terms per node; "
-            "the quadrature has subdivided deeper than the series can support"
-        )
+    g = 0.5 / n
+    inv = 1.0 / (ts ** g if us is None else us)  # t^(-g)
+    if n == 1:  # Jacobi's dual where t < pi: its nome is e^(-pi^2/t)
+        dual = ts < math.pi
+        ts = np.where(dual, (math.pi * inv) ** 2, ts)
+        kcut = (_EXP_CUT / ts) ** 0.5
+    else:
+        lead = (inv * math.sin(math.pi / (6 * n)) >= _Y_LEAD) | (ts < _T_MIN)
+        kcut = np.where(lead, 0.0, _EXP_CUT ** g * inv)
     counts, minus_t = kcut.astype(np.int64), -ts  # node i keeps k <= kcut_i
+    kmax = int(counts.max())
+    table = powers(2 * n, 1, 1 << kmax.bit_length())  # a power of two: a few cached tables serve
+    ends = counts.cumsum()
+    heads = ends - counts
     acc = np.zeros(ts.shape)
-    for k0 in range(0, kmax, _CHUNK):
-        top = min(kmax, k0 + _CHUNK)  # up to 1024, a power of two: a few cached tables serve
-        table = powers(2 * n, k0 + 1, max(top, min(1 << (top - 1).bit_length(), 1024)))
-        span = np.minimum(np.maximum(counts - k0, 0), _CHUNK)  # each node's k in the window
-        ends = span.cumsum()
-        heads = ends - span
-        for p0 in range(0, int(ends[-1]), _CHUNK):
-            lo, hi = np.maximum(heads, p0), np.minimum(ends, p0 + _CHUNK)
-            live = (hi > lo).nonzero()[0]
-            width = (hi - lo)[live]
-            off = (heads[live] - p0).repeat(width)  # pair j is term k0 + j - off + 1
-            terms = table.take(np.subtract(_IOTA[:off.size], off, out=off))
-            terms *= minus_t[live].repeat(width)
-            acc[live] += np.add.reduceat(np.exp(terms, out=terms), lo[live] - p0)
-    return (1.0 + 2.0 * acc) * (np.sqrt(q) if n == 1 else 1.0)
+    for p0 in range(0, int(ends[-1]), _CHUNK):
+        lo, hi = np.maximum(heads, p0), np.minimum(ends, p0 + _CHUNK)
+        live = (hi > lo).nonzero()[0]
+        width = (hi - lo)[live]
+        off = (heads[live] - p0).repeat(width)  # pair j is term j - off + 1
+        terms = table.take(np.subtract(_IOTA[:off.size], off, out=off))
+        terms *= minus_t[live].repeat(width)
+        acc[live] += np.add.reduceat(np.exp(terms, out=terms), lo[live] - p0)
+    if n == 1:
+        return (1.0 + 2.0 * acc) * np.where(dual, math.sqrt(math.pi) * inv, 1.0)
+    return np.where(lead, 2.0 * math.gamma(1.0 + g) * inv, 1.0 + 2.0 * acc)
 
 
 def _upper_piece(n: int, s: complex, target: float) -> tuple[complex, float]:
@@ -214,39 +218,32 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
 
     def integrand_u(us: np.ndarray) -> np.ndarray:
         tsub = us ** (2 * n)
-        try:
-            psis = _psi_t_array(n, tsub)
-        except ValueError:
-            # Some t = u^(2n) < _T_FLOOR: there Psi_n(e^(-t)) <= 1 + 2 Gamma(1
-            # + 1/(2n)) t^(-1/(2n)), so the integrand is at most 6n t^((n-1)/n):
-            # 0 unless that can move the target (n = 1 reaches no such node).
-            if 6.0 * n * _T_FLOOR ** ((n - 1) / n) > EPS * abs_target:
-                raise QuadratureFailureError(
-                    f"theta integrand for U_{2 * n} at z={z} needs nodes u^{2 * n} "
-                    f"< {_T_FLOOR:.3g}, where its series leaves double range")
-            live = tsub >= _T_FLOOR
-            return np.where(live, integrand_u(np.where(live, us, 1.0)), 0.0)
         # e^(-t z^2n); where t |z^2n| passes the double range the product
         # overflows to inf and the factor is exp(-inf) = 0, as it should be.
         with np.errstate(over="ignore"):
-            return (2 * n) * us ** (2 * n - 1) * psis * np.exp(-tsub * s)
+            return (2 * n) * us ** (2 * n - 1) * _psi_t_array(n, tsub, us) * np.exp(-tsub * s)
 
     # |integrand| peaks at u* = ((1 - g)/Re s)^g; past (36/Re s)^g the e^(-36)
     # factor leaves < 3e-16 of its integral (Psi falls in t).  As first panel
-    # edges they let the first panels see the peak and its tail, however narrow.
+    # edges they let the first panels see the peak and its tail, however narrow;
+    # cutting each in 4 (a constant) costs fewer nodes than the rounds it saves.
     g = 1.0 / (2 * n)
+    edges = (0.0, *(b for b in ((1.0 - g) ** g / r ** g, 36.0 ** g / r ** g) if b < 1.0), 1.0)
     quad = integrate_adaptive(
         integrand_u, 0.0, 1.0, abs_tol=abs_target, rel_tol=tol.rel_tol / 4.0,
         max_nodes=int(tol.max_nodes),
-        breaks=tuple(b for b in ((1.0 - g) ** g / r ** g, 36.0 ** g / r ** g) if b < 1.0),
+        breaks=tuple(a + (b - a) * j / 4 for a, b in zip(edges, edges[1:]) for j in range(4))[1:],
     )
     # power_in_range leaves |ds| <= rel |s|.  Near s, |dU/ds| = |s^-2 +
     # 2 sum_k (k^2n + s)^-2| <= 1.01 |s|^-2 + 2 sum_k (k^2n + rho)^-2, rho = Re s -
     # |ds|: under 4 zeta(4) = 4.33 for rho > -1/2, its integral for rho >= 1.
     rho = r - rel * abs(s)
     rest = 4.33 if rho < 1.0 else math.gamma(1.0 + g) * math.gamma(2.0 - g) * rho ** (g - 2.0)
+    # A node of n >= 54 with t < _T_MIN puts its Psi within 1 (_psi_t_array), so
+    # the integrand within 2n u^(2n-1) < 2n _T_MIN/u of its own, u > sin(pi/(6n))/_Y_LEAD.
+    deep = 2 * n * _Y_LEAD / math.sin(math.pi / (6 * n)) * _T_MIN if n > 1 else 0.0
     value = quad.value + upper
-    err = (quad.err_estimate + upper_err + 4.0 * EPS * abs(value)
+    err = (quad.err_estimate + upper_err + deep + 4.0 * EPS * abs(value)
            + 1.01 * rel / abs(s) + 2.0 * rest * (rel * abs(s)))
     return EvalResult(value=complex(value), err_estimate=err,
                       method=Method.THETA_INTEGRAL, work=quad.nodes)

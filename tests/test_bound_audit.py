@@ -8,8 +8,9 @@ checks |value - oracle| <= err_estimate for ``u_direct`` over orders
 of the product ratio.  The points where earlier rounding models claimed
 too little are pinned as explicit cases: on the direct route, on the
 closed form and the dyadic recursion (which once left out the rounding
-of the power of z they divide by), and on the closed side of the
-product ratio.
+of the power of z they divide by), on the closed side of the product
+ratio, and on the theta route.  A second property audits the theta route
+at |z| from 1e3 to 1e6 against the integral of the lattice sum.
 """
 
 import math
@@ -20,7 +21,8 @@ mp = pytest.importorskip("mpmath").mp
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from cotlattice import DomainError, ProductQuery, phi, product_ratio, u_closed, u_direct
+from cotlattice import (DomainError, ProductQuery, Tolerance, ToleranceError, phi,
+                        product_ratio, u_closed, u_direct, u_theta)
 from cotlattice.zeta_product import product_parts
 
 AUDIT = hypothesis.settings(max_examples=100, derandomize=True, database=None,
@@ -44,6 +46,21 @@ def lattice_oracle(n, z):
         scale = mp.fsum(abs(t) for t in head)
         tail = mp.nsum(lambda k: term(k) / scale, [k0 + 1, mp.inf], method="e")
         return complex(mp.fsum(head) + scale * tail)
+
+
+def lattice_integral(n, z):
+    """U_n(z) for even n and Re z^n > 0 at |z| >= 1e3, as the integral of
+    its summand: 2 pi g / sin(pi g) s^(g - 1), s = z^n, g = 1/n.
+
+    U_n(z) = sum over all integers k of f(k), f(x) = 1/(x^n + s), and Poisson
+    summation adds to the integral the terms f^(m), m != 0.  The poles of f
+    lie at least d = |z| sin(pi/(2n)) off the real axis once Re s > 0, and each
+    |f^(m)| <= pi |z|^(1-n) e^(-2 pi |m| d): below e^(-150) of the integral
+    for n <= 64 and |z| >= 1e3.
+    """
+    with mp.workdps(40):
+        g = mp.mpf(1) / n
+        return complex(2 * mp.pi * g / mp.sin(mp.pi * g) * (mp.mpc(z) ** n) ** (g - 1))
 
 
 def product_oracle(n, x, y):
@@ -91,6 +108,33 @@ def test_power_rounding_points(evaluate, n, z):
     res = evaluate(n, z)
     miss = abs(res.value - lattice_oracle(n if evaluate is u_closed else 2**n, z))
     assert miss <= res.err_estimate, (n, z, miss, res.err_estimate)
+
+
+def test_theta_default_tolerance_point():
+    # Uncut first panels (0, u*, tail edge, 1) claimed 4.59e-13 here for a miss of 6.02e-13.
+    z = -2.998974576517964
+    res = u_theta(3, z)
+    assert abs(res.value - lattice_oracle(6, z)) <= res.err_estimate
+
+
+@AUDIT
+@hypothesis.given(
+    n=st.integers(1, 32),
+    log_r=st.floats(3.0, 6.0),
+    real=st.booleans(),
+    turn=st.floats(-0.99, 0.99),
+    tight=st.booleans(),
+)
+def test_theta_bound_holds_at_large_z(n, log_r, real, turn, tight):
+    # Re z^(2n) > 0 holds for |arg z| < pi/(4n); turn picks the arg in that cone.
+    phase = turn * math.pi / (4 * n)
+    z = 10.0 ** log_r * (1.0 if real else complex(math.cos(phase), math.sin(phase)))
+    try:
+        res = u_theta(n, z, Tolerance(0.0, 1e-13) if tight else Tolerance())
+    except (DomainError, ToleranceError):
+        return  # z^(2n) past the double range, or a target the quadrature refuses
+    miss = abs(res.value - lattice_integral(2 * n, z))
+    assert miss <= res.err_estimate, (n, z, tight, miss, res.err_estimate)
 
 
 @AUDIT

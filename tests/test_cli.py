@@ -207,6 +207,14 @@ class TestEval:
         assert "starting cutoff K=2e+100 already exceeds max_terms=10000000" in \
             parse_plain(out[0])["error"]
 
+    def test_theta_at_large_z(self, capsys):
+        # Nodes next to t = 0 take Poisson's lead, where the series would need ~6.5e7 terms.
+        code, out, err = run_cli(["eval", "-n", "4", "-z", "1e5", "--method", "theta"], capsys)
+        assert code == 0, err
+        rec = parse_plain(out[0])
+        assert "error" not in rec
+        assert float(rec["value_re"]) == pytest.approx(2.221441469079183e-15, rel=1e-12)
+
     def test_bad_complex_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "-n", "1", "-z", "1+i"])
@@ -402,7 +410,8 @@ class TestRepeatedMain:
     """main builds its parser once per process; no run leaks into the next."""
 
     def test_second_run_uses_its_own_flags(self, capsys):
-        argv = ["eval", "-n", "2", "-z", "0.7", "--method", "theta"]
+        # At n = 2 one first round of 60 nodes meets both targets; n = 4 needs more for the stock one.
+        argv = ["eval", "-n", "4", "-z", "0.7", "--method", "theta"]
         code, out, err = run_cli(argv + ["--format", "csv", "--abs-tol", "1e-3"], capsys)
         assert code == 0
         assert out[0] == ",".join(COLUMNS)
@@ -410,7 +419,7 @@ class TestRepeatedMain:
         code, out, err = run_cli(argv, capsys)
         assert code == 0
         rec = parse_plain(out[0])
-        stock = u_theta(1, 0.7)
+        stock = u_theta(2, 0.7)
         assert int(rec["work"]) == stock.work > int(loose["work"])
         assert float(rec["err_estimate"]) == stock.err_estimate
 

@@ -67,6 +67,21 @@ class TestIntegrateAdaptive:
             integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
                                abs_tol=1e-12, rel_tol=0.0, max_nodes=45)
 
+    def test_first_round_over_budget_raises(self):
+        # 4 first panels need 60 nodes: raise before any is evaluated.
+        calls = []
+        with pytest.raises(QuadratureFailureError, match="node budget 10 exhausted"):
+            integrate_adaptive(lambda xs: calls.append(xs) or np.exp(xs), 0.0, 1.0,
+                               abs_tol=1e-3, rel_tol=0.0, max_nodes=10,
+                               breaks=(0.25, 0.5, 0.75))
+        assert calls == []
+
+    def test_nan_integrand_raises(self):
+        # A nan error bound picks no panel to bisect; it must not loop forever.
+        with pytest.raises(QuadratureFailureError, match="error bound nan after 15 nodes"):
+            integrate_adaptive(lambda xs: np.where(xs < 0.3, np.nan, xs), 0.0, 1.0,
+                               abs_tol=1e-3, rel_tol=0.0, max_nodes=1_000)
+
     def test_deterministic(self):
         runs = [integrate_adaptive(lambda x: np.exp(-x * x), 0.0, 3.0,
                                    abs_tol=1e-11, rel_tol=0.0, max_nodes=10_000)
@@ -242,26 +257,47 @@ class TestPsiTArray:
         mixed = _psi_t_array(2, np.array([1e-6, 46.0]))
         assert mixed[1] == 1.0 and mixed[0] > 1.0
 
-    def test_too_many_terms_raises(self):
-        # (45 / 1e-27)^(1/4) ~ 1.5e7 terms at the smallest node, over 1e7;
-        # at 1e-200 the count itself, 2.6e50, is past every integer type.
-        for t in (1e-27, 1e-200):
-            with pytest.raises(QuadratureFailureError):
-                _psi_t_array(2, np.array([t, 1.0]))
+    def test_deep_nodes_take_the_lead(self):
+        # Past the switch Psi_2(e^(-t)) is 2 Gamma(5/4) t^(-1/4) to e^(-45):
+        # no term count, however small t; t = 1 still sums its series.
+        ts = np.array([1e-27, 1e-200, 1.0])
+        got = _psi_t_array(2, ts)
+        for t, v in zip(ts[:2], got[:2]):
+            lead = 2.0 * math.gamma(1.25) * t ** -0.25
+            assert abs(v - lead) <= 2 * EPS * lead, t
+        assert got[2] == 1.0 + 2.0 * (math.exp(-1.0) + math.exp(-16.0) + math.exp(-81.0))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    def test_matches_mpmath_across_the_switch(self, n):
+        # The switch sits at t = (sin(pi/(6n)) / _Y_LEAD)^(2n): just below it
+        # the lead, just above it up to 40n terms a node.
+        mp = pytest.importorskip("mpmath").mp
+        switch = (math.sin(math.pi / (6 * n)) / theta._Y_LEAD) ** (2 * n)
+        ts = np.array([switch * (1.0 - 1e-9), switch * (1.0 + 1e-9)])
+        with mp.workdps(40):
+            for t, v in zip(ts, _psi_t_array(n, ts)):
+                t = mp.mpf(float(t))
+                # Terms past t k^(2n) = 120 are below e^(-120).
+                top = int((120 / t) ** (mp.mpf(1) / (2 * n))) + 1
+                ref = 1 + 2 * mp.fsum(mp.exp(-t * mp.mpf(k) ** (2 * n)) for k in range(1, top + 1))
+                assert abs(v - ref) <= 1e-15 * ref, (n, float(t))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_flat_pairs_match_scalar_psi(self, n):
-        # Nodes past the cut (no terms) sit between the others, and the
-        # smallest t needs more terms than two chunks hold.
-        deep = 2.5 * theta._CHUNK
-        ts = np.array([1e-6, 50.0, 1e-3, 46.0, 45.0 / deep ** (2 * n), 100.0, 0.5, 1e3])
-        assert (45.0 / ts[4]) ** (0.5 / n) > 2 * theta._CHUNK
+        # Nodes just short of the switch sum up to 40n terms each: with nodes past
+        # the cut (no terms) between them, their pairs fill four passes, and
+        # some nodes' terms straddle a pass boundary.
+        near = (math.sin(math.pi / (6 * n)) / theta._Y_LEAD) ** (2 * n) * 1.01
+        ts = np.tile([near, 50.0, near * 3.0, 46.0, 0.5], 400)
+        kcut = (45.0 / ts) ** (0.5 / n)
+        assert int(kcut.astype(int).sum()) > 3 * theta._CHUNK
         got = _psi_t_array(n, ts)
-        assert got[[1, 3, 5, 7]].tolist() == [1.0] * 4
-        tol = Tolerance(abs_tol=0.0, rel_tol=1e-16, max_terms=10 * theta._CHUNK)
-        for t, v in zip(ts, got):
+        assert got[1::5].tolist() == got[3::5].tolist() == [1.0] * 400
+        tol = Tolerance(abs_tol=0.0, rel_tol=1e-16)
+        for t in ts[:5]:
             ref = psi(n, ThetaArg(q=math.exp(-t), t=t), tol)
-            assert abs(v - ref.value.real) <= ref.err_estimate + 2 * EPS * v, (n, t)
+            v = got[ts == t]  # a node split over two passes sums in two parts
+            assert (abs(v - ref.value.real) <= ref.err_estimate + 2 * EPS * v).all(), (n, t)
 
     def test_jacobi_dual_matches_jtheta(self):
         # n = 1 sums Jacobi's dual series for t < pi, the direct one above.
@@ -302,7 +338,7 @@ class TestUTheta:
         nodes = []
         psi_t = theta._psi_t_array
         monkeypatch.setattr(theta, "_psi_t_array",
-                            lambda n, ts: nodes.append(len(ts)) or psi_t(n, ts))
+                            lambda n, ts, us: nodes.append(len(ts)) or psi_t(n, ts, us))
         with pytest.raises(QuadratureFailureError, match="floor .* of resolved panels"):
             u_theta(4, 2.57530430523625 - 0.3921527485311234j, Tolerance(0.0, 1e-13))
         assert sum(nodes) < 1_000
@@ -352,6 +388,13 @@ class TestUTheta:
         assert main(["eval", "-n", "2", "-z", z, "--method", "theta"]) == 0
         cells = dict(cell.split("=", 1) for cell in capsys.readouterr().out.split())
         assert float(cells["value_re"]) == res.value.real
+
+    @pytest.mark.parametrize("n, z", [(2, 1e5), (2, 15000.0), (3, 20000.0)])
+    def test_large_z_poisson_lead(self, n, z):
+        # Nodes next to t = 0 take Poisson's lead, where the series would need
+        # 6.5e7 (n = 2, z = 1e5) and 1.3e7 terms per node.
+        res, ref = u_theta(n, z), u_closed(2 * n, z)
+        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
 
     def test_unrepresentable_power_rejected(self):
         # 0.5^1024 is subnormal; its reciprocal overflows.

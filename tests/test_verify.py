@@ -53,7 +53,7 @@ class TestApplicableMethods:
         assert Method.THETA_INTEGRAL not in applicable_methods(1024, 0.5)
 
     def test_theta_offered_exactly_where_u_theta_accepts(self):
-        # A one-node budget stops u_theta at its first panels, after the
+        # A one-node budget stops u_theta before its first round, after the
         # domain checks, which are all this compares.
         tol = Tolerance(max_nodes=1)
         rng = random.Random(2024)
