@@ -9,9 +9,9 @@ Every line of output is one record: a row of ``COLUMNS``, held as a
 dict keyed by column name in which an absent key is an unset field
 (see docs/output_schema.md).  ``--format`` renders the records as
 ``plain`` key=value lines, ``csv`` with a header row, or
-``json-lines``.  Numeric fields are printed with 17 significant
-digits, so parsing a record back recovers the exact doubles.  ``eval``,
-``verify`` and ``bench`` evaluate through the harness's
+``json-lines``.  Floats print as ``%.17g``, in json-lines as the
+shortest repr, so parsing a record back recovers the exact doubles.
+``eval``, ``verify`` and ``bench`` evaluate through the harness's
 :func:`~cotlattice.verify.run_method`, so a failed method is a record
 with ``error`` set in all three.
 
@@ -39,7 +39,9 @@ import os
 import re
 import sys
 import time
+from dataclasses import replace
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import DomainError, ToleranceError
@@ -82,14 +84,16 @@ __all__ = [
     "entry",
 ]
 
-#: Field order shared by every output format; docs/output_schema.md is
-#: the normative description.
-COLUMNS = (
-    "record", "n", "z", "x", "y", "q", "side", "method", "method_b",
-    "value_re", "value_im", "err_estimate", "delta", "bound", "work",
-    "wall_time_ns", "passed", "error", "pairs_passed", "pairs_total",
-    "schema_version",
-)
+#: Each field's type, in the field order shared by every output format;
+#: docs/output_schema.md is the normative description.
+_COLUMN_TYPES = {
+    "record": str, "n": int, "z": complex, "x": float, "y": float, "q": float,
+    "side": str, "method": str, "method_b": str, "value_re": float,
+    "value_im": float, "err_estimate": float, "delta": float, "bound": float,
+    "work": int, "wall_time_ns": int, "passed": bool, "error": str,
+    "pairs_passed": int, "pairs_total": int, "schema_version": int,
+}
+COLUMNS = tuple(_COLUMN_TYPES)
 
 _FLOAT_BODY = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
@@ -120,67 +124,69 @@ def parse_complex(text: str) -> complex:
     return complex(re_part, im_part)
 
 
-def _fmt_float(v: float) -> str:
-    return "%.17g" % float(v)
-
-
 def format_complex(z: complex) -> str:
     """Render a complex number in the input syntax, losslessly."""
     z = complex(z)
     if z.imag == 0.0:
-        return _fmt_float(z.real)
-    im = _fmt_float(z.imag)
-    sign = "" if im.startswith("-") else "+"
-    return f"{_fmt_float(z.real)}{sign}{im}i"
+        return "%.17g" % z.real
+    return "%.17g%+.17gi" % (z.real, z.imag)
 
 
-def _render_cell(col: str, v: object) -> str:
-    if v is None:
-        return ""
-    if col == "z":
-        return format_complex(v)  # type: ignore[arg-type]
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return str(v)
+def _json_float(v: float) -> str:
+    """v as json.dumps spells it, without its overhead for finite v."""
+    return float.__repr__(v) if v - v == 0.0 else json.dumps(v)
+
+
+#: Cell renderers by column type, (plain and csv, json-lines).  z has
+#: none: _emit formats each z once, and json-lines quotes it.
+_RENDERERS = {
+    str: (str, encode_basestring_ascii),
+    int: (str, str),
+    float: ("%.17g".__mod__, _json_float),
+    bool: ({True: "true", False: "false"}.__getitem__,) * 2,
+    complex: (None, None),
+}
+
+
+@lru_cache(maxsize=64)
+def _layout(keys: tuple[str, ...], fmt: str):
+    """The (column, renderer) pairs of records with these keys, set
+    columns in COLUMNS order, and the % template of their line; csv has
+    none, as its writer quotes the cells."""
+    json_lines = fmt == "json-lines"
+    # plain JSON-quotes error, so that a message with spaces stays one field
+    cells = tuple((c, encode_basestring_ascii if fmt == "plain" and c == "error"
+                   else _RENDERERS[kind][json_lines])
+                  for c, kind in _COLUMN_TYPES.items() if c in keys)
+    if json_lines:
+        parts = [('"%s": "%%s"' if c == "z" else '"%s": %%s') % c for c, _ in cells]
+        return cells, "{%s}\n" % ", ".join(parts)
+    return cells, None if fmt == "csv" else " ".join(c + "=%s" for c, _ in cells) + "\n"
 
 
 def _emit(records: list[dict[str, object]], fmt: str, out) -> None:
     """Write records, dicts keyed by COLUMNS names with absent keys
-    unset, in one of the three formats."""
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        writer.writerows([_render_cell(c, r.get(c)) for c in COLUMNS] for r in records)
-        return
+    unset, in one of the three formats.  A report repeats its point's z
+    object on every record, so z is formatted once per object."""
+    rendered = []
+    z = z_text = None
     for r in records:
-        cols = [c for c in COLUMNS if c in r]
-        if fmt == "json-lines":
-            line = json.dumps({c: format_complex(r[c]) if c == "z" else r[c] for c in cols})
-        else:
-            line = " ".join(
-                f"{c}={json.dumps(r[c]) if c == 'error' else _render_cell(c, r[c])}"
-                for c in cols)
-        out.write(line + "\n")
+        cells, template = _layout(tuple(r), fmt)
+        if r.get("z", z) is not z:
+            z, z_text = r["z"], format_complex(r["z"])
+        texts = [z_text if render is None else render(r[c]) for c, render in cells]
+        rendered.append(template % tuple(texts) if template else
+                        dict(zip([c for c, _ in cells], texts)))
+    if fmt == "csv":
+        writer = csv.DictWriter(out, COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rendered)
+    else:
+        out.write("".join(rendered))
 
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-def _config_path() -> Path | None:
-    """Config file location; None when the default file does not exist.
-    An explicit COTLATTICE_CONFIG must exist (silently skipping a file
-    the user pointed at would hide typos)."""
-    override = os.environ.get("COTLATTICE_CONFIG")
-    if override:
-        if not os.path.isfile(override):
-            raise _UsageError(f"config: COTLATTICE_CONFIG={override} does not exist")
-        return Path(override)
-    base = os.environ.get("XDG_CONFIG_HOME") or "~/.config"
-    p = os.path.join(os.path.expanduser(base), "cotlattice", "config.json")
-    return Path(p) if os.path.isfile(p) else None
 
 
 def load_config() -> dict[str, float | int]:
@@ -189,14 +195,22 @@ def load_config() -> dict[str, float | int]:
     The file is a JSON object whose keys are a subset of abs_tol,
     rel_tol, max_terms, max_nodes.  Unknown keys, non-numeric values
     and budgets that are not whole numbers are usage errors, not
-    warnings: a typo should not silently revert to defaults.
+    warnings: a typo should not silently revert to defaults.  So is a
+    missing COTLATTICE_CONFIG file, unlike a missing default file.  The
+    file is read on every call, so an in-process caller sees a new,
+    changed or deleted file on its next call.
     """
-    path = _config_path()
-    if path is None:
+    override = os.environ.get("COTLATTICE_CONFIG")
+    base = os.environ.get("XDG_CONFIG_HOME") or "~/.config"
+    where = override or os.path.join(os.path.expanduser(base), "cotlattice", "config.json")
+    if not os.path.isfile(where):
+        if override:
+            raise _UsageError(f"config: COTLATTICE_CONFIG={override} does not exist")
         return {}
+    path = Path(where)  # the file as messages name it: no ./ or //
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(path.read_bytes().decode("utf-8"))
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _UsageError(f"config: {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise _UsageError(f"config: {path}: top level must be a JSON object")
@@ -219,14 +233,15 @@ def load_config() -> dict[str, float | int]:
 def resolve_tolerance(args: argparse.Namespace, config: dict[str, float | int],
                       base: Tolerance) -> Tolerance:
     """Layer config-file and flag overrides over a base tolerance."""
-    vals: dict[str, float | int] = {f: getattr(base, f) for f in _TOL_FIELDS}
-    vals.update(config)
+    overrides = dict(config)
     for f in _TOL_FIELDS:
         flag = getattr(args, f)
         if flag is not None:
-            vals[f] = flag
+            overrides[f] = flag
+    if not overrides:
+        return base
     try:
-        return Tolerance(**vals)  # type: ignore[arg-type]
+        return replace(base, **overrides)
     except ValueError as exc:
         raise _UsageError(f"tolerance: {exc}") from exc
 
@@ -243,11 +258,13 @@ def parse_grid_file(path: str) -> tuple[tuple[int, complex], ...]:
     """
     points: list[tuple[int, complex]] = []
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb", buffering=0) as fh:
+            lines = fh.read().decode("utf-8").splitlines()
     except OSError as exc:
         exc.filename = str(Path(path))  # the file as messages name it: no ./ or //
         raise _UsageError(f"grid: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"grid: {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -107,6 +107,14 @@ class TestGridFiles:
         assert err == ("cotlattice: grid: .//g.txt:1: expected 'n <int> z <complex>', "
                        "got 'n 4 w 1'\n")
 
+    def test_undecodable_file_message(self, monkeypatch, tmp_path, capsys):
+        # UTF-8 whatever the locale, and the message names the layer and the file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g").write_bytes(b"n 4 z 0.7\xff\n")
+        code, out, err = run_cli(["verify", "--grid", "g"], capsys)
+        assert (code, out, err) == (2, [], "cotlattice: grid: g: 'utf-8' codec can't decode "
+                                           "byte 0xff in position 9: invalid start byte\n")
+
     @pytest.mark.parametrize("line, message", [
         ("n 0 z 1", "order must be >= 1, got 0"),
         ("n two z 1", "invalid literal for int() with base 10: 'two'"),
@@ -486,6 +494,14 @@ class TestConfigFile:
         assert code == 2
         assert "COTLATTICE_CONFIG" in err
 
+    def test_undecodable_config_message(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_bytes(b'{"abs_tol": 1e-6}\xff')
+        monkeypatch.setenv("COTLATTICE_CONFIG", "./c.json")
+        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.3"], capsys)
+        assert (code, out, err) == (2, [], "cotlattice: config: c.json: 'utf-8' codec can't "
+                                           "decode byte 0xff in position 17: invalid start byte\n")
+
     @pytest.mark.parametrize("env, body, message", [
         ({"COTLATTICE_CONFIG": "./absent.json"}, None,
          "COTLATTICE_CONFIG=./absent.json does not exist"),
@@ -508,6 +524,72 @@ class TestConfigFile:
             monkeypatch.setenv(key, value)
         code, out, err = run_cli(["eval", "-n", "1", "-z", "0.3"], capsys)
         assert (code, out, err) == (2, [], f"cotlattice: config: {message}\n")
+
+
+class TestConfigChanges:
+    """Every main call in one process sees the config file as it is now."""
+
+    ARGV = ["eval", "-n", "1", "-z", "0.5", "--method", "direct"]
+
+    def budget(self, capsys):
+        """(exit code, the max_terms an error names, or None)."""
+        code, out, err = run_cli(self.ARGV, capsys)
+        error = parse_plain(out[0]).get("error", "") if out else err
+        return code, error.rpartition("max_terms=")[2] or None
+
+    def test_rewrites_take_effect(self, tmp_path, monkeypatch, capsys):
+        # 1000 terms suffice, 10 and 20 are below the starting cutoff's 33
+        cfg = tmp_path / "c.json"
+        monkeypatch.setenv("COTLATTICE_CONFIG", str(cfg))
+        cfg.write_text('{"max_terms": 1000}')
+        assert self.budget(capsys) == (0, None)
+        cfg.write_text('{"max_terms": 1e01}')  # same size, same inode
+        assert self.budget(capsys) == (1, "10")
+        cfg.write_text('{"max_terms": 20}')
+        assert self.budget(capsys) == (1, "20")
+        cfg.unlink()
+        assert self.budget(capsys)[0] == 2
+        monkeypatch.delenv("COTLATTICE_CONFIG")
+        assert self.budget(capsys) == (0, None)
+
+    def test_default_file_appears_and_goes(self, tmp_path, capsys):
+        cfg = tmp_path / "xdg" / "cotlattice" / "config.json"
+        assert self.budget(capsys) == (0, None)
+        cfg.parent.mkdir(parents=True)
+        cfg.write_text('{"max_terms": 20}')
+        assert self.budget(capsys) == (1, "20")
+        cfg.unlink()
+        assert self.budget(capsys) == (0, None)
+
+    def test_switching_the_environment(self, tmp_path, monkeypatch, capsys):
+        for name, terms in (("a", 1000), ("b", 20), ("home", 30)):
+            cfg = tmp_path / name / "cotlattice" / "config.json"
+            cfg.parent.mkdir(parents=True)
+            cfg.write_text(f'{{"max_terms": {terms}}}')
+        (tmp_path / "home" / ".config").symlink_to(tmp_path / "home")
+        monkeypatch.setenv("COTLATTICE_CONFIG", str(tmp_path / "b" / "cotlattice" / "config.json"))
+        assert self.budget(capsys) == (1, "20")
+        monkeypatch.delenv("COTLATTICE_CONFIG")
+        for xdg, expected in (("a", (0, None)), ("b", (1, "20")), ("a", (0, None))):
+            monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path / xdg))
+            assert self.budget(capsys) == expected
+        monkeypatch.delenv("XDG_CONFIG_HOME")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert self.budget(capsys) == (1, "30")
+        monkeypatch.setenv("HOME", str(tmp_path / "a"))
+        assert self.budget(capsys) == (0, None)
+
+    def test_malformed_file_fails_every_call(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "c.json"
+        monkeypatch.setenv("COTLATTICE_CONFIG", str(cfg))
+        cfg.write_text('{"max_terms": 1000}')
+        assert self.budget(capsys) == (0, None)
+        cfg.write_text('{"max_terms": oops}')
+        for _ in range(2):
+            code, out, err = run_cli(self.ARGV, capsys)
+            assert (code, out) == (2, []) and err.startswith("cotlattice: config: ")
+        cfg.write_text('{"max_terms": 20}')
+        assert self.budget(capsys) == (1, "20")
 
 
 #: The cells a successful run carries, and those of a failed one.

@@ -35,6 +35,7 @@ CASES = {
     "eval": ["eval", "-n", "4", "-z", "1.0"],
     "product": ["product", "-n", "1", "-x", "0.25", "-y", "0.5"],
     "theta": ["theta", "-n", "1", "-q", "0.1"],
+    "zeta": ["zeta", "-n", "2"],
     "eval-pole": ["eval", "-n", "1", "-z", "2"],
     "eval-origin": ["eval", "-n", "2", "-z", "0"],
     "eval-tiny": ["eval", "-n", "4", "-z", "1e-200"],
