@@ -20,13 +20,10 @@ tolerance shortfall, 2 on usage or domain errors.  Diagnostic records
 (the zeta limit side and the product series cross-check) report their
 own accuracy but do not gate the exit code.
 
-Tolerances resolve in three layers: built-in defaults, then an
-optional JSON config file (``$XDG_CONFIG_HOME/cotlattice/config.json``,
-i.e. ``~/.config/cotlattice/config.json`` by default; the
-``COTLATTICE_CONFIG`` environment variable overrides the path and
-nothing else), then explicit flags.  ``verify`` and ``bench`` start
-from their stock grids' looser tolerances instead of the evaluation
-default.
+A record depends on its command line alone: the tolerance is the
+built-in default, or for ``verify`` and ``bench`` their stock grids'
+looser tolerance, with each of ``--abs-tol``, ``--rel-tol``,
+``--max-terms`` and ``--max-nodes`` that is given put in its place.
 """
 
 from __future__ import annotations
@@ -78,7 +75,6 @@ __all__ = [
     "parse_complex",
     "format_complex",
     "parse_grid_file",
-    "load_config",
     "resolve_tolerance",
     "main",
     "entry",
@@ -185,55 +181,9 @@ def _emit(records: list[dict[str, object]], fmt: str, out) -> None:
         out.write("".join(rendered))
 
 
-# ---------------------------------------------------------------------------
-# configuration
-
-
-def load_config() -> dict[str, float | int]:
-    """Read tolerance overrides from the config file, if any.
-
-    The file is a JSON object whose keys are a subset of abs_tol,
-    rel_tol, max_terms, max_nodes.  Unknown keys, non-numeric values
-    and budgets that are not whole numbers are usage errors, not
-    warnings: a typo should not silently revert to defaults.  So is a
-    missing COTLATTICE_CONFIG file, unlike a missing default file.  The
-    file is read on every call, so an in-process caller sees a new,
-    changed or deleted file on its next call.
-    """
-    override = os.environ.get("COTLATTICE_CONFIG")
-    base = os.environ.get("XDG_CONFIG_HOME") or "~/.config"
-    where = override or os.path.join(os.path.expanduser(base), "cotlattice", "config.json")
-    if not os.path.isfile(where):
-        if override:
-            raise _UsageError(f"config: COTLATTICE_CONFIG={override} does not exist")
-        return {}
-    path = Path(where)  # the file as messages name it: no ./ or //
-    try:
-        data = json.loads(path.read_bytes().decode("utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"config: {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise _UsageError(f"config: {path}: top level must be a JSON object")
-    out: dict[str, float | int] = {}
-    for key, raw in data.items():
-        if key not in _TOL_FIELDS:
-            raise _UsageError(
-                f"config: {path}: unknown key {key!r} "
-                f"(expected one of {', '.join(_TOL_FIELDS)})"
-            )
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise _UsageError(f"config: {path}: {key} must be a number, got {raw!r}")
-        budget = key in ("max_terms", "max_nodes")
-        if budget and isinstance(raw, float) and not raw.is_integer():  # or inf, nan
-            raise _UsageError(f"config: {path}: {key} must be a whole number, got {raw!r}")
-        out[key] = int(raw) if budget else float(raw)
-    return out
-
-
-def resolve_tolerance(args: argparse.Namespace, config: dict[str, float | int],
-                      base: Tolerance) -> Tolerance:
-    """Layer config-file and flag overrides over a base tolerance."""
-    overrides = dict(config)
+def resolve_tolerance(args: argparse.Namespace, base: Tolerance) -> Tolerance:
+    """Put the tolerance flags that are set over a base tolerance."""
+    overrides = {}
     for f in _TOL_FIELDS:
         flag = getattr(args, f)
         if flag is not None:
@@ -304,13 +254,11 @@ def _cells(res: MethodRun | EvalResult) -> dict[str, object]:
 
 
 def _timed(record: dict[str, object], fn, *args):
-    """fn(*args), its wall time stored in record["wall_time_ns"] even
-    when it raises."""
+    """fn(*args), its wall time stored in record["wall_time_ns"]."""
     t0 = time.perf_counter_ns()
-    try:
-        return fn(*args)
-    finally:
-        record["wall_time_ns"] = time.perf_counter_ns() - t0
+    result = fn(*args)
+    record["wall_time_ns"] = time.perf_counter_ns() - t0
+    return result
 
 
 def _missed(res: MethodRun | EvalResult, tol: Tolerance) -> bool:
@@ -507,8 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        config = load_config()
-        tol = resolve_tolerance(args, config, args.base_tol)
+        tol = resolve_tolerance(args, args.base_tol)
         records, code = args.handler(args, tol)
     except ToleranceError as exc:
         print(f"cotlattice: {exc}", file=sys.stderr)

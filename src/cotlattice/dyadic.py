@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
 
 from .closed import u_closed
 from .errors import DomainError, RecursionPoleError
@@ -53,20 +52,17 @@ _ROTATIONS = tuple(
 
 
 def _phi_rec(m: int, z: complex, tol: Tolerance) -> tuple[complex, float, int]:
-    """(value, err_estimate, work) of phi_m(z), m >= 2.  Each level checks
-    its own range, so only the base calls build an EvalResult."""
+    """(value, err_estimate, work) of phi_m(z).  phi_1 is the closed
+    form's U_2; each higher level checks its own range."""
+    if m == 1:
+        res = u_closed(2, z, tol)
+        return res.value, res.err_estimate, res.work
     rotation_neg, rotation_pos = _ROTATIONS[m]
     zp, rel = power_in_range(z, 2 ** (m - 1))
     denom = 2j * zp
     try:
-        if m == 2:
-            res_neg = u_closed(2, rotation_neg * z, tol)
-            res_pos = u_closed(2, rotation_pos * z, tol)
-            a, err_a, work_a = res_neg.value, res_neg.err_estimate, res_neg.work
-            b, err_b, work_b = res_pos.value, res_pos.err_estimate, res_pos.work
-        else:
-            a, err_a, work_a = _phi_rec(m - 1, rotation_neg * z, tol)
-            b, err_b, work_b = _phi_rec(m - 1, rotation_pos * z, tol)
+        a, err_a, work_a = _phi_rec(m - 1, rotation_neg * z, tol)
+        b, err_b, work_b = _phi_rec(m - 1, rotation_pos * z, tol)
     except RecursionPoleError:
         raise
     except DomainError as exc:
@@ -120,9 +116,5 @@ def phi(m: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
             "whose cost is linear in the order"
         )
     z = validate_domain(2**m, z)
-    if m == 1:
-        # The base case carries the closed form's tag; the contract is
-        # that phi always reports the recursion method.
-        return replace(u_closed(2, z, tol), method=Method.DYADIC_RECURSION)
     value, err, work = _phi_rec(m, z, tol)
     return EvalResult(value=value, err_estimate=err, method=Method.DYADIC_RECURSION, work=work)

@@ -85,13 +85,14 @@ def _kpow(k: int, two_n: int) -> float:
 def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     """Evaluate Psi_n(q) = 1 + 2 sum_{k>=1} q^(k^(2n)).
 
-    Terms are positive and decreasing; summation stops once the next
-    term drops below a quarter of the tolerance target.  The attached
-    error bound dominates the discarded tail by the geometric series
-    with ratio e^(-t ((K+2)^(2n) - (K+1)^(2n))), which the increasing
-    exponent gaps make valid.  At small t there are ~t^(-1/(2n)) terms,
-    and the running sum can lose up to that many ulps; its rounding is
-    tracked exactly (Knuth's TwoSum) and charged to the bound.
+    Terms are positive and decreasing.  The discarded tail is dominated
+    by the geometric series of the next term with ratio
+    e^(-t ((K+2)^(2n) - (K+1)^(2n))), which the increasing exponent
+    gaps make valid; summation stops once that majorant, which the
+    bound charges, drops below a quarter of the tolerance target.  At
+    small t there are ~t^(-1/(2n)) terms, and the running sum can lose
+    up to that many ulps; its rounding is tracked exactly (Knuth's
+    TwoSum) and charged to the bound.
     """
     require_order(n)
     if not isinstance(arg, ThetaArg):
@@ -104,7 +105,8 @@ def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult
     while True:
         head = _kpow(k + 1, two_n)
         nxt = 2.0 * math.exp(-t * head)
-        if nxt < 0.25 * tol.target(total):
+        ratio = math.exp(-t * (_kpow(k + 2, two_n) - head)) if nxt > 0.0 else 0.0
+        if nxt < 0.25 * tol.target(total) * (1.0 - ratio):
             break
         k += 1
         s = total + nxt
@@ -116,7 +118,6 @@ def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult
                 f"psi(n={n}, q={arg.q}): {2 * k + 1} terms exceed max_terms="
                 f"{tol.max_terms} before meeting tolerance"
             )
-    ratio = math.exp(-t * (_kpow(k + 2, two_n) - head)) if nxt > 0.0 else 0.0
     tail = nxt / (1.0 - ratio) if ratio < 1.0 else nxt
     err = tail + abs(lost) + 4.0 * EPS * total * (1.0 + t)
     return EvalResult(

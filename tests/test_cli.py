@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -21,13 +22,6 @@ from cotlattice.cli import (
     parse_complex,
     parse_grid_file,
 )
-
-
-@pytest.fixture(autouse=True)
-def isolated_config(monkeypatch, tmp_path):
-    """Point config discovery at an empty directory for every test."""
-    monkeypatch.delenv("COTLATTICE_CONFIG", raising=False)
-    monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path / "xdg"))
 
 
 def run_cli(argv, capsys):
@@ -432,164 +426,28 @@ class TestRepeatedMain:
         assert float(rec["err_estimate"]) == stock.err_estimate
 
 
-class TestConfigFile:
-    """Config file overrides defaults; flags override the config."""
+class TestCommandLineOnly:
+    """A record depends on its command line alone."""
 
-    def _write_config(self, tmp_path, body):
-        cfg_dir = tmp_path / "xdg" / "cotlattice"
-        cfg_dir.mkdir(parents=True)
-        (cfg_dir / "config.json").write_text(body)
-
-    def test_config_loosens_target(self, tmp_path, capsys):
-        # Rounding in the 400,005-term sum leaves an error bound of ~4.4e-10:
-        # above the stock 1e-10 target, within the config's 5e-7.
+    def test_config_file_and_environment_are_ignored(self, tmp_path, monkeypatch, capsys):
+        # The 400,005-term sum's ~4.4e-10 bound misses the stock 1e-10
+        # target (exit 1); an abs_tol of 1 taken from a file would meet it.
         argv = ["eval", "-n", "1", "-z", "100000.5", "--method", "direct"]
-        code, out, err = run_cli(argv, capsys)
-        assert code == 1
-        self._write_config(tmp_path, '{"abs_tol": 5e-7}')
-        code, out, err = run_cli(argv, capsys)
-        assert code == 0
 
-    def test_flag_beats_config(self, tmp_path, capsys):
-        # The config's budget suffices; the flag's is below the 33 terms
-        # of the starting cutoff.
-        self._write_config(tmp_path, '{"max_terms": 1000}')
-        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.5",
-                                  "--method", "direct"], capsys)
-        assert code == 0
-        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.5",
-                                  "--method", "direct", "--max-terms", "20"],
-                                 capsys)
-        assert code == 1
+        def run():
+            code, out, err = run_cli(argv, capsys)
+            return code, [re.sub(r"wall_time_ns=\d+", "wall_time_ns=", line) for line in out], err
 
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        self._write_config(tmp_path, '{"abstol": 1e-6}')
-        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.3"], capsys)
-        assert code == 2
-        assert "unknown key" in err
-
-    @pytest.mark.parametrize("body", [
-        '{"max_terms": Infinity}', '{"max_terms": 1e400}',
-        '{"max_nodes": NaN}', '{"max_terms": 2.5}',
-    ])
-    def test_budget_must_be_whole(self, tmp_path, capsys, body):
-        self._write_config(tmp_path, body)
-        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.3"], capsys)
-        assert code == 2
-        assert out == []
-        assert err.startswith("cotlattice: config: ") and "whole number" in err
-
-    def test_integral_float_budget_accepted(self, tmp_path, capsys):
-        # 10 terms are below the 33 of the starting cutoff: the budget
-        # reached the evaluator as an int.
-        self._write_config(tmp_path, '{"max_terms": 1e1}')
-        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.5",
-                                  "--method", "direct"], capsys)
-        assert code == 1
-        assert parse_plain(out[0])["error"].endswith("max_terms=10")
-
-    def test_explicit_missing_config_rejected(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("COTLATTICE_CONFIG", str(tmp_path / "absent.json"))
-        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.3"], capsys)
-        assert code == 2
-        assert "COTLATTICE_CONFIG" in err
-
-    def test_undecodable_config_message(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "c.json").write_bytes(b'{"abs_tol": 1e-6}\xff')
-        monkeypatch.setenv("COTLATTICE_CONFIG", "./c.json")
-        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.3"], capsys)
-        assert (code, out, err) == (2, [], "cotlattice: config: c.json: 'utf-8' codec can't "
-                                           "decode byte 0xff in position 17: invalid start byte\n")
-
-    @pytest.mark.parametrize("env, body, message", [
-        ({"COTLATTICE_CONFIG": "./absent.json"}, None,
-         "COTLATTICE_CONFIG=./absent.json does not exist"),
-        ({"COTLATTICE_CONFIG": "./sub"}, None, "COTLATTICE_CONFIG=./sub does not exist"),
-        ({"COTLATTICE_CONFIG": ".//c.json"}, "{oops",
-         "c.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-        ({"COTLATTICE_CONFIG": "./c.json"}, "[1]", "c.json: top level must be a JSON object"),
-        ({"XDG_CONFIG_HOME": ".//xdg//"}, "[1]",
-         "xdg/cotlattice/config.json: top level must be a JSON object"),
-    ])
-    def test_bad_config_message(self, monkeypatch, tmp_path, capsys, env, body, message):
-        # A config file is named without ./ or doubled slashes, as pathlib
-        # spells it; COTLATTICE_CONFIG is quoted as given.
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "sub").mkdir()
-        if body is not None:
-            self._write_config(tmp_path, body)
-            (tmp_path / "c.json").write_text(body)
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
-        code, out, err = run_cli(["eval", "-n", "1", "-z", "0.3"], capsys)
-        assert (code, out, err) == (2, [], f"cotlattice: config: {message}\n")
-
-
-class TestConfigChanges:
-    """Every main call in one process sees the config file as it is now."""
-
-    ARGV = ["eval", "-n", "1", "-z", "0.5", "--method", "direct"]
-
-    def budget(self, capsys):
-        """(exit code, the max_terms an error names, or None)."""
-        code, out, err = run_cli(self.ARGV, capsys)
-        error = parse_plain(out[0]).get("error", "") if out else err
-        return code, error.rpartition("max_terms=")[2] or None
-
-    def test_rewrites_take_effect(self, tmp_path, monkeypatch, capsys):
-        # 1000 terms suffice, 10 and 20 are below the starting cutoff's 33
-        cfg = tmp_path / "c.json"
-        monkeypatch.setenv("COTLATTICE_CONFIG", str(cfg))
-        cfg.write_text('{"max_terms": 1000}')
-        assert self.budget(capsys) == (0, None)
-        cfg.write_text('{"max_terms": 1e01}')  # same size, same inode
-        assert self.budget(capsys) == (1, "10")
-        cfg.write_text('{"max_terms": 20}')
-        assert self.budget(capsys) == (1, "20")
-        cfg.unlink()
-        assert self.budget(capsys)[0] == 2
-        monkeypatch.delenv("COTLATTICE_CONFIG")
-        assert self.budget(capsys) == (0, None)
-
-    def test_default_file_appears_and_goes(self, tmp_path, capsys):
+        monkeypatch.delenv("COTLATTICE_CONFIG", raising=False)
+        monkeypatch.delenv("XDG_CONFIG_HOME", raising=False)
+        clean = run()
         cfg = tmp_path / "xdg" / "cotlattice" / "config.json"
-        assert self.budget(capsys) == (0, None)
         cfg.parent.mkdir(parents=True)
-        cfg.write_text('{"max_terms": 20}')
-        assert self.budget(capsys) == (1, "20")
-        cfg.unlink()
-        assert self.budget(capsys) == (0, None)
-
-    def test_switching_the_environment(self, tmp_path, monkeypatch, capsys):
-        for name, terms in (("a", 1000), ("b", 20), ("home", 30)):
-            cfg = tmp_path / name / "cotlattice" / "config.json"
-            cfg.parent.mkdir(parents=True)
-            cfg.write_text(f'{{"max_terms": {terms}}}')
-        (tmp_path / "home" / ".config").symlink_to(tmp_path / "home")
-        monkeypatch.setenv("COTLATTICE_CONFIG", str(tmp_path / "b" / "cotlattice" / "config.json"))
-        assert self.budget(capsys) == (1, "20")
-        monkeypatch.delenv("COTLATTICE_CONFIG")
-        for xdg, expected in (("a", (0, None)), ("b", (1, "20")), ("a", (0, None))):
-            monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path / xdg))
-            assert self.budget(capsys) == expected
-        monkeypatch.delenv("XDG_CONFIG_HOME")
-        monkeypatch.setenv("HOME", str(tmp_path / "home"))
-        assert self.budget(capsys) == (1, "30")
-        monkeypatch.setenv("HOME", str(tmp_path / "a"))
-        assert self.budget(capsys) == (0, None)
-
-    def test_malformed_file_fails_every_call(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "c.json"
-        monkeypatch.setenv("COTLATTICE_CONFIG", str(cfg))
-        cfg.write_text('{"max_terms": 1000}')
-        assert self.budget(capsys) == (0, None)
-        cfg.write_text('{"max_terms": oops}')
-        for _ in range(2):
-            code, out, err = run_cli(self.ARGV, capsys)
-            assert (code, out) == (2, []) and err.startswith("cotlattice: config: ")
-        cfg.write_text('{"max_terms": 20}')
-        assert self.budget(capsys) == (1, "20")
+        cfg.write_text('{"abs_tol": 1}')
+        monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path / "xdg"))
+        monkeypatch.setenv("COTLATTICE_CONFIG", str(tmp_path / "absent.json"))
+        assert run() == clean
+        assert clean[0] == 1 and len(clean[1]) == 1
 
 
 #: The cells a successful run carries, and those of a failed one.

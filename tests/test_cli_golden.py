@@ -12,7 +12,6 @@ and review the diff of ``tests/golden/``.
 import contextlib
 import csv
 import io
-import os
 import re
 import warnings
 from pathlib import Path
@@ -82,12 +81,6 @@ def _golden_path(name: str, fmt: str) -> Path:
     return GOLDEN / f"{name}.{fmt}.txt"
 
 
-@pytest.fixture(autouse=True)
-def isolated_config(monkeypatch, tmp_path):
-    monkeypatch.delenv("COTLATTICE_CONFIG", raising=False)
-    monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path / "xdg"))
-
-
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", CASES)
 def test_golden(name, fmt):
@@ -96,8 +89,6 @@ def test_golden(name, fmt):
 
 
 if __name__ == "__main__":
-    os.environ.pop("COTLATTICE_CONFIG", None)
-    os.environ["XDG_CONFIG_HOME"] = os.devnull  # no config file is read
     GOLDEN.mkdir(exist_ok=True)
     for case, args in CASES.items():
         for f in FORMATS:

@@ -18,6 +18,7 @@ from cotlattice import (
     u_closed,
     u_direct,
     unit_circle_parts,
+    validate_domain,
 )
 from cotlattice import closed, zeta_product
 from cotlattice.closed import _kernel, kernel_rows, kernel_table
@@ -437,6 +438,23 @@ class TestUClosed:
         assert res.value.real > 2.7e-307
         assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
         assert abs(res.value - 2.722978970578948e-307) <= res.err_estimate
+
+
+class TestNearAxisPole:
+    """On the axis rays theta = pi (odd n) and theta = pi/2 (n = 2 mod 4)
+    cosh y - cos x has a double zero at the pole, so the kernel's 1e-12
+    relative singularity test fires out to ~4e-7/k from it, while
+    validate_domain admits points down to ~1e-12/n.  The intended
+    behaviour is a value within its bar of the direct sum's."""
+
+    @pytest.mark.xfail(strict=True, raises=KernelSingularError,
+                       reason="the kernel's singularity test is a second pole rule")
+    @pytest.mark.parametrize("n, z", [(1, -1.000000001), (2, 1.000000001j)])
+    def test_matches_direct(self, n, z):
+        assert validate_domain(n, z) == z
+        ref = u_direct(n, z)
+        res = u_closed(n, z)
+        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
 
 
 class TestTinyArgument:

@@ -11,6 +11,7 @@ from cotlattice import (
     RecursionPoleError,
     phi,
     u_closed,
+    u_direct,
     validate_domain,
 )
 
@@ -87,3 +88,14 @@ class TestPhiDomain:
             phi(2, z)
         assert str(exc.value).startswith(
             "recursion: rotated argument at level m=1 hits a pole of U_2 (domain: U_2 at z=")
+
+    @pytest.mark.xfail(strict=True, raises=RecursionPoleError,
+                       reason="the kernel's singularity test is a second pole rule")
+    def test_rotated_argument_near_axis_pole_evaluates(self):
+        # The child i (1 + 1e-9) passes validate_domain(2, .) but fails in
+        # the closed kernel, whose test reaches ~4e-7 from the pole i.
+        z = cmath.exp(1j * math.pi / 4) * (1.0 + 1e-9)
+        assert validate_domain(2, 1.000000001j) == 1.000000001j
+        ref = u_direct(4, z)
+        res = phi(2, z)
+        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate

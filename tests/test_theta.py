@@ -200,15 +200,25 @@ class TestPsi:
         assert str(exc.value) == ("psi(n=1, q=0.999999): 7 terms exceed max_terms=5 "
                                   "before meeting tolerance")
 
-    def test_overflowing_power_is_a_zero_term(self, capsys, monkeypatch, tmp_path):
+    def test_overflowing_power_is_a_zero_term(self, capsys):
         # 3^912 leaves the double range: that term and the tail are 0.
         q = 0.884192827198217
         res = psi(456, ThetaArg.from_q(q))
         assert abs(res.value.real - (1.0 + 2.0 * q)) <= res.err_estimate
-        monkeypatch.delenv("COTLATTICE_CONFIG", raising=False)
-        monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path))
         assert main(["theta", "-n", "456", "-q", repr(q)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("q", ["0.999999", "0.9999999"])
+    def test_stops_on_tail_bound_near_one(self, q, capsys):
+        # Near q = 1 the tail's geometric majorant is ~1/t next terms: the
+        # sum runs until that majorant, not the next term, meets the target.
+        mp = pytest.importorskip("mpmath").mp
+        assert main(["theta", "-n", "1", "-q", q]) == 0
+        cells = dict(cell.split("=", 1) for cell in capsys.readouterr().out.split())
+        value, err = float(cells["value_re"]), float(cells["err_estimate"])
+        with mp.workdps(30):
+            assert abs(mp.mpf(value) - mp.jtheta(3, 0, mp.mpf(float(q)))) <= err
 
 
 def kronrod_nodes(a, b):
@@ -379,12 +389,10 @@ class TestUTheta:
         assert res.err_estimate < 1e-200
 
     @pytest.mark.parametrize("z", ["6000", "1e5"])
-    def test_large_z_u2(self, z, capsys, monkeypatch, tmp_path):
+    def test_large_z_u2(self, z, capsys):
         # Jacobi's transform lets U_2's nodes next to t = 0 cost a few terms.
         res, ref = u_theta(1, float(z)), u_closed(2, float(z))
         assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
-        monkeypatch.delenv("COTLATTICE_CONFIG", raising=False)
-        monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path))
         assert main(["eval", "-n", "2", "-z", z, "--method", "theta"]) == 0
         cells = dict(cell.split("=", 1) for cell in capsys.readouterr().out.split())
         assert float(cells["value_re"]) == res.value.real
