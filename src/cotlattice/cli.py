@@ -15,7 +15,8 @@ shortest repr, so parsing a record back recovers the exact doubles.
 :func:`~cotlattice.verify.run_method`, so a failed method is a record
 with ``error`` set in all three.
 
-Exit codes: 0 when every gating computation met its tolerance, 1 on a
+Exit codes: 0 when every gating computation met its tolerance, else
+the largest ``errors.EXIT_CODES`` entry of the failures' kinds: 1 on a
 tolerance shortfall, 2 on usage or domain errors.  Diagnostic records
 (the zeta limit side and the product series cross-check) report their
 own accuracy but do not gate the exit code.
@@ -41,7 +42,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import DomainError, ToleranceError
+from .errors import EXIT_CODES, DomainError, ToleranceError, error_kind
 from .theta import ThetaArg, psi
 from .types import (
     DEFAULT_TOLERANCE,
@@ -266,12 +267,10 @@ def _missed(res: MethodRun | EvalResult, tol: Tolerance) -> bool:
 
 
 def _exit_code(runs, missed: bool) -> int:
-    """2 if a run failed on a domain or usage error, else 1 on a
-    tolerance error or a missed target, else 0."""
-    kinds = {r.error_kind for r in runs}
-    if kinds & {"domain", "usage"}:
-        return 2
-    return 1 if missed or "tolerance" in kinds else 0
+    """The largest EXIT_CODES entry of the failed runs' error kinds, a
+    missed target counting as a tolerance error; 0 if there are none."""
+    return max([EXIT_CODES["tolerance"] if missed else 0,
+                *(EXIT_CODES[r.error_kind] for r in runs if not r.ok)])
 
 
 def cmd_eval(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]:
@@ -457,12 +456,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         tol = resolve_tolerance(args, args.base_tol)
         records, code = args.handler(args, tol)
-    except ToleranceError as exc:
+    except (_UsageError, DomainError, ToleranceError, ValueError) as exc:
         print(f"cotlattice: {exc}", file=sys.stderr)
-        return 1
-    except (_UsageError, DomainError, ValueError) as exc:
-        print(f"cotlattice: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_CODES[error_kind(exc)]
     try:
         _emit(records, args.format, sys.stdout)
         sys.stdout.flush()

@@ -126,14 +126,17 @@ def kernel_rows(n: int) -> tuple[tuple[float, float, int, float, float], ...]:
     return tuple(zip(*(col.tolist() for col in kernel_table(n))))
 
 
-def _half_angle(a, b, x, y, r):
-    """(num, den, cap) of numpy columns: a sin x + b sinh y and
+def _half_angle(a, b, x, y, r, m):
+    """(num, den, cap) by ``m``: a sin x + b sinh y and
     2 sinh^2(y/2) + 2 sin^2(x/2) = cosh y - cos x, both times r^2, and
-    the cap below which den needs the exact test (as in :func:`_kernel`)."""
-    sh = np.sinh(0.5 * y)
-    sn = np.sin(0.5 * x)
-    cap = _SING_CAP * (1.5 + np.abs(sh * sh) + np.abs(sn * sn))
-    num = a * np.sin(x) + b * np.sinh(y)
+    the cap below which den needs the exact test of :func:`_vanished`."""
+    sh = m.sinh(0.5 * y)
+    sn = m.sin(0.5 * x)
+    # |cosh y| <= 1 + 2 |sinh(y/2)|^2 and |cos x| <= 1 + 2 |sin(x/2)|^2,
+    # so a denominator at or above this cap is not singular; only one
+    # below it needs the cosh and cos of the exact test.  |v^2| = |v|^2.
+    cap = _SING_CAP * (1.5 + abs(sh * sh) + abs(sn * sn))
+    num = a * m.sin(x) + b * m.sinh(y)
     if r != 1.0:
         sh, sn, num = sh * r, sn * r, num * r * r
     return num, 2.0 * sh * sh + 2.0 * sn * sn, cap
@@ -171,27 +174,17 @@ def _kernel(a: float, b: float, w: complex, r: float, m: ModuleType) -> complex:
     """[a sin x + b sinh y] / [cosh y - cos x] at x = w a, y = w b.
 
     ``w`` is 2 pi z, a float for real z or a complex, evaluated by ``m``:
-    ``math`` for a float, ``cmath`` for a complex.  The denominator counts
-    as vanished below ``_SING_EPS`` relative to its addends.  Below
-    exponential scale 30 the half-angle numerator and denominator are both
-    multiplied by r^2, where r is a power of two (exact) that keeps the
-    denominator from underflowing near z = 0; see :func:`u_closed`.
+    ``math`` for a float, ``cmath`` for a complex.  Each regime is a helper
+    shared with :func:`_kernel_terms`: :func:`_half_angle` below exponential
+    scale 30, its terms times r^2, r a power of two (exact) that keeps the
+    denominator from underflowing near z = 0 (see :func:`u_closed`), and
+    :func:`_rescaled_real` or :func:`_rescaled_complex` above.  The
+    denominator counts as vanished below ``_SING_EPS`` of its addends.
     """
     x = w * a
     y = w * b
     if abs(y.real) <= _BIG and abs(x.imag) <= _BIG:
-        # The half-angle form, as _half_angle has it for columns (a call
-        # per ray would cost the loop ~15%).
-        sh = m.sinh(0.5 * y)
-        sn = m.sin(0.5 * x)
-        # |cosh y| <= 1 + 2 |sinh(y/2)|^2 and |cos x| <= 1 + 2 |sin(x/2)|^2,
-        # so a denominator at or above this cap is not singular; only one
-        # below it needs the cosh and cos of the exact test.  |v^2| = |v|^2.
-        cap = _SING_CAP * (1.5 + abs(sh * sh) + abs(sn * sn))
-        num = a * m.sin(x) + b * m.sinh(y)
-        if r != 1.0:
-            sh, sn, num = sh * r, sn * r, num * r * r
-        den = 2.0 * sh * sh + 2.0 * sn * sn
+        num, den, cap = _half_angle(a, b, x, y, r, m)
         if abs(den) < cap and _vanished(den, x, y, m):
             _singular(x, y)
         return num / den
@@ -214,7 +207,7 @@ def _kernel_terms(a: np.ndarray, b: np.ndarray, w: complex, r: float) -> np.ndar
     x = w * a
     y = w * b
     if abs(w.real) <= _BIG and abs(w.imag) <= _BIG:
-        num, den, cap = _half_angle(a, b, x, y, r)
+        num, den, cap = _half_angle(a, b, x, y, r, np)
         sing = abs(den) < cap
         if np.count_nonzero(sing):
             sing[sing] = _vanished(den[sing], x[sing], y[sing], np)
@@ -224,7 +217,7 @@ def _kernel_terms(a: np.ndarray, b: np.ndarray, w: complex, r: float) -> np.ndar
         far = ~half
         num, den = np.empty_like(x), np.empty_like(x)
         sing = np.zeros(len(a), dtype=bool)
-        num[half], den[half], cap = _half_angle(a[half], b[half], x[half], y[half], r)
+        num[half], den[half], cap = _half_angle(a[half], b[half], x[half], y[half], r, np)
         near = np.flatnonzero(half)[np.abs(den[half]) < cap]
         sing[near] = _vanished(den[near], x[near], y[near], np)
         if isinstance(w, float):
@@ -333,7 +326,8 @@ def unit_circle_parts(
     which reaches 1e-10 at n = 1 with a few dozen terms.
 
     Returns the pair (re, im).  Raises NonConvergentError if the tail
-    bound cannot meet ``tol.target(max(|re|, |im|))`` within max_terms.
+    bound cannot meet ``tol.target(max(|re|, |im|))`` within max_terms,
+    also where max_terms is below the first block's 33 terms.
     """
     require_order(n)
     theta = float(theta)

@@ -106,8 +106,8 @@ def lattice_series(n: int, w: complex, rel_w: float, cutoff: int, max_terms: int
     Sums the terms at +-k up to ``cutoff`` and adds the expanded tail;
     the cutoff doubles while the tail bound exceeds ``target(value)``,
     each doubling extending the previous partial sum.  Raises
-    NonConvergentError (naming ``where()``) when doubling would exceed
-    ``max_terms``.
+    NonConvergentError (naming ``where()``) when the first block, 2 cutoff
+    + 1 terms, or a doubling would exceed ``max_terms``.
 
     Returns (value, err, final cutoff).  ``err`` is the tail bound plus
     a rounding bound for a ``w`` good to relative ``rel_w``.  A term's
@@ -122,6 +122,10 @@ def lattice_series(n: int, w: complex, rel_w: float, cutoff: int, max_terms: int
     Where |w| >= 2^1023, 2 w and 1/w may overflow: the k = 0 term and,
     for odd n, c_1 are then formed from w / 2, the tail summed for c_1 / 2.
     """
+    if 2 * cutoff + 1 > max_terms:
+        raise NonConvergentError(
+            f"{where()}: starting cutoff K={cutoff:.3g} already exceeds max_terms={max_terms}"
+        )
     e = 1 if abs(w) >= 2.0 ** 1023 else 0
     k0_term = 0.5 / _ldexp(w, -1) if e else 1.0 / w
     if n % 2:  # paired: 1/(k^n + w) + 1/(-k^n + w) = 2w/(w^2 - k^(2n))
@@ -154,7 +158,7 @@ def lattice_series(n: int, w: complex, rel_w: float, cutoff: int, max_terms: int
     acc.add(tail)
     acc.add(k0_term)  # added last so compensation absorbs the large term
     # Every tail term has kappa <= (1 + q)/(1 - q) <= 3 and the terms'
-    # moduli sum to at most 2 |c_1| zeta_tail_upper(p, K) since q <= 1/2.
+    # moduli sum to at most 2 |c_1| K^(1-p)/(p-1) since q <= 1/2.
     tail_mag = 2.0 * math.ldexp(abs(c1) * cutoff ** (1.0 - p), e) / (p - 1)
     cond += abs(k0_term) + 3.0 * tail_mag
     mag += abs(k0_term) + tail_mag
@@ -184,11 +188,7 @@ def u_direct(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     z = validate_domain(n, z)
     w, rel_w = power_in_range(z, n)
     k = max(16, 2 * math.ceil(abs(z)))
-    where = partial("u_direct(n={}, z={})".format, n, z)
-    if 2 * k + 1 > tol.max_terms:
-        raise NonConvergentError(
-            f"{where()}: starting cutoff K={k:.3g} already exceeds max_terms={tol.max_terms}"
-        )
     value, err, k = lattice_series(n, w, rel_w, k, tol.max_terms,
-                                   lambda v: tol.target(abs(v)), where)
+                                   lambda v: tol.target(abs(v)),
+                                   partial("u_direct(n={}, z={})".format, n, z))
     return EvalResult(value=value, err_estimate=err, method=Method.DIRECT_SUM, work=2 * k + 1)

@@ -4,10 +4,10 @@ Two broad families matter to callers:
 
 * ``DomainError`` and its subclasses mean the requested point is outside
   the domain of the series (a pole was hit or an excluded point was
-  requested).  The CLI maps these to exit code 2.
+  requested): kind "domain".
 * ``ToleranceError`` and its subclasses mean the point is fine but the
   requested accuracy could not be certified within the configured work
-  budget.  The CLI maps these to exit code 1.
+  budget: kind "tolerance".
 """
 
 from __future__ import annotations
@@ -46,3 +46,16 @@ class NonConvergentError(ToleranceError):
 
 class QuadratureFailureError(ToleranceError):
     """Adaptive quadrature cannot bring its error sum to tolerance within max_nodes."""
+
+
+#: The CLI's exit code for each kind of :func:`error_kind`.
+EXIT_CODES = {"domain": 2, "usage": 2, "tolerance": 1}
+
+
+def error_kind(exc: Exception) -> str:
+    """The kind of an error: "domain", "tolerance" (the families above) or "usage"."""
+    if isinstance(exc, DomainError):
+        return "domain"
+    if isinstance(exc, ToleranceError):
+        return "tolerance"
+    return "usage"

@@ -16,7 +16,6 @@ __all__ = [
     "ipow",
     "Kahan",
     "zeta_tail",
-    "zeta_tail_upper",
     "series_tail",
 ]
 
@@ -105,13 +104,6 @@ def zeta_tail(s: float, cutoff: int) -> tuple[float, float]:
     )
     rem = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) * a ** (-s - 5.0) / 30240.0
     return est, rem
-
-
-def zeta_tail_upper(s: float, cutoff: int) -> float:
-    """Crude upper bound on sum_{k > cutoff} k**-s by integral comparison."""
-    if s <= 1.0:
-        raise ValueError(f"zeta_tail_upper needs s > 1, got {s}")
-    return float(cutoff) ** (1.0 - s) / (s - 1.0)
 
 
 def series_tail(coeffs: Iterable[complex], p: int, cutoff: int,

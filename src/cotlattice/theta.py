@@ -89,24 +89,28 @@ def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult
     by the geometric series of the next term with ratio
     e^(-t ((K+2)^(2n) - (K+1)^(2n))), which the increasing exponent
     gaps make valid; summation stops once that majorant, which the
-    bound charges, drops below a quarter of the tolerance target.  At
-    small t there are ~t^(-1/(2n)) terms, and the running sum can lose
-    up to that many ulps; its rounding is tracked exactly (Knuth's
-    TwoSum) and charged to the bound.
+    bound charges, drops below a quarter of the tolerance target.  The
+    running sum's rounding is tracked exactly (Knuth's TwoSum); the
+    rounding of t costs 4 eps (1 + t) of the value.  At n = 1, t < pi, where
+    ~t^(-1/2) terms would be summed, Jacobi's exact dual sqrt(pi/t)
+    Psi_1(e^(-pi^2/t)) is summed instead, its tail and rounding times
+    sqrt(pi/t), plus 3 eps of the value for that scale and pi^2/t.
     """
     require_order(n)
     if not isinstance(arg, ThetaArg):
         arg = ThetaArg.from_q(arg)
     t = arg.t
+    dual = n == 1 and t < math.pi  # Psi_1(e^-t) = sqrt(pi/t) Psi_1(e^(-pi^2/t))
+    scale, ts = (math.sqrt(math.pi / t), math.pi ** 2 / t) if dual else (1.0, t)
     two_n = 2 * n
     total = 1.0
     lost = 0.0  # what the additions to total have rounded away
     k = 0
     while True:
         head = _kpow(k + 1, two_n)
-        nxt = 2.0 * math.exp(-t * head)
-        ratio = math.exp(-t * (_kpow(k + 2, two_n) - head)) if nxt > 0.0 else 0.0
-        if nxt < 0.25 * tol.target(total) * (1.0 - ratio):
+        nxt = 2.0 * math.exp(-ts * head)
+        ratio = math.exp(-ts * (_kpow(k + 2, two_n) - head)) if nxt > 0.0 else 0.0
+        if scale * nxt < 0.25 * tol.target(scale * total) * (1.0 - ratio):
             break
         k += 1
         s = total + nxt
@@ -119,7 +123,9 @@ def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult
                 f"{tol.max_terms} before meeting tolerance"
             )
     tail = nxt / (1.0 - ratio) if ratio < 1.0 else nxt
-    err = tail + abs(lost) + 4.0 * EPS * total * (1.0 + t)
+    total *= scale
+    err = scale * (tail + abs(lost)) + 4.0 * EPS * total * (1.0 + t)
+    err += 3.0 * EPS * total if dual else 0.0
     return EvalResult(
         value=complex(total), err_estimate=err, method=Method.DIRECT_SUM, work=2 * k + 1
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .closed import u_closed
 from .direct import u_direct
 from .dyadic import MAX_LEVEL, phi
-from .errors import CotlatticeError, DomainError, ToleranceError
+from .errors import CotlatticeError, DomainError, error_kind
 from .numerics import EPS
 from .theta import u_theta
 from .types import (
@@ -172,14 +172,6 @@ def _combined_bound(a: MethodRun, b: MethodRun) -> float:
     return a.err_estimate + b.err_estimate + 4.0 * EPS * scale
 
 
-def _error_kind(exc: Exception) -> str:
-    if isinstance(exc, DomainError):
-        return "domain"
-    if isinstance(exc, ToleranceError):
-        return "tolerance"
-    return "usage"
-
-
 def run_method(method: Method, n: int, z: complex, tol: Tolerance) -> MethodRun:
     """Evaluate one method at (n, z), timed; an evaluator error becomes
     the run's ``error`` instead of propagating."""
@@ -196,7 +188,7 @@ def run_method(method: Method, n: int, z: complex, tol: Tolerance) -> MethodRun:
     except (CotlatticeError, ValueError) as exc:
         return MethodRun(n=n, z=z, method=method, value=0j, err_estimate=0.0,
                          work=0, wall_time_ns=time.perf_counter_ns() - t0,
-                         error=str(exc), error_kind=_error_kind(exc))
+                         error=str(exc), error_kind=error_kind(exc))
     return MethodRun(n=n, z=z, method=method, value=res.value,
                      err_estimate=res.err_estimate, work=res.work,
                      wall_time_ns=time.perf_counter_ns() - t0)

@@ -68,22 +68,26 @@ def zeta_even(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     (c_1 = 1, p = 2n) case of :func:`series_tail`; no cancellation
     occurs.  ``work`` is K.
 
-    Raises NonConvergentError if the tail bound cannot meet tolerance
-    within ``tol.max_terms`` terms (cannot happen for n >= 1 with sane
-    budgets; kept for contract symmetry with the direct summator).
+    Raises NonConvergentError if the tail bound cannot meet a quarter of
+    the tolerance target within ``tol.max_terms`` terms, the first block
+    of 16 included.
     """
     require_order(n)
     s = float(2 * n)
     partial, lo, cutoff = 0.0, 0, 16
+    if cutoff > tol.max_terms:
+        raise NonConvergentError(f"zeta_even(n={n}): starting cutoff {cutoff} already "
+                                 f"exceeds max_terms={tol.max_terms}")
     while True:
         partial += np.add.reduce(np.arange(cutoff, lo, -1, dtype=np.float64) ** (-s)).item()
         est, rem = series_tail((1.0,), 2 * n, cutoff, 0.0, 0.0)
         value = partial + est.real
-        if rem <= 0.25 * tol.target(value):
+        target = 0.25 * tol.target(value)
+        if rem <= target:
             break
-        if 2 * cutoff > int(tol.max_terms):
+        if 2 * cutoff > tol.max_terms:
             raise NonConvergentError(
-                f"zeta tail bound {rem:.3g} above target {tol.target(value):.3g} "
+                f"zeta tail bound {rem:.3g} above target/4 = {target:.3g} "
                 f"at cutoff {cutoff} with max_terms={tol.max_terms}"
             )
         lo, cutoff = cutoff, 2 * cutoff
@@ -219,7 +223,8 @@ def _lhs_series(n: int, x: float, y: float, tol: Tolerance,
     starts at 16 and doubles until the tail bound meets
     0.25 * tol.target(scale) or the term budget is exhausted; a budget
     stop is not an error, it just leaves a larger (honest) err_estimate
-    on the cross-check.
+    on the cross-check.  The first block of 16 pairs always runs, so
+    ``work`` is at least 33 whatever the budget.
     """
     xn, yn = x ** n, y ** n
     # the pair term is f log1p((b - a) / (k^p + a))

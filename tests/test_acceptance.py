@@ -29,7 +29,7 @@ from cotlattice import (
     verify_points,
     zeta_even,
 )
-from cotlattice.numerics import zeta_tail, zeta_tail_upper
+from cotlattice.numerics import zeta_tail
 from cotlattice.verify import DEFAULT_BENCH_GRID
 
 def _report(num, ok, detail):
@@ -152,7 +152,7 @@ def _circle_rhs_oracle(n, theta):
         t2, r2 = zeta_tail(2.0 * n, cutoff)
         est = 2.0 * (math.fsum(terms) + t1 - 2.0 * c * t2)
         errb = 2.0 * (r1 + 2.0 * abs(c) * r2
-                      + 6.0 * zeta_tail_upper(3.0 * n, cutoff))
+                      + 6.0 * cutoff ** (1 - 3.0 * n) / (3.0 * n - 1))
     else:
         cutoff = 10_000
         k = np.arange(1.0, cutoff + 1.0)
@@ -160,7 +160,7 @@ def _circle_rhs_oracle(n, theta):
         pairs = -4.0 * c * k2n / ((k2n + 1.0) ** 2 - 4.0 * c * c * k2n)
         t2, r2 = zeta_tail(2.0 * n, cutoff)
         est = math.fsum(pairs) - 4.0 * c * t2
-        errb = 4.0 * abs(c) * r2 + 8.5 * abs(c) * zeta_tail_upper(4.0 * n, cutoff)
+        errb = 4.0 * abs(c) * r2 + 8.5 * abs(c) * cutoff ** (1 - 4.0 * n) / (4.0 * n - 1)
     return est, errb
 
 

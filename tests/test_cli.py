@@ -290,7 +290,7 @@ class TestZetaCommand:
         code, out, err = run_cli(["zeta", "-n", "1", "--abs-tol", "0", "--rel-tol", "1e-17",
                                   "--max-terms", "40"], capsys)
         assert (code, out) == (1, [])
-        assert err == ("cotlattice: zeta tail bound 5.59e-13 above target 1.64e-17 "
+        assert err == ("cotlattice: zeta tail bound 5.59e-13 above target/4 = 4.11e-18 "
                        "at cutoff 32 with max_terms=40\n")
 
 
@@ -333,18 +333,31 @@ class TestThetaCommand:
     def test_value(self, capsys):
         code, out, err = run_cli(["theta", "-n", "1", "-q", "0.1"], capsys)
         assert code == 0
-        assert float(parse_plain(out[0])["value_re"]) == 1.2002000019999999
+        assert float(parse_plain(out[0])["value_re"]) == 1.2002000020000001
 
     def test_bad_nome(self, capsys):
         code, out, err = run_cli(["theta", "-n", "1", "-q", "1.5"], capsys)
         assert code == 2
 
     def test_budget_miss_exits_1(self, capsys):
-        code, out, err = run_cli(["theta", "-n", "1", "-q", "0.999999",
-                                  "--max-terms", "5"], capsys)
+        code, out, err = run_cli(["theta", "-n", "1", "-q", "0.04",
+                                  "--max-terms", "4"], capsys)
         assert (code, out) == (1, [])
-        assert err == ("cotlattice: psi(n=1, q=0.999999): 7 terms exceed max_terms=5 "
+        assert err == ("cotlattice: psi(n=1, q=0.04): 5 terms exceed max_terms=4 "
                        "before meeting tolerance\n")
+
+    def test_nome_next_to_one_sums_the_dual(self, capsys):
+        # t = 1e-14: the direct series would need ~1.8e7 terms, over the
+        # default budget; Jacobi's dual needs none past its leading 1.
+        mp = pytest.importorskip("mpmath").mp
+        code, out, err = run_cli(["theta", "-n", "1", "-q", "0.99999999999999"], capsys)
+        assert code == 0
+        rec = parse_plain(out[0])
+        with mp.workdps(40):
+            t = -mp.log(mp.mpf(0.99999999999999))
+            ref = mp.sqrt(mp.pi / t) * mp.jtheta(3, 0, mp.exp(-mp.pi ** 2 / t))
+            assert abs(float(rec["value_re"]) - ref) <= float(rec["err_estimate"])
+        assert rec["work"] == "1"
 
 
 class TestVerifyCommand:

@@ -193,11 +193,11 @@ class TestPsi:
         assert res.work % 2 == 1
 
     def test_budget_message_quotes_the_charged_terms(self):
-        # k = 3 pairs of terms plus the leading 1: the 2k + 1 = 7 that
-        # work counts, not k.
+        # k = 2 pairs of terms plus the leading 1: the 2k + 1 = 5 that
+        # work counts, not k.  t = 3.2 >= pi sums the direct series.
         with pytest.raises(NonConvergentError) as exc:
-            psi(1, ThetaArg.from_q(0.999999), Tolerance(max_terms=5))
-        assert str(exc.value) == ("psi(n=1, q=0.999999): 7 terms exceed max_terms=5 "
+            psi(1, ThetaArg.from_q(0.04), Tolerance(max_terms=4))
+        assert str(exc.value) == ("psi(n=1, q=0.04): 5 terms exceed max_terms=4 "
                                   "before meeting tolerance")
 
     def test_overflowing_power_is_a_zero_term(self, capsys):
@@ -211,8 +211,8 @@ class TestPsi:
 
     @pytest.mark.parametrize("q", ["0.999999", "0.9999999"])
     def test_stops_on_tail_bound_near_one(self, q, capsys):
-        # Near q = 1 the tail's geometric majorant is ~1/t next terms: the
-        # sum runs until that majorant, not the next term, meets the target.
+        # Near q = 1, where n = 1 sums Jacobi's dual series (t < pi), the
+        # value lies within its bar of mpmath's theta3.
         mp = pytest.importorskip("mpmath").mp
         assert main(["theta", "-n", "1", "-q", q]) == 0
         cells = dict(cell.split("=", 1) for cell in capsys.readouterr().out.split())

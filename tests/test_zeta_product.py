@@ -60,6 +60,22 @@ class TestZetaEven:
         with pytest.raises(NonConvergentError):
             zeta_even(1, Tolerance(abs_tol=1e-15, rel_tol=1e-15, max_terms=16))
 
+    def test_first_block_keeps_to_the_budget(self):
+        # The first block sums 16 terms, over a budget of 5 even where
+        # its tail bound would meet the target.
+        with pytest.raises(NonConvergentError) as exc:
+            zeta_even(3, Tolerance(max_terms=5))
+        assert str(exc.value) == ("zeta_even(n=3): starting cutoff 16 already "
+                                  "exceeds max_terms=5")
+
+    def test_budget_message_quotes_the_quarter_target(self):
+        # The bound is compared against a quarter of the target
+        # 1e-10 * zeta(2) = 1.64e-10.
+        with pytest.raises(NonConvergentError) as exc:
+            zeta_even(1, Tolerance(max_terms=20))
+        assert str(exc.value) == ("zeta tail bound 5.8e-11 above target/4 = 4.11e-11 "
+                                  "at cutoff 16 with max_terms=20")
+
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
             zeta_even(0)
