@@ -30,7 +30,7 @@ from .errors import (
     RecursionPoleError,
     ToleranceError,
 )
-from .theta import ThetaArg, psi, u_theta
+from .theta import psi, u_theta
 from .types import (
     DEFAULT_TOLERANCE,
     EvalResult,
@@ -81,7 +81,6 @@ __all__ = [
     "MAX_LEVEL",
     "psi",
     "u_theta",
-    "ThetaArg",
     # zeta and products
     "zeta_even",
     "zeta_contour",

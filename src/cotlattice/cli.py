@@ -43,7 +43,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import EXIT_CODES, DomainError, ToleranceError, error_kind
-from .theta import ThetaArg, psi
+from .theta import psi
 from .types import (
     DEFAULT_TOLERANCE,
     EvalResult,
@@ -311,7 +311,7 @@ def cmd_product(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], i
 
 def cmd_theta(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]:
     record: dict[str, object] = {"record": "theta", "n": args.n, "q": args.q}
-    res = _timed(record, psi, args.n, ThetaArg.from_q(args.q), tol)
+    res = _timed(record, psi, args.n, args.q, tol)
     record.update(_cells(res))
     return [record], _exit_code((), _missed(res, tol))
 

@@ -251,23 +251,27 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     Near z = 0 every kernel denominator shrinks like |2 pi z|^2 / 2 and
     underflows below |z| ~ 1e-155.  The kernel scales numerator and
     denominator by r^2, r the power of two with 1 <= |2 pi z| r < 2 (1
-    for |2 pi z| >= 1, capped at 2^1023): exact, and it keeps both O(1),
-    so they meet the singularity threshold at that size and U_1(1e-300)
-    = 1e300 evaluates.
+    for |2 pi z| >= 1): exact, and it keeps both O(1), so they meet the
+    singularity threshold at that size and U_1(1e-300) = 1e300 evaluates.
 
     Raises DomainError at poles and z = 0 of even n (validate_domain) and
     where z^(n-1) (power_in_range) or |U_n(z)| plus its bar leaves the
     double range; KernelSingularError where a kernel denominator vanishes.
+    Both range checks on the input come before the kernel: z^(n-1), and
+    |2 pi z| >= 2^-1022, below which only n = 1 is left and |U_1| ~ 1/|z| is
+    no double.  So a value past the double range near z = 0 is never taken
+    for a pole, and r <= 2^1022.
     """
     z = validate_domain(n, z)
     zr = z.real if z.imag == 0.0 else z  # a float for real z
+    zp, rel = power_in_range(zr, n - 1)
     w = 2.0 * math.pi * zr
     aw = abs(w)
-    r = 1.0 if aw >= 1.0 else math.ldexp(1.0, min(1023, 1 - math.frexp(aw)[1]))
+    if aw < 2.0 ** -1022:  # n = 1 alone (z^0 = 1): |U_1| ~ 1/|z| > 2.8e308
+        raise DomainError(f"domain: |U_{n}({z})| exceeds double range")
+    r = 1.0 if aw >= 1.0 else math.ldexp(1.0, 1 - math.frexp(aw)[1])
     a, b, mult, _, _ = kernel_table(n)
-    # At a subnormal w (r = 2^1023) num r^2 may overflow, which numpy
-    # would warn of; such a z^(n-1) leaves the double range anyway.
-    if len(a) >= _CROSSOVER and r < 2.0 ** 1023:
+    if len(a) >= _CROSSOVER:
         f = mult * _kernel_terms(a, b, w, r)
         tot = sum(f.tolist())
         abs_tot = sum(np.abs(f).tolist())
@@ -282,7 +286,6 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
         except OverflowError:  # a term's modulus is no double, nor is U_n's
             tot = abs_tot = math.inf
     term_sum = complex(tot)
-    zp, rel = power_in_range(zr, n - 1)
     nzp = n * zp  # pi/n first where this overflows; pref is then subnormal
     pref = math.pi / nzp if cmath.isfinite(nzp) else (math.pi / n) / zp
     value = complex(pref * term_sum)

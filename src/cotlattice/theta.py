@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .types import (
     require_order,
 )
 
-__all__ = ["ThetaArg", "psi", "u_theta"]
+__all__ = ["laplace_power", "psi", "u_theta"]
 
 #: e^(-45) ~ 2.9e-20: theta terms beyond this exponent cannot move any
 #: double-precision target supported here.
@@ -56,24 +55,6 @@ _CHUNK = 1 << 14
 _IOTA = np.arange(_CHUNK)
 
 
-@dataclass(frozen=True)
-class ThetaArg:
-    """Nome q in (0, 1) stored together with its exponential view t.
-
-    :meth:`from_q` sets t = -log q, so q * e^t = 1 within a few ulps.
-    """
-
-    q: float
-    t: float
-
-    @classmethod
-    def from_q(cls, q: float) -> "ThetaArg":
-        q = float(q)
-        if not (math.isfinite(q) and 0.0 < q < 1.0):
-            raise DomainError(f"domain: theta nome q must lie in (0, 1), got {q!r}")
-        return cls(q=q, t=-math.log(q))
-
-
 def _kpow(k: int, two_n: int) -> float:
     """k^(2n), or +inf past the double range, where e^(-t k^(2n)) = 0."""
     try:
@@ -82,8 +63,11 @@ def _kpow(k: int, two_n: int) -> float:
         return math.inf
 
 
-def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
-    """Evaluate Psi_n(q) = 1 + 2 sum_{k>=1} q^(k^(2n)).
+def psi(n: int, q: float, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
+    """Evaluate Psi_n(q) = 1 + 2 sum_{k>=1} q^(k^(2n)) for a nome 0 < q < 1.
+
+    psi checks q itself: any other q, nan included, raises DomainError
+    before a term is summed.  The series is summed at t = -log q.
 
     Terms are positive and decreasing.  The discarded tail is dominated
     by the geometric series of the next term with ratio
@@ -97,9 +81,10 @@ def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult
     sqrt(pi/t), plus 3 eps of the value for that scale and pi^2/t.
     """
     require_order(n)
-    if not isinstance(arg, ThetaArg):
-        arg = ThetaArg.from_q(arg)
-    t = arg.t
+    q = float(q)
+    if not (math.isfinite(q) and 0.0 < q < 1.0):
+        raise DomainError(f"domain: theta nome q must lie in (0, 1), got {q!r}")
+    t = -math.log(q)
     dual = n == 1 and t < math.pi  # Psi_1(e^-t) = sqrt(pi/t) Psi_1(e^(-pi^2/t))
     scale, ts = (math.sqrt(math.pi / t), math.pi ** 2 / t) if dual else (1.0, t)
     two_n = 2 * n
@@ -119,7 +104,7 @@ def psi(n: int, arg: ThetaArg, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult
         total = s
         if 2 * k + 1 > tol.max_terms:
             raise NonConvergentError(
-                f"psi(n={n}, q={arg.q}): {2 * k + 1} terms exceed max_terms="
+                f"psi(n={n}, q={q}): {2 * k + 1} terms exceed max_terms="
                 f"{tol.max_terms} before meeting tolerance"
             )
     tail = nxt / (1.0 - ratio) if ratio < 1.0 else nxt
@@ -173,10 +158,12 @@ def _psi_t_array(n: int, ts: np.ndarray, us: np.ndarray | None = None) -> np.nda
 def _upper_piece(n: int, s: complex, target: float) -> tuple[complex, float]:
     """integral_1^inf e^(-t s) Psi_n(e^(-t)) dt term by term, as (value, bound):
     e^(-s)/s + 2 sum_{k>=1} e^(-s) e^(-k^(2n)) / (s + k^(2n)), stopped once
-    the next term, k = K, is at most ``target``/4.  The bound is the
-    geometric majorant of the terms k >= K (ratio e^(K^(2n) - (K+1)^(2n)),
-    as the exponent gaps grow), the rounding of each term's ~8 operations
-    and of the sum on the sum of |terms|, and a subnormal spacing per operation.
+    the bound on the terms k >= K, which the value does not sum, is at most
+    ``target``/4.  That bound is the geometric majorant of |term K| <= lead =
+    2 e^(-Re s - K^(2n)) / (Re s + K^(2n)) with ratio e^(K^(2n) - (K+1)^(2n))
+    (the exponent gaps grow); the value's bound adds the rounding of each
+    term's ~8 operations and of the sum on the sum of |terms|, and a subnormal
+    spacing per operation.  Needs Re s > 0 (:func:`laplace_power`).
     """
     r = s.real
     es = math.exp(-r) if isinstance(s, float) else cmath.exp(-s)
@@ -185,15 +172,29 @@ def _upper_piece(n: int, s: complex, target: float) -> tuple[complex, float]:
     k = 1
     while True:
         kp = _kpow(k, 2 * n)
-        nxt = 2.0 * es * math.exp(-kp) / (s + kp)
-        if abs(nxt) <= 0.25 * target:
+        lead = 2.0 * math.exp(-r - kp) / (r + kp)
+        ratio = math.exp(kp - _kpow(k + 1, 2 * n)) if lead > 0.0 else 0.0
+        if lead <= 0.25 * target * (1.0 - ratio):
             break
+        nxt = 2.0 * es * math.exp(-kp) / (s + kp)
         total += nxt
         mag += abs(nxt)
         k += 1
-    lead = 2.0 * math.exp(-r - kp) / (r + kp)
-    tail = lead / (1.0 - math.exp(kp - _kpow(k + 1, 2 * n))) if lead > 0.0 else 0.0
-    return total, tail + (16 + 2 * k) * EPS * mag + 4 * k * math.ulp(0.0)
+    return total, lead / (1.0 - ratio) + (16 + 2 * k) * EPS * mag + 4 * k * math.ulp(0.0)
+
+
+def laplace_power(n: int, z: complex) -> tuple[complex, float]:
+    """(s, rel) for s = z^(2n), as :func:`power_in_range` gives them (a float
+    for real z), where the Laplace identity of :func:`u_theta` holds: Re s > 0.
+    Raises DomainError where it does not, or where s is no usable double.
+    """
+    s, rel = power_in_range(z.real if z.imag == 0.0 else z, 2 * n)
+    if not (s.real > 0.0):
+        raise DomainError(
+            f"domain: theta integral for U_{2 * n} needs Re(z^{2 * n}) > 0, "
+            f"got Re={s.real!r} at z={z}"
+        )
+    return s, rel
 
 
 def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
@@ -201,7 +202,7 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
 
     ``n`` is the theta index: the series order of the result is 2n.
     Requires Re(z^(2n)) > 0, the convergence condition of the Laplace
-    identity, with z^(2n) a usable double (:func:`power_in_range`);
+    identity, with z^(2n) a usable double (:func:`laplace_power`);
     everything else raises DomainError before any quadrature runs.
 
     With s = z^(2n), t >= 1 is the closed sum of :func:`_upper_piece`.
@@ -213,13 +214,8 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
     """
     require_order(n)
     z = require_finite_scalar(z)
-    s, rel = power_in_range(z.real if z.imag == 0.0 else z, 2 * n)  # a float for real z
+    s, rel = laplace_power(n, z)
     r = s.real
-    if not (r > 0.0):
-        raise DomainError(
-            f"domain: theta integral for U_{2 * n} needs Re(z^{2 * n}) > 0, "
-            f"got Re={r!r} at z={z}"
-        )
     abs_target = tol.target(abs(1.0 / s)) / 10.0
     upper, upper_err = _upper_piece(n, s, abs_target)
 

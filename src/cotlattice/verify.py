@@ -27,14 +27,8 @@ from .direct import u_direct
 from .dyadic import MAX_LEVEL, phi
 from .errors import CotlatticeError, DomainError, error_kind
 from .numerics import EPS
-from .theta import u_theta
-from .types import (
-    Method,
-    Tolerance,
-    power_in_range,
-    require_finite_scalar,
-    require_order,
-)
+from .theta import laplace_power, u_theta
+from .types import Method, Tolerance, require_finite_scalar, require_order
 
 __all__ = [
     "GridSpec",
@@ -151,7 +145,8 @@ def applicable_methods(n: int, z: complex,
     """Requested methods that can in principle evaluate U_n(z).
 
     A method applies where :func:`order_rule` allows order n, the theta
-    integral only where ``power_in_range`` accepts z^n with Re z^n > 0.
+    integral only where :func:`~cotlattice.theta.laplace_power`, the check
+    u_theta itself makes, accepts z (z^n a usable double, Re z^n > 0).
     Poles and z = 0 are not filtered: they surface as recorded run errors.
     """
     require_order(n)
@@ -160,8 +155,9 @@ def applicable_methods(n: int, z: complex,
     for m in requested:
         if order_rule(m, n) is None:
             with suppress(DomainError):
-                if m is not Method.THETA_INTEGRAL or power_in_range(z, n)[0].real > 0.0:
-                    out.append(m)
+                if m is Method.THETA_INTEGRAL:
+                    laplace_power(n // 2, z)
+                out.append(m)
     return tuple(out)
 
 
@@ -234,8 +230,8 @@ def verify_points(points: tuple[tuple[int, complex], ...],
 
 #: Stock verification grid: one odd order, one power of two, one
 #: non-dyadic odd, one dyadic, at points inside and outside the unit
-#: disk plus a complex point; tolerance loose enough that the n = 1, 2
-#: direct sums finish in a few million terms.
+#: disk plus a complex point; at its tolerance every direct sum stops
+#: after its first block of 33 terms, the corrected tail doing the rest.
 DEFAULT_VERIFY_GRID = GridSpec(
     n_values=(1, 2, 3, 4),
     z_points=(0.3, 0.7, 1.5, 0.5 + 0.5j),

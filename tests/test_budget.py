@@ -13,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from cotlattice import (DomainError, NonConvergentError, ThetaArg, Tolerance, psi,
+from cotlattice import (DomainError, NonConvergentError, Tolerance, psi,
                         u_direct, unit_circle_parts, zeta_even)
 
 BUDGET = hypothesis.settings(max_examples=200, derandomize=True, database=None,
@@ -27,8 +27,8 @@ def work_of(route, n, log_r, phase, tol):
         return u_direct(n, complex(r * math.cos(phase), r * math.sin(phase)), tol).work
     if route == "zeta_even":
         return zeta_even(n, tol).work
-    # t = r in [1e-2, 1e2]: n = 1 sums Jacobi's dual below t = pi
-    return psi(n, ThetaArg(q=math.exp(-r), t=r), tol).work
+    # q = e^(-r), r in [1e-2, 1e2]: n = 1 sums Jacobi's dual below t = pi
+    return psi(n, math.exp(-r), tol).work
 
 
 @pytest.mark.parametrize("route", ["u_direct", "zeta_even", "psi"])

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cotlattice
-from cotlattice import u_theta
+from cotlattice import u_closed, u_theta
 from cotlattice.cli import (
     COLUMNS,
     format_complex,
@@ -216,6 +216,18 @@ class TestEval:
         rec = parse_plain(out[0])
         assert "error" not in rec
         assert float(rec["value_re"]) == pytest.approx(2.221441469079183e-15, rel=1e-12)
+
+    @pytest.mark.parametrize("n, z", [(2, "70.721784453596442+70.69957003899701i"),
+                                      (4, "9.2390958554827343+3.8261086985606898i")])
+    def test_theta_with_small_real_power_meets_target(self, n, z, capsys):
+        # Re z^n is small against |z^n|: the upper piece's terms divide by
+        # |z^n + k^n|, the bound it charges by Re z^n + k^n, so it must stop
+        # on that bound (a bar of ~5.2e-10 against the 1e-10 target before).
+        code, out, err = run_cli(["eval", "-n", str(n), "-z", z, "--method", "theta"], capsys)
+        assert code == 0, out
+        rec = parse_plain(out[0])
+        value = complex(float(rec["value_re"]), float(rec["value_im"]))
+        assert abs(value - u_closed(n, parse_complex(z)).value) <= float(rec["err_estimate"])
 
     def test_bad_complex_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

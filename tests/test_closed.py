@@ -14,6 +14,7 @@ from cotlattice import (
     Method,
     ProductQuery,
     Tolerance,
+    ToleranceError,
     phi,
     u_closed,
     u_direct,
@@ -516,6 +517,19 @@ class TestTinyArgument:
             with pytest.raises(DomainError, match="exceeds double range"):
                 u_closed(1, z)
 
+    @pytest.mark.parametrize("n, z, message", [
+        (1, 5e-324, "|U_1((5e-324+0j))| exceeds double range"),
+        (2, 5e-324, "z^1 leaves double range"),
+        (3, 5e-324, "z^2 leaves double range"),
+        (1, 4e-323, "|U_1((4e-323+0j))| exceeds double range"),
+    ])
+    def test_subnormal_argument_is_a_range_error(self, n, z, message):
+        # |2 pi z| < 2^-1022: the range checks run before the kernel, which
+        # took these points for poles (KernelSingularError).
+        with pytest.raises(DomainError) as exc:
+            u_closed(n, z)
+        assert type(exc.value) is DomainError and message in str(exc.value)
+
     def test_n1_below_normal_denominator(self):
         # 2 sin^2(pi z) is subnormal below |z| ~ 5.8e-155; the kernel's
         # exact rescaling keeps U_1 ~ 1/z evaluable down to ~1e-308.
@@ -618,6 +632,32 @@ class TestUnitCircleParts:
             ref = u_closed(n, z).value
             assert abs(re - ref.real) < 1e-9
             assert abs(im - ref.imag) < 1e-9
+
+    @pytest.mark.parametrize("delta", [
+        pytest.param(1e-10, marks=pytest.mark.xfail(
+            strict=True, raises=DomainError,
+            reason="k^(2n) + 2 k^n cos(n theta) + 1 cancels to 0 once cos(n theta) rounds to -1")),
+        pytest.param(1e-8, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="the parts carry the cancellation's error, and no bar says so")),
+    ])
+    def test_near_root_angle_meets_target(self, delta):
+        # theta = pi + delta at n = 3 sits 3 delta from the pole w = z^3 = -1,
+        # which validate_domain admits.  The parts should meet the target
+        # against 40-digit mpmath, or raise a ToleranceError.
+        mp = pytest.importorskip("mpmath").mp
+        theta = math.pi + delta
+        try:
+            re, im = unit_circle_parts(3, theta)
+        except ToleranceError:
+            return
+        with mp.workdps(40):
+            w = mp.expj(3 * mp.mpf(theta))
+            # k = 0, the pair k = +-1 next to the pole, and the pairs k >= 2
+            ref = 1 / w + 2 * w / (w ** 2 - 1) + mp.nsum(
+                lambda k: 2 * w / (w ** 2 - k ** 6), [2, mp.inf])
+        target = Tolerance().target(max(abs(re), abs(im)))
+        assert abs(re - float(ref.real)) <= target and abs(im - float(ref.imag)) <= target
 
     def test_root_angle_raises(self):
         # n theta = pi puts z^n at -1, a lattice pole.

@@ -10,7 +10,6 @@ from cotlattice import (
     NonConvergentError,
     QuadratureFailureError,
     Method,
-    ThetaArg,
     Tolerance,
     psi,
     u_closed,
@@ -154,17 +153,21 @@ class TestBatchedPanels:
         assert res.value == pytest.approx(math.fsum(panels[k] for k in leaves), rel=1e-15)
 
 
-class TestThetaArg:
-    """ThetaArg validates the nome and keeps q and t consistent."""
+class TestPsiNome:
+    """psi checks its own nome: 0 < q < 1, the series taken at t = -log q."""
 
     def test_accepts_interior(self):
-        arg = ThetaArg.from_q(0.25)
-        assert abs(arg.q * math.exp(arg.t) - 1.0) < 1e-15
+        res = psi(1, 0.25)
+        brute = 1.0 + 2.0 * math.fsum(0.25 ** (k * k) for k in range(1, 30))
+        assert abs(res.value.real - brute) <= res.err_estimate
 
     def test_rejects_boundary_and_outside(self):
-        for q in (0.0, 1.0, -0.1, 1.5, float("nan")):
-            with pytest.raises(DomainError):
-                ThetaArg.from_q(q)
+        # With t passed in beside q, q = 2 raised a bare math domain error
+        # and q = nan summed 10^7 terms before a NonConvergentError.
+        for q in (0.0, 1.0, -0.1, 1.5, 2.0, float("nan")):
+            with pytest.raises(DomainError) as exc:
+                psi(1, q)
+            assert str(exc.value) == f"domain: theta nome q must lie in (0, 1), got {q!r}"
 
 
 class TestPsi:
@@ -172,38 +175,38 @@ class TestPsi:
 
     def test_frozen_small_nome(self):
         # 1 + 2(0.1 + 0.1^4 + 0.1^9 + ...) to double precision.
-        res = psi(1, ThetaArg.from_q(0.1))
+        res = psi(1, 0.1)
         assert abs(res.value.real - 1.2002000019999999) < 1e-15
         assert res.err_estimate < 1e-14
 
     def test_frozen_sparse_exponents(self):
         # n=2: exponents k^4, so 1 + 2(0.5 + 0.5^16 + ...).
-        res = psi(2, ThetaArg.from_q(0.5))
+        res = psi(2, 0.5)
         assert res.value.real == 2.000030517578125
 
     def test_matches_brute_force(self):
         for n, q in ((1, 0.7), (1, 0.3), (2, 0.9), (3, 0.6)):
             brute = 1.0 + 2.0 * math.fsum(
                 q ** (k ** (2 * n)) for k in range(1, 60))
-            res = psi(n, ThetaArg.from_q(q))
+            res = psi(n, q)
             assert abs(res.value.real - brute) <= res.err_estimate
 
     def test_work_is_odd_term_count(self):
-        res = psi(1, ThetaArg.from_q(0.1))
+        res = psi(1, 0.1)
         assert res.work % 2 == 1
 
     def test_budget_message_quotes_the_charged_terms(self):
         # k = 2 pairs of terms plus the leading 1: the 2k + 1 = 5 that
         # work counts, not k.  t = 3.2 >= pi sums the direct series.
         with pytest.raises(NonConvergentError) as exc:
-            psi(1, ThetaArg.from_q(0.04), Tolerance(max_terms=4))
+            psi(1, 0.04, Tolerance(max_terms=4))
         assert str(exc.value) == ("psi(n=1, q=0.04): 5 terms exceed max_terms=4 "
                                   "before meeting tolerance")
 
     def test_overflowing_power_is_a_zero_term(self, capsys):
         # 3^912 leaves the double range: that term and the tail are 0.
         q = 0.884192827198217
-        res = psi(456, ThetaArg.from_q(q))
+        res = psi(456, q)
         assert abs(res.value.real - (1.0 + 2.0 * q)) <= res.err_estimate
         assert main(["theta", "-n", "456", "-q", repr(q)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
@@ -240,10 +243,12 @@ class TestPsiTArray:
     def test_matches_scalar_psi(self, n):
         tol = Tolerance(abs_tol=0.0, rel_tol=1e-16)
         for ts in T_PANELS:
-            for t, v in zip(ts, _psi_t_array(n, ts)):
-                ref = psi(n, ThetaArg(q=math.exp(-t), t=t), tol)
+            qs = np.exp(-ts)
+            # psi sums at t' = -log q, which near t = 1e-9 is many ulps from t
+            for q, v in zip(qs, _psi_t_array(n, -np.log(qs))):
+                ref = psi(n, q, tol)
                 # psi's bound plus two ulps for the array's own rounding
-                assert abs(v - ref.value.real) <= ref.err_estimate + 2 * EPS * v, (n, t)
+                assert abs(v - ref.value.real) <= ref.err_estimate + 2 * EPS * v, (n, q)
 
     def test_matches_jtheta(self):
         mp = pytest.importorskip("mpmath").mp
@@ -298,14 +303,15 @@ class TestPsiTArray:
         # the cut (no terms) between them, their pairs fill four passes, and
         # some nodes' terms straddle a pass boundary.
         near = (math.sin(math.pi / (6 * n)) / theta._Y_LEAD) ** (2 * n) * 1.01
-        ts = np.tile([near, 50.0, near * 3.0, 46.0, 0.5], 400)
+        qs = np.exp(-np.array([near, 50.0, near * 3.0, 46.0, 0.5]))
+        ts = np.tile(-np.log(qs), 400)  # the t' = -log q at which psi sums
         kcut = (45.0 / ts) ** (0.5 / n)
         assert int(kcut.astype(int).sum()) > 3 * theta._CHUNK
         got = _psi_t_array(n, ts)
         assert got[1::5].tolist() == got[3::5].tolist() == [1.0] * 400
         tol = Tolerance(abs_tol=0.0, rel_tol=1e-16)
-        for t in ts[:5]:
-            ref = psi(n, ThetaArg(q=math.exp(-t), t=t), tol)
+        for q, t in zip(qs, ts[:5]):
+            ref = psi(n, q, tol)
             v = got[ts == t]  # a node split over two passes sums in two parts
             assert (abs(v - ref.value.real) <= ref.err_estimate + 2 * EPS * v).all(), (n, t)
 

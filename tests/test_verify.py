@@ -61,7 +61,9 @@ class TestApplicableMethods:
         for _ in range(600):
             m = round(math.exp(rng.uniform(0.0, math.log(550))))
             r = math.exp(rng.uniform(math.log(1e-12), math.log(1e4)))
-            ray = rng.choice((0.0, 0.5, 1.0, rng.uniform(0.0, 2.0)))
+            # (2j + 1)/(4m) puts z^(2m) on the imaginary axis, up to rounding
+            edge = (2 * rng.randrange(2 * m) + 1) / (4 * m)
+            ray = rng.choice((0.0, 0.5, 1.0, rng.uniform(0.0, 2.0), edge))
             z = r * cmath.exp(1j * math.pi * ray)
             offered = Method.THETA_INTEGRAL in applicable_methods(2 * m, z)
             accepted = True
