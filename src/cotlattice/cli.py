@@ -385,10 +385,10 @@ def _float_arg(text: str) -> float:
 
 
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process and shared by every call:
-    parse_args leaves it unchanged, and building it costs more than most
-    subcommands.  Callers must not modify it."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and its subcommands' parsers by name, built once per
+    process and shared by every call: parsing leaves them unchanged, and
+    building them costs more than most subcommands.  Do not modify them."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "csv", "json-lines"),
                         default="plain", help="output rendering (default plain)")
@@ -447,12 +447,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="default",
                    help="'default' or a grid file of 'n <int> z <complex>' lines")
     p.set_defaults(handler=cmd_bench, base_tol=DEFAULT_BENCH_GRID.tol)
-    return parser
+    return parser, sub.choices
+
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = build_parser()
+    if argv and argv[0] in commands:
+        # One parse, by the subcommand's parser as the top-level one would
+        # call it; leftovers get the top-level error that parse_args gives.
+        args, extra = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         tol = resolve_tolerance(args, args.base_tol)
         records, code = args.handler(args, tol)

@@ -19,11 +19,12 @@ it stands for (:func:`kernel_table`, a table of numpy columns, and
 :func:`kernel_rows`, its rows as Python numbers).  For n = 1
 and n = 2 the sum is pi cot(pi z) and (pi / z) coth(pi z).
 
-Below ``_CROSSOVER`` rays the terms are summed by a scalar loop, from
-there up in one numpy pass over the table; both pick the same form for
-each ray and sum the terms in angle order.
-
-Two stability measures apply to every kernel term:
+Below ``_CROSSOVER`` rays a scalar loop sums the f_k as written; from
+there up one numpy pass (:func:`_kernel_pass`) sums their cotangent form,
+U_n = pi / (n z^(n-1)) times the sum of rho cot(pi z rho) over the n
+roots rho = e^(i theta_k).  Both sum in angle order and raise
+KernelSingularError at the same points.  Two stability measures apply to
+every kernel term of the loop:
 
 * cosh(y) - cos(x) is evaluated as 2 sinh^2(y/2) + 2 sin^2(x/2), which
   is an exact rearrangement and free of the small-argument cancellation
@@ -44,7 +45,7 @@ from typing import NoReturn
 import numpy as np
 
 from .direct import lattice_series
-from .errors import DomainError, KernelSingularError
+from .errors import DomainError, KernelSingularError, ToleranceError
 from .numerics import EPS
 from .types import (
     DEFAULT_TOLERANCE,
@@ -71,7 +72,11 @@ _SING_EPS = 1e-12
 _SING_CAP = 2.0 * _SING_EPS * (1.0 + 1e-6)
 #: Ray count from which u_closed evaluates the kernel in one numpy pass:
 #: below it numpy's fixed cost per call outweighs the scalar loop.
-_CROSSOVER = 28
+_CROSSOVER = 8
+#: |tan| below which the pass re-decides a ray by the scalar rule, times min(1, |w|).
+_TAN_EPS = 1e-5
+#: |w| from which the pass's rounding of w rho could hide a ray from its prefilter.
+_PASS_W = 2.0 ** 32
 
 
 @lru_cache(maxsize=None)
@@ -92,6 +97,9 @@ def kernel_table(n: int) -> tuple[np.ndarray, ...]:
     snapped at the axis rays: (a, b) = (-1, 0) when 2k - 1 = n, (0, 1)
     when (2k - 1)/n = 1/2.
 
+    a and b are the .real and .imag views of one complex column rho = a +
+    ib, their ``.base``, which the vector pass reads.
+
     For a double w = pi t, ka |w| eps and kb |w| eps bound the errors of
     the computed arguments w a and w b, as the closed product's bar
     charges them: 1.25 eps relative from pi and the two products, and
@@ -104,18 +112,18 @@ def kernel_table(n: int) -> tuple[np.ndarray, ...]:
     for num in range(1, (n if n % 2 else n // 2) + 1, 2):
         theta = num * math.pi / n
         if num == n:
-            rays.append((-1.0, 0.0, 1, 1.25, 0.0))
+            rays.append((-1.0 + 0j, 1, 1.25, 0.0))
         elif 2 * num == n:
-            rays.append((0.0, 1.0, 2, 0.0, 1.25))
+            rays.append((1j, 2, 0.0, 1.25))
         else:
             a, b = math.cos(theta), math.sin(theta)
             ka = 1.25 * abs(a) + (abs(a) + 1.5 * theta * b)
             kb = 1.25 * b + (b + 1.5 * theta * abs(a))
-            rays.append((a, b, full, ka, kb))
-    columns = tuple(np.array(col) for col in zip(*rays))
-    for col in columns:
+            rays.append((complex(a, b), full, ka, kb))
+    rho, *columns = (np.array(col) for col in zip(*rays))
+    for col in (rho, *columns):
         col.flags.writeable = False
-    return columns
+    return (rho.real, rho.imag, *columns)
 
 
 @lru_cache(maxsize=None)
@@ -174,10 +182,10 @@ def _kernel(a: float, b: float, w: complex, r: float, m: ModuleType) -> complex:
     """[a sin x + b sinh y] / [cosh y - cos x] at x = w a, y = w b.
 
     ``w`` is 2 pi z, a float for real z or a complex, evaluated by ``m``:
-    ``math`` for a float, ``cmath`` for a complex.  Each regime is a helper
-    shared with :func:`_kernel_terms`: :func:`_half_angle` below exponential
-    scale 30, its terms times r^2, r a power of two (exact) that keeps the
-    denominator from underflowing near z = 0 (see :func:`u_closed`), and
+    ``math`` for a float, ``cmath`` for a complex.  Each regime is a
+    helper: :func:`_half_angle` below exponential scale 30, its terms times
+    r^2, r a power of two (exact) that keeps the denominator from
+    underflowing near z = 0 (see :func:`u_closed`), and
     :func:`_rescaled_real` or :func:`_rescaled_complex` above.  The
     denominator counts as vanished below ``_SING_EPS`` of its addends.
     """
@@ -197,39 +205,44 @@ def _kernel(a: float, b: float, w: complex, r: float, m: ModuleType) -> complex:
     return num / den
 
 
-def _kernel_terms(a: np.ndarray, b: np.ndarray, w: complex, r: float) -> np.ndarray:
-    """The :func:`_kernel` terms of columns a, b in one numpy pass.
-
-    Each ray takes the regime that :func:`_kernel` picks for it, by mask;
-    |Re w|, |Im w| <= 30 put every ray in the half-angle form.  Raises
-    KernelSingularError at the first singular ray in angle order.
+def _kernel_pass(rho: np.ndarray, mult: np.ndarray, w: complex, r: float) -> tuple[complex, float]:
+    """(sum mult f, sum mult |f|) over the rays rho = a + ib in one numpy
+    pass of :func:`_kernel`'s cotangent form: f = Re(rho cot(w rho / 2))
+    for real w, and [rho cot(w rho / 2) + conj(rho) cot(w conj(rho) / 2)] / 2
+    for complex w, as cosh y - cos x = 2 sin(w rho / 2) sin(w conj(rho) / 2)
+    at x + iy = w rho.  np.tan saturates to +-i, so no term needs a
+    rescale.  Rays with a small tangent are re-decided by :func:`_kernel`.
     """
-    x = w * a
-    y = w * b
-    if abs(w.real) <= _BIG and abs(w.imag) <= _BIG:
-        num, den, cap = _half_angle(a, b, x, y, r, np)
-        sing = abs(den) < cap
-        if np.count_nonzero(sing):
-            sing[sing] = _vanished(den[sing], x[sing], y[sing], np)
+    if isinstance(w, float):
+        t = np.tan((0.5 * w) * rho)
+        f = mult * (rho / t).real
+        scale = 1.0
     else:
-        scale_exp = np.maximum(np.abs(y.real), np.abs(x.imag))
-        half = scale_exp <= _BIG
-        far = ~half
-        num, den = np.empty_like(x), np.empty_like(x)
-        sing = np.zeros(len(a), dtype=bool)
-        num[half], den[half], cap = _half_angle(a[half], b[half], x[half], y[half], r, np)
-        near = np.flatnonzero(half)[np.abs(den[half]) < cap]
-        sing[near] = _vanished(den[near], x[near], y[near], np)
-        if isinstance(w, float):
-            num[far], den[far] = _rescaled_real(a[far], b[far], x[far], y[far], np)
-        else:
-            num[far], den[far], limit = _rescaled_complex(
-                a[far], b[far], x[far], y[far], scale_exp[far], np)
-            sing[far] = np.abs(den[far]) < limit
-    if np.count_nonzero(sing):
-        k = int(np.argmax(sing))
-        _singular(x[k], y[k])
-    return num / den
+        t = np.tan(np.multiply.outer((0.5 * w, 0.5 * w.conjugate()), rho))
+        q = rho / t
+        f = mult * (q[0] + q[1].conj())
+        scale = 0.5
+    # The prefilter |tan| < 1e-5 min(1, |w|) of either half catches every
+    # ray the rule flags.  Take the loop's halves u, u' = (x +- iy)/2, with
+    # s, c = sin u, cos u, C = cosh Im u, and s', c', C' for u'.  Then
+    # cosh y - cos x = 2 s s', |cosh y| and |cos x| = |cos(u -+ u')| are at
+    # most 2 C C', and so is the rescaled form's scale minus 1.  So in either
+    # regime the rule flags only where 2 |s s'| < 1e-12 r^-2 (1 + 4 C C'),
+    # r^-2 <= min(1, |w|)^2.  If both |tan| >= t, |s| >= t |c| and |s|^2 +
+    # |c|^2 = 2 C^2 - 1 give |s s'| >= t^2 / (1 + t^2) and 4 C C' <= 4 |s s'|
+    # (1 + 1/t^2): the rule needs t < 1.6e-6 min(1, |w|).  The halves here
+    # (for real w u' = conj u, one row) are the loop's up to the rounding of
+    # w rho, eps |w| < 1e-6 min(1, |w|) for |w| < _PASS_W (none for real w),
+    # and tan(u + d) = (tan u + tan d) / (1 - tan u tan d) keeps a flagged
+    # ray under 2.7e-6 min(1, |w|) here.
+    mod = np.abs(t)
+    lim = _TAN_EPS * min(1.0, abs(w))
+    if mod.min() < lim:
+        m = math if isinstance(w, float) else cmath
+        for k in np.flatnonzero((mod < lim).reshape(-1, len(rho)).any(axis=0)).tolist():
+            ray = complex(rho[k])
+            _kernel(ray.real, ray.imag, w, r, m)
+    return scale * sum(f.tolist()), scale * sum(np.abs(f).tolist())
 
 
 def _singular(x: complex, y: complex) -> NoReturn:
@@ -245,14 +258,15 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     One sum over the distinct rays of :func:`kernel_table` ((n + 2) // 4
     for even n, ceil(n/2) for odd n), each term weighted by its
     multiplicity: a scalar loop below ``_CROSSOVER`` rays, one numpy pass
-    from there up.  ``work`` reports n, the number of terms of the closed
-    form, regardless of |z|.
+    from there up to |2 pi z| = ``_PASS_W``.  ``work`` reports n, the number
+    of terms of the closed form, regardless of |z|.
 
     Near z = 0 every kernel denominator shrinks like |2 pi z|^2 / 2 and
     underflows below |z| ~ 1e-155.  The kernel scales numerator and
     denominator by r^2, r the power of two with 1 <= |2 pi z| r < 2 (1
     for |2 pi z| >= 1): exact, and it keeps both O(1), so they meet the
     singularity threshold at that size and U_1(1e-300) = 1e300 evaluates.
+    The pass needs no r: at its orders (n >= 15) z^(n-1) keeps |z| > 1e-22.
 
     Raises DomainError at poles and z = 0 of even n (validate_domain) and
     where z^(n-1) (power_in_range) or |U_n(z)| plus its bar leaves the
@@ -270,11 +284,9 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     if aw < 2.0 ** -1022:  # n = 1 alone (z^0 = 1): |U_1| ~ 1/|z| > 2.8e308
         raise DomainError(f"domain: |U_{n}({z})| exceeds double range")
     r = 1.0 if aw >= 1.0 else math.ldexp(1.0, 1 - math.frexp(aw)[1])
-    a, b, mult, _, _ = kernel_table(n)
-    if len(a) >= _CROSSOVER:
-        f = mult * _kernel_terms(a, b, w, r)
-        tot = sum(f.tolist())
-        abs_tot = sum(np.abs(f).tolist())
+    a, _, mult, _, _ = kernel_table(n)
+    if len(a) >= _CROSSOVER and aw < _PASS_W:
+        tot, abs_tot = _kernel_pass(a.base, mult, w, r)
     else:
         m = math if isinstance(w, float) else cmath
         tot = abs_tot = 0.0
@@ -328,25 +340,23 @@ def unit_circle_parts(
     a cutoff K >= 16 and the Euler-Maclaurin-corrected tail beyond it,
     which reaches 1e-10 at n = 1 with a few dozen terms.
 
-    Returns the pair (re, im).  Raises NonConvergentError if the tail
-    bound cannot meet ``tol.target(max(|re|, |im|))`` within max_terms,
-    also where max_terms is below the first block's 33 terms.
+    Returns the pair (re, im).  Raises DomainError at a pole of
+    :func:`validate_domain`; NonConvergentError if the tail bound cannot
+    meet ``tol.target(max(|re|, |im|))`` within max_terms, also where
+    max_terms is below the first block's 33 terms; ToleranceError where the
+    whole bar does, as next to a pole, where the rounding of w is magnified.
     """
     require_order(n)
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    c = math.cos(n * theta)
-    s = math.sin(n * theta)
-    for k in (-1, 0, 1):
-        kn = float(k**n)
-        if kn * kn + 2.0 * kn * c + 1.0 < 1e-24:
-            raise DomainError(
-                f"domain: unit-circle denominator vanishes at k={k} for "
-                f"n={n}, theta={theta!r} (sin(n theta) = 0 with k^n = -cos(n theta))"
-            )
-    value, _, _ = lattice_series(
-        n, complex(c, s), EPS, 16, tol.max_terms,
-        lambda v: tol.target(max(abs(v.real), abs(v.imag))),
+    validate_domain(n, cmath.rect(1.0, theta))
+    target = lambda v: tol.target(max(abs(v.real), abs(v.imag)))
+    w = complex(math.cos(n * theta), math.sin(n * theta))  # off by (|n theta| + 2) eps
+    value, err, _ = lattice_series(
+        n, w, (abs(n * theta) + 2.0) * EPS, 16, tol.max_terms, target,
         partial("unit_circle_parts(n={}, theta={})".format, n, theta))
+    if err > target(value):
+        raise ToleranceError(f"unit_circle_parts(n={n}, theta={theta}): error bound "
+                             f"{err:.3g} exceeds target {target(value):.3g}")
     return value.real, value.imag

@@ -10,9 +10,13 @@ too little are pinned as explicit cases: on the direct route, on the
 closed form and the dyadic recursion (which once left out the rounding
 of the power of z they divide by), on the closed side of the product
 ratio, and on the theta route.  A second property audits the theta route
-at |z| from 1e3 to 1e6 against the integral of the lattice sum.
+at |z| from 1e3 to 1e6 against the integral of the lattice sum.  A
+third holds the closed form's vector pass and its scalar loop, next to
+poles too, within their bar plus a first-order charge for the rounding of
+the kernel's arguments, which the bar does not yet include.
 """
 
+import cmath
 import math
 
 import pytest
@@ -21,8 +25,10 @@ mp = pytest.importorskip("mpmath").mp
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from cotlattice import (DomainError, ProductQuery, Tolerance, ToleranceError, phi,
-                        product_ratio, u_closed, u_direct, u_theta)
+from cotlattice import (DomainError, KernelSingularError, ProductQuery, Tolerance,
+                        ToleranceError, phi, product_ratio, u_closed, u_direct, u_theta)
+from cotlattice import closed
+from cotlattice.numerics import EPS
 from cotlattice.zeta_product import product_parts
 
 AUDIT = hypothesis.settings(max_examples=100, derandomize=True, database=None,
@@ -149,6 +155,65 @@ def test_direct_bound_holds(n, log_r, real, phase):
     z = complex(math.copysign(r, phase), 0.0) if real else complex(
         r * math.cos(phase), r * math.sin(phase))
     check_direct(n, z)
+
+
+def argument_charge(n, z):
+    """First-order effect on U_n(z) of rounding the closed form's half
+    arguments u = w rho / 2 and u' = w conj(rho) / 2, w = 2 pi z: each
+    within (ka + kb + 2) |w| eps / 2 (the kernel table's argument-error
+    constants, plus the rounding of w), and the kernel term
+    [rho cot u + conj(rho) cot u'] / 2 moves by |du| / (2 |sin u|^2) per
+    half.  The closed form's bar does not charge this yet, and next to a
+    pole it dominates the error of both kernel paths."""
+    w = 2.0 * math.pi * z
+
+    def inv_sin2(u):  # 1/|sin u|^2, 0 where it underflows
+        return 0.0 if abs(u.imag) > 300.0 else 1.0 / abs(cmath.sin(u)) ** 2
+
+    total = 0.0
+    for a, b, mult, ka, kb in closed.kernel_rows(n):
+        du = (ka + kb + 2.0) * abs(w) * EPS / 2.0
+        total += mult * du * (inv_sin2(w * complex(a, b) / 2.0)
+                              + inv_sin2(w * complex(a, -b) / 2.0)) / 2.0
+    return math.pi / (n * abs(z) ** (n - 1)) * total
+
+
+@AUDIT
+@hypothesis.given(
+    n=st.integers(15, 1024),
+    log_r=st.floats(-9.0, 3.0),
+    real=st.booleans(),
+    phase=st.floats(-math.pi, math.pi),
+    near=st.sampled_from((0.0, 1e-9, 1e-6, 1e-3)),
+    root=st.integers(0, 1023),
+)
+def test_closed_pass_within_bar_and_argument_charge(n, log_r, real, phase, near, root):
+    # Orders the vector pass takes, at log-uniform |z|, or at relative
+    # distance `near` from the pole k e^(i (2 root + 1) pi / n) on a root ray.
+    # Both kernel paths round the half arguments, each its own way, so at a
+    # point where the bar misses that rounding either path may miss where
+    # the other does not.  Both must stay within the bar plus its charge.
+    count = (n + 1) // 2 if n % 2 else (n + 2) // 4
+    hypothesis.assume(count >= closed._CROSSOVER)
+    r = 10.0 ** log_r
+    if near:
+        k = max(1, min(round(r), math.floor(10.0 ** (280.0 / n))))
+        z = k * (1.0 + near) * cmath.exp(1j * math.pi * (2 * (root % n) + 1) / n)
+    else:
+        z = complex(math.copysign(r, phase), 0.0) if real else cmath.rect(r, phase)
+    try:
+        res = u_closed(n, z)
+    except (DomainError, KernelSingularError):
+        return  # past the double range, or a pole the gate or the kernel refuses
+    saved, closed._CROSSOVER = closed._CROSSOVER, math.inf
+    try:
+        loop = u_closed(n, z)
+    finally:
+        closed._CROSSOVER = saved
+    ref = lattice_oracle(n, z)
+    charge = argument_charge(n, z)
+    for got in (res, loop):
+        assert abs(got.value - ref) <= got.err_estimate + charge, (n, z, got, loop, charge)
 
 
 def test_closed_product_near_one():

@@ -192,7 +192,8 @@ class TestSingularGate:
 
 class TestVectorPass:
     """From _CROSSOVER rays up u_closed evaluates every ray in one numpy
-    pass, each in the regime the scalar loop picks for it."""
+    pass of complex tangents, which matches the scalar loop's values within
+    their bars and its singular verdicts exactly."""
 
     @staticmethod
     def _loop(n, z):
@@ -225,7 +226,7 @@ class TestVectorPass:
                (57, 1e-7), (57, 1e-7j)]
         lo = closed._CROSSOVER
         for i in range(count):
-            rays = rng.randint(lo - 6, 3 * lo)
+            rays = rng.randint(max(1, lo - 6), 3 * lo)  # both sides of the crossover
             n = 2 * rays - 1 if i % 2 else 4 * rays - 2
             top = 280.0 / n  # |z|^n stays a double
             r = 10.0 ** rng.uniform(-min(6.0, top), min(3.0, top))
@@ -295,12 +296,40 @@ class TestVectorPass:
                         u_closed(n, z)
         assert outcomes == {True, False}
 
+    def test_singular_verdicts_match_loop(self):
+        # Next to poles k e^(i (2j + 1) pi / n) on every kind of ray, the
+        # axis rays of odd n (real w) and of n = 2 mod 4 among them, on both
+        # sides of the rule's reach: the pass raises what the loop raises.
+        def outcome(n, z):
+            try:
+                return ("value", u_closed(n, z).work)
+            except (DomainError, KernelSingularError) as exc:
+                return (type(exc).__name__, str(exc))
+
+        rng = random.Random(2121)
+        seen = set()
+        for _ in range(300):
+            n = rng.choice((15, 17, 30, 31, 46, 64, 255, 1024))
+            j = rng.choice((rng.randrange(n), (n - 1) // 2, n // 4))  # the axis rays often
+            k = rng.randint(1, max(1, min(5, int(10.0 ** (280.0 / n)))))
+            d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14.0, -5.0)
+            z = k * (1.0 + d) * cmath.exp(1j * math.pi * (2 * j + 1) / n)
+            z = z.real if abs(z.imag) < 1e-12 * k else z
+            got = outcome(n, z)
+            saved, closed._CROSSOVER = closed._CROSSOVER, math.inf
+            try:
+                assert outcome(n, z) == got, (n, z)
+            finally:
+                closed._CROSSOVER = saved
+            seen.add(got[0])
+        assert seen == {"value", "DomainError", "KernelSingularError"}, seen
+
     def test_rescaled_singular_ray_matches_loop(self):
         # Next to the pole z = 12 e^(11 pi i / 47) of order 47 the singular
-        # ray's exponential scale is ~37: the rescaled complex form's test,
-        # in the pass's mixed branch.
+        # ray's exponential scale is ~37: the loop's rescaled complex form's
+        # test, which the pass's tangent prefilter must hand the ray to.
         n = 47
-        a, b, _, _, _ = kernel_table(n)
+        a, b, mult, _, _ = kernel_table(n)
         pole = 12.0 * cmath.exp(11j * math.pi / n)
 
         def w_at(t):
@@ -329,9 +358,9 @@ class TestVectorPass:
             outcomes.add(singular)
             if singular:
                 with pytest.raises(KernelSingularError):
-                    closed._kernel_terms(a, b, w, 1.0)
+                    closed._kernel_pass(a.base, mult, w, 1.0)
             else:
-                closed._kernel_terms(a, b, w, 1.0)
+                closed._kernel_pass(a.base, mult, w, 1.0)
         assert outcomes == {True, False}
 
     def test_conjugate_symmetry_bitwise(self):
@@ -633,14 +662,7 @@ class TestUnitCircleParts:
             assert abs(re - ref.real) < 1e-9
             assert abs(im - ref.imag) < 1e-9
 
-    @pytest.mark.parametrize("delta", [
-        pytest.param(1e-10, marks=pytest.mark.xfail(
-            strict=True, raises=DomainError,
-            reason="k^(2n) + 2 k^n cos(n theta) + 1 cancels to 0 once cos(n theta) rounds to -1")),
-        pytest.param(1e-8, marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="the parts carry the cancellation's error, and no bar says so")),
-    ])
+    @pytest.mark.parametrize("delta", [1e-10, 1e-8, 1e-4])
     def test_near_root_angle_meets_target(self, delta):
         # theta = pi + delta at n = 3 sits 3 delta from the pole w = z^3 = -1,
         # which validate_domain admits.  The parts should meet the target
