@@ -184,11 +184,7 @@ def _emit(records: list[dict[str, object]], fmt: str, out) -> None:
 
 def resolve_tolerance(args: argparse.Namespace, base: Tolerance) -> Tolerance:
     """Put the tolerance flags that are set over a base tolerance."""
-    overrides = {}
-    for f in _TOL_FIELDS:
-        flag = getattr(args, f)
-        if flag is not None:
-            overrides[f] = flag
+    overrides = {f: getattr(args, f) for f in _TOL_FIELDS if getattr(args, f) is not None}
     if not overrides:
         return base
     try:
@@ -242,16 +238,21 @@ def parse_grid_file(path: str) -> tuple[tuple[int, complex], ...]:
 # subcommands
 
 
-def _cells(res: MethodRun | EvalResult) -> dict[str, object]:
-    """The method, value, err_estimate and work cells of a result, or
-    the method and error cells of a failed run."""
-    error = getattr(res, "error", None)
-    if error is not None:
-        return {"method": res.method.value, "error": error}
-    value = complex(res.value)
-    return {"method": res.method.value, "value_re": value.real,
-            "value_im": value.imag, "err_estimate": res.err_estimate,
-            "work": res.work}
+#: Each method's tag, looked up once: Enum.value is a property call.
+_TAGS = {m: m.value for m in Method}
+
+
+def _cells(res: MethodRun | EvalResult, record: dict[str, object]) -> dict[str, object]:
+    """record, given the method cell of a result and its value, err_estimate
+    and work cells, or the error cell of a failed run."""
+    record["method"] = _TAGS[res.method]
+    if (error := getattr(res, "error", None)) is not None:
+        record["error"] = error
+    else:
+        value = complex(res.value)
+        record.update(value_re=value.real, value_im=value.imag,
+                      err_estimate=res.err_estimate, work=res.work)
+    return record
 
 
 def _timed(record: dict[str, object], fn, *args):
@@ -284,8 +285,8 @@ def cmd_eval(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]
         if rule := order_rule(methods[0], n):
             raise DomainError(rule)
     runs = [run_method(m, n, z, tol) for m in methods]
-    records = [{"record": "eval", "n": n, "z": z, "wall_time_ns": run.wall_time_ns,
-                **_cells(run)} for run in runs]
+    records = [_cells(run, {"record": "eval", "n": n, "z": z, "wall_time_ns": run.wall_time_ns})
+               for run in runs]
     return records, _exit_code(runs, any(r.ok and _missed(r, tol) for r in runs))
 
 
@@ -293,9 +294,9 @@ def cmd_zeta(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]
     n = args.n
     series: dict[str, object] = {"record": "zeta", "n": n, "side": "series"}
     res = _timed(series, zeta_even, n, tol)
-    series.update(_cells(res))
+    _cells(res, series)
     limit: dict[str, object] = {"record": "zeta", "n": n, "side": "limit"}
-    limit.update(_cells(_timed(limit, zeta_contour, n, tol)))
+    _cells(_timed(limit, zeta_contour, n, tol), limit)
     return [series, limit], _exit_code((), _missed(res, tol))
 
 
@@ -304,15 +305,15 @@ def cmd_product(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], i
     point: dict[str, object] = {"record": "product", "n": query.n, "x": query.x, "y": query.y}
     lhs, rhs = _timed(point, product_parts, query, tol)
     primary = compose_ratio(lhs, rhs)
-    records = [{**point, "side": "closed", **_cells(primary)},
-               {**point, "side": "series", **_cells(lhs)}]
+    records = [_cells(primary, {**point, "side": "closed"}),
+               _cells(lhs, {**point, "side": "series"})]
     return records, _exit_code((), _missed(primary, tol))
 
 
 def cmd_theta(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]:
     record: dict[str, object] = {"record": "theta", "n": args.n, "q": args.q}
     res = _timed(record, psi, args.n, args.q, tol)
-    record.update(_cells(res))
+    _cells(res, record)
     return [record], _exit_code((), _missed(res, tol))
 
 
@@ -324,32 +325,32 @@ def _grid_points(args: argparse.Namespace, stock) -> tuple[
     return parse_grid_file(args.grid), ALL_METHODS
 
 
-def _pair_cells(pair: PairCheck) -> dict[str, object]:
-    return {"n": pair.n, "z": pair.z, "method": pair.method_a.value,
-            "method_b": pair.method_b.value, "delta": pair.delta,
+def _pair_record(record: str, pair: PairCheck) -> dict[str, object]:
+    return {"record": record, "n": pair.n, "z": pair.z, "method": _TAGS[pair.method_a],
+            "method_b": _TAGS[pair.method_b], "delta": pair.delta,
             "bound": pair.bound, "passed": pair.passed}
 
 
 def cmd_verify(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]:
     points, methods = _grid_points(args, DEFAULT_VERIFY_GRID)
     report = verify_points(points, methods, tol)
-    records: list[dict] = [{"record": "verify-run", "n": run.n, "z": run.z,
-                            **_cells(run), "passed": run.ok} for run in report.runs]
-    records += [{"record": "verify-pair", **_pair_cells(pair)} for pair in report.pairs]
+    records: list[dict] = [_cells(run, {"record": "verify-run", "n": run.n, "z": run.z,
+                                        "passed": run.ok}) for run in report.runs]
+    records += [_pair_record("verify-pair", pair) for pair in report.pairs]
     summary = report.summary
-    records.append({
-        "record": "verify-summary",
-        **(_pair_cells(summary.worst) if summary.worst else {}),
-        "passed": report.all_pass, "pairs_passed": summary.pairs_passed,
-        "pairs_total": summary.pairs_total, "schema_version": SCHEMA_VERSION})
+    last = _pair_record("verify-summary", summary.worst) if summary.worst else {
+        "record": "verify-summary"}
+    last.update(passed=report.all_pass, pairs_passed=summary.pairs_passed,
+                pairs_total=summary.pairs_total, schema_version=SCHEMA_VERSION)
+    records.append(last)
     return records, _exit_code(report.runs, not report.all_pass)
 
 
 def cmd_bench(args: argparse.Namespace, tol: Tolerance) -> tuple[list[dict], int]:
     points, methods = _grid_points(args, DEFAULT_BENCH_GRID)
     runs = verify_points(points, methods, tol).runs
-    records = [{"record": "bench", "n": run.n, "z": run.z,
-                "wall_time_ns": run.wall_time_ns, **_cells(run)} for run in runs]
+    records = [_cells(run, {"record": "bench", "n": run.n, "z": run.z,
+                            "wall_time_ns": run.wall_time_ns}) for run in runs]
     return records, _exit_code(runs, False)
 
 

@@ -27,8 +27,8 @@ class KernelSingularError(DomainError):
 
 
 class RecursionPoleError(DomainError):
-    """An intermediate rotated argument of the dyadic recursion landed on a
-    pole of a lower level."""
+    """A rotated argument of the dyadic route landed on a pole of U_2, or
+    outside its range."""
 
 
 class InvalidCutoffError(CotlatticeError, ValueError):

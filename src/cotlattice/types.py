@@ -95,7 +95,7 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvalResult:
     """A computed value together with its accountable error bound.
 
@@ -112,11 +112,13 @@ class EvalResult:
     method: Method
     work: int
 
-    def __post_init__(self) -> None:
-        if not cmath.isfinite(self.value):
-            raise ValueError(f"non-finite value {complex(self.value)!r}")
-        if not (math.isfinite(self.err_estimate) and self.err_estimate >= 0.0):
-            raise ValueError(f"err_estimate must be finite and >= 0, got {self.err_estimate!r}")
+    def __init__(self, value: complex, err_estimate: float, method: Method, work: int) -> None:
+        # Each evaluation builds one: skip the frozen __setattr__ per field.
+        if not cmath.isfinite(value):
+            raise ValueError(f"non-finite value {complex(value)!r}")
+        if not (math.isfinite(err_estimate) and err_estimate >= 0.0):
+            raise ValueError(f"err_estimate must be finite and >= 0, got {err_estimate!r}")
+        self.__dict__.update(value=value, err_estimate=err_estimate, method=method, work=work)
 
 
 def require_order(n: int) -> int:
@@ -145,11 +147,9 @@ def validate_domain(n: int, z: complex) -> complex:
     with odd n the k = 0 denominator is the witness).  ValueError and
     TypeError flag an invalid n or a non-finite z.
 
-    A pole requires |k| = |z|, so only the integers k != 0 in the band
-    |z| - 2 <= |k| <= |z| + 2 are candidates (k > 0 alone for even n,
-    where (-k)^n = k^n), and of those only the ones within 1e-10 |z| of
-    |z| are tested.  Vanishing is tested relative to the size of the
-    candidate addends,
+    A pole requires |k| = |z|, so only integers k != 0 with |k| within
+    1e-10 |z| of |z| are candidates.  Vanishing is tested relative to the
+    size of the candidate addends,
 
         |k^n + z^n| < POLE_EPS * max(|k|^n, |z|^n),
 
@@ -177,12 +177,12 @@ def _has_pole(n: int, z: complex) -> bool:
     # A pole needs |k| = |z|.  An integer k with d = ||z| - k| / |z| > 1e-10
     # has ||k|^n - |z|^n| >= min(1, n d) / 4 of the larger power, far above
     # POLE_EPS plus the rounding of the two powers below.  So only the k
-    # within min(2, 1e-10 |z|) of |z| are tested: below |z| = 5e9 at most
-    # round(|z|), and never more than the band |z| +- 2.
+    # within min(2, 1e-10 |z|) of |z| are tested, none where no integer lies
+    # within 2e-10 |z| (most points), and never more than the band |z| +- 2.
+    if abs(az - round(az)) > 2e-10 * az:
+        return False
     reach = min(2.0, 1e-10 * az)
     band = range(max(1, math.ceil(az - reach)), math.floor(az + reach) + 1)
-    if not band:
-        return False
     # Work with z/s and k/s so no power overflows.
     s = max(1.0, az)
     zsn = ipow(z / s, n)
@@ -205,7 +205,7 @@ def power_in_range(z: complex, k: int) -> tuple[complex, float]:
     their multiplicities in z^k sum to k - 1; a product with subnormal parts
     may add sqrt(2) ulp(0), charged as 2 ulp(0)/|z^k| (none is smaller).
     """
-    p = ipow(z, k)
+    p = z if k == 1 else ipow(z, k)
     if p == 0 or not (math.isfinite(p.real) and math.isfinite(p.imag)
                       and math.isfinite(1.0 / abs(p))):
         raise DomainError(f"domain: z^{k} leaves double range at z={complex(z)}")

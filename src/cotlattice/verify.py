@@ -3,7 +3,7 @@
 ``verify_points`` evaluates every applicable method at every point and
 checks all pairwise agreements against the combined error bounds.
 Because each route rests on different analysis (truncated summation,
-the finite kernel form, the halving recursion, the Laplace integral),
+the finite kernel form, the dyadic level, the Laplace integral),
 pairwise agreement within stated bounds is strong evidence that both
 the values and the error estimates are trustworthy; the report is the
 machine-checkable artifact of that claim.

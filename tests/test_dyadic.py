@@ -1,10 +1,11 @@
-"""Tests for the dyadic halving recursion phi_m = U_(2^m)."""
+"""Tests for the dyadic route phi_m = U_(2^m): one level of U_2 base calls."""
 
 import cmath
 import math
 
 import pytest
 
+from cotlattice import dyadic
 from cotlattice import (
     DomainError,
     Method,
@@ -23,7 +24,7 @@ class TestPhiValues:
         for z in (0.3, 1.2, 0.4 + 0.7j):
             res = phi(1, z)
             ref = u_closed(2, z)
-            assert res.value == ref.value
+            assert (res.value, res.err_estimate, res.work) == (ref.value, ref.err_estimate, ref.work)
             assert res.method is Method.DYADIC_RECURSION
 
     def test_level2_matches_u4(self):
@@ -38,15 +39,37 @@ class TestPhiValues:
             ref = u_closed(8, z)
             assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
 
-    def test_real_argument_small_imaginary_residue(self):
-        for m in (2, 3):
-            res = phi(m, 0.7)
-            assert abs(res.value.imag) <= 1e-10 * max(1.0, abs(res.value))
+    def test_real_argument_gives_real_value(self):
+        # Conjugate leaves pair up: twice the real part, with a +0.0 imaginary part.
+        for m in (2, 3, 6):
+            for z in (0.7, -1.3):
+                value = phi(m, z).value
+                assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0
 
-    def test_work_counts_base_evaluations(self):
-        # Each level doubles the number of phi_1 = U_2 base calls.
-        for m in (1, 2, 3, 4):
-            assert phi(m, 0.37).work == 2**m
+    def test_work_counts_base_calls(self, monkeypatch):
+        # Every leaf is one u_closed(2, .) call, made through dyadic's own
+        # name; work is 2 per call, and real z shares the conjugate leaves.
+        orders = []
+
+        def counted(n, z, tol):
+            orders.append(n)
+            return u_closed(n, z, tol)
+
+        monkeypatch.setattr(dyadic, "u_closed", counted)
+        for m in range(1, 7):
+            for z, leaves in ((0.37, max(1, 2 ** (m - 2))), (0.37 + 0.2j, 2 ** (m - 1))):
+                orders.clear()
+                res = phi(m, z)
+                assert orders == [2] * leaves, (m, z)
+                assert res.work == 2 * len(orders)
+
+    def test_divides_twice_by_the_power(self):
+        # |U_512| ~ 1.5e-305 here: dividing once by z^510 (times c = 256)
+        # would leave the double range, dividing twice by z^255 does not.
+        z = 2.704374663747077 - 2.9472704706966812j
+        res = phi(9, z)
+        ref = u_closed(512, z)
+        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
 
 
 class TestPhiDomain:
@@ -68,6 +91,11 @@ class TestPhiDomain:
     def test_level_cap(self):
         with pytest.raises(ValueError):
             phi(11, 0.5)
+
+    def test_value_past_double_range(self):
+        # U_512(0.25) ~ 2^1024: the sum is a double, its quotient by z^255 twice is not.
+        with pytest.raises(DomainError, match=r"exceeds double range at recursion level m=9"):
+            phi(9, 0.25)
 
     def test_max_level_supported(self):
         res = phi(10, 0.9)
