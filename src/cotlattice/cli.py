@@ -238,14 +238,10 @@ def parse_grid_file(path: str) -> tuple[tuple[int, complex], ...]:
 # subcommands
 
 
-#: Each method's tag, looked up once: Enum.value is a property call.
-_TAGS = {m: m.value for m in Method}
-
-
 def _cells(res: MethodRun | EvalResult, record: dict[str, object]) -> dict[str, object]:
     """record, given the method cell of a result and its value, err_estimate
     and work cells, or the error cell of a failed run."""
-    record["method"] = _TAGS[res.method]
+    record["method"] = res.method._value_  # Enum.value is a property call
     if (error := getattr(res, "error", None)) is not None:
         record["error"] = error
     else:
@@ -326,8 +322,8 @@ def _grid_points(args: argparse.Namespace, stock) -> tuple[
 
 
 def _pair_record(record: str, pair: PairCheck) -> dict[str, object]:
-    return {"record": record, "n": pair.n, "z": pair.z, "method": _TAGS[pair.method_a],
-            "method_b": _TAGS[pair.method_b], "delta": pair.delta,
+    return {"record": record, "n": pair.n, "z": pair.z, "method": pair.method_a._value_,
+            "method_b": pair.method_b._value_, "delta": pair.delta,
             "bound": pair.bound, "passed": pair.passed}
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import QuadratureFailureError
 from .numerics import EPS
 
-__all__ = ["integrate_adaptive", "QuadratureResult"]
+__all__ = ["integrate_adaptive", "kronrod_nodes", "QuadratureResult"]
 
 # 15-point Kronrod abscissae (positive half, descending) with the
 # 7-point Gauss rule embedded at the odd positions.
@@ -61,16 +61,22 @@ class QuadratureResult:
     nodes: int
 
 
+def kronrod_nodes(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Half widths of the panels [a[i], b[i]] and their 15 Kronrod nodes each, flat."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    h = 0.5 * (b - a)
+    return h, ((a + h)[:, None] + h[:, None] * _NODES).ravel()
+
+
 def _gk15(f, a, b) -> list[tuple[complex, float, float]]:
     """Kronrod panels [a[i], b[i]], evaluated in one call of f on their 15
     nodes each: one (value, err_model, resabs) per panel."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    h = 0.5 * (b - a)
-    ys = np.asarray(f(((a + h)[:, None] + h[:, None] * _NODES).ravel())).reshape(len(a), 15)
+    h, nodes = kronrod_nodes(a, b)
+    ys = np.asarray(f(nodes)).reshape(len(h), 15)
     # einsum, not @: a BLAS product may round a row differently by batch size
     kd = np.einsum("ij,jk->ik", ys, _WEIGHTS_KD)
-    absy = np.einsum("ij,j->i", np.abs(ys), _WEIGHTS_K)
-    dev = np.einsum("ij,j->i", np.abs(ys - 0.5 * kd[:, :1]), _WEIGHTS_K)  # mean = resk/(b-a)
+    absy, dev = np.einsum("ij,j->i", np.abs(np.concatenate((ys, ys - 0.5 * kd[:, :1]))),
+                          _WEIGHTS_K).reshape(2, -1)  # mean = resk/(b-a)
     out = []
     for hh, (k, d), ab, dv in zip(h.tolist(), kd.tolist(), absy.tolist(), dev.tolist()):
         diff, resabs, resasc = abs(hh * d), abs(hh) * ab, abs(hh) * dv

@@ -16,6 +16,9 @@ and each node skips its own terms past t k^(2n) > 45 (each below 3e-20).
 Next to t = 0 a dual series stands in: Jacobi's exact Psi_1(e^(-t)) =
 sqrt(pi/t) Psi_1(e^(-pi^2/t)) at n = 1, at n >= 2 the lead 2 Gamma(1 +
 1/(2n)) t^(-1/(2n)) of Poisson summation; so a node costs at most 40n terms.
+Where no s-dependent edge lies below 1, the first round's nodes and the
+s-free part of the integrand there depend on the order alone: they are
+built once per order.
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NonConvergentError
 from .numerics import EPS, powers
-from .quadrature import integrate_adaptive
+from .quadrature import integrate_adaptive, kronrod_nodes
 from .types import (
     DEFAULT_TOLERANCE,
     EvalResult,
@@ -155,6 +159,28 @@ def _psi_t_array(n: int, ts: np.ndarray, us: np.ndarray | None = None) -> np.nda
     return np.where(lead, 2.0 * math.gamma(1.0 + g) * inv, 1.0 + 2.0 * acc)
 
 
+def _theta_factor(n: int, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t = u^(2n) at nodes u, and u_theta's integrand without its e^(-t s):
+    2n u^(2n-1) Psi_n(e^(-t))."""
+    ts = us ** (2 * n)
+    with np.errstate(over="ignore"):  # n = 1's dual exponent (pi/u)^2 at tiny u: terms 0
+        return ts, (2 * n) * us ** (2 * n - 1) * _psi_t_array(n, ts, us)
+
+
+@lru_cache(maxsize=None)
+def _per_order(n: int) -> tuple[float, float, bytes, np.ndarray, np.ndarray]:
+    """What u_theta's order alone fixes: Gamma(1 + g) Gamma(2 - g), deep, and the
+    first round where no edge depends on s, (0, 1) cut in 4: its nodes' bytes
+    and :func:`_theta_factor` there, read-only."""
+    g, us = 1.0 / (2 * n), kronrod_nodes((0.0, 0.25, 0.5, 0.75), (0.25, 0.5, 0.75, 1.0))[1]
+    ts, factor = _theta_factor(n, us)
+    ts.flags.writeable = factor.flags.writeable = False
+    # A node of n >= 54 with t < _T_MIN puts its Psi within 1 (_psi_t_array), so
+    # the integrand within 2n u^(2n-1) < 2n _T_MIN/u of its own, u > sin(pi/(6n))/_Y_LEAD.
+    deep = 2 * n * _Y_LEAD / math.sin(math.pi / (6 * n)) * _T_MIN if n > 1 else 0.0
+    return math.gamma(1.0 + g) * math.gamma(2.0 - g), deep, us.tobytes(), ts, factor
+
+
 def _upper_piece(n: int, s: complex, target: float) -> tuple[complex, float]:
     """integral_1^inf e^(-t s) Psi_n(e^(-t)) dt term by term, as (value, bound):
     e^(-s)/s + 2 sum_{k>=1} e^(-s) e^(-k^(2n)) / (s + k^(2n)), stopped once
@@ -219,19 +245,18 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
     abs_target = tol.target(abs(1.0 / s)) / 10.0
     upper, upper_err = _upper_piece(n, s, abs_target)
 
-    def integrand_u(us: np.ndarray) -> np.ndarray:
-        tsub = us ** (2 * n)
-        # e^(-t z^2n); where t |z^2n| passes the double range the product
-        # overflows to inf and the factor is exp(-inf) = 0, as it should be.
-        with np.errstate(over="ignore"):
-            return (2 * n) * us ** (2 * n - 1) * _psi_t_array(n, tsub, us) * np.exp(-tsub * s)
-
     # |integrand| peaks at u* = ((1 - g)/Re s)^g; past (36/Re s)^g the e^(-36)
     # factor leaves < 3e-16 of its integral (Psi falls in t).  As first panel
     # edges they let the first panels see the peak and its tail, however narrow;
     # cutting each in 4 (a constant) costs fewer nodes than the rounds it saves.
     g = 1.0 / (2 * n)
     edges = (0.0, *(b for b in ((1.0 - g) ** g / r ** g, 36.0 ** g / r ** g) if b < 1.0), 1.0)
+    gamma_c, deep, first_key, *first_factor = _per_order(n)
+
+    def integrand_u(us: np.ndarray) -> np.ndarray:
+        ts, factor = first_factor if us.tobytes() == first_key else _theta_factor(n, us)
+        return factor * np.exp(-ts * s)  # |e^(-t s)| <= 1: t <= 1 and Re s > 0
+
     quad = integrate_adaptive(
         integrand_u, 0.0, 1.0, abs_tol=abs_target, rel_tol=tol.rel_tol / 4.0,
         max_nodes=int(tol.max_nodes),
@@ -241,10 +266,7 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
     # 2 sum_k (k^2n + s)^-2| <= 1.01 |s|^-2 + 2 sum_k (k^2n + rho)^-2, rho = Re s -
     # |ds|: under 4 zeta(4) = 4.33 for rho > -1/2, its integral for rho >= 1.
     rho = r - rel * abs(s)
-    rest = 4.33 if rho < 1.0 else math.gamma(1.0 + g) * math.gamma(2.0 - g) * rho ** (g - 2.0)
-    # A node of n >= 54 with t < _T_MIN puts its Psi within 1 (_psi_t_array), so
-    # the integrand within 2n u^(2n-1) < 2n _T_MIN/u of its own, u > sin(pi/(6n))/_Y_LEAD.
-    deep = 2 * n * _Y_LEAD / math.sin(math.pi / (6 * n)) * _T_MIN if n > 1 else 0.0
+    rest = 4.33 if rho < 1.0 else gamma_c * rho ** (g - 2.0)
     value = quad.value + upper
     err = (quad.err_estimate + upper_err + deep + 4.0 * EPS * abs(value)
            + 1.01 * rel / abs(s) + 2.0 * rest * (rel * abs(s)))

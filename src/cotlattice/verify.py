@@ -67,7 +67,7 @@ class GridSpec:
     tol: Tolerance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MethodRun:
     """One evaluator applied to one grid point, with its wall time.
 
@@ -88,12 +88,18 @@ class MethodRun:
     error: str | None = None
     error_kind: str | None = None
 
+    def __init__(self, n, z, method, value, err_estimate, work, wall_time_ns, error=None,
+                 error_kind=None) -> None:  # one per run: no frozen __setattr__ per field
+        self.__dict__.update(n=n, z=z, method=method, value=value, err_estimate=err_estimate,
+                             work=work, wall_time_ns=wall_time_ns, error=error,
+                             error_kind=error_kind)
+
     @property
     def ok(self) -> bool:
         return self.error is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PairCheck:
     """Agreement test between two successful runs at the same point."""
 
@@ -104,6 +110,10 @@ class PairCheck:
     delta: float
     bound: float
     passed: bool
+
+    def __init__(self, n, z, method_a, method_b, delta, bound, passed) -> None:  # as MethodRun's
+        self.__dict__.update(n=n, z=z, method_a=method_a, method_b=method_b, delta=delta,
+                             bound=bound, passed=passed)
 
 
 @dataclass(frozen=True)

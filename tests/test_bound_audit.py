@@ -39,8 +39,16 @@ AUDIT = hypothesis.settings(max_examples=100, derandomize=True, database=None,
                             deadline=None)
 
 
+#: The largest |z| lattice_oracle takes.  Its head sums about 2|z| terms in
+#: mpmath, unbounded in memory and time; the points audited here have |z| <= 1e3.
+ORACLE_MAX_Z = 1e4
+
+
 def lattice_oracle(n, z):
     """U_n(z) from the symmetric series: 1/z^n + sum_{k>=1} pair terms."""
+    if not abs(z) <= ORACLE_MAX_Z:
+        raise ValueError(f"lattice_oracle sums about 2|z| terms: |z| = {abs(z):.3g} "
+                         f"exceeds {ORACLE_MAX_Z:g}")
     with mp.workdps(40):
         w = mp.mpc(z) ** n
         if n % 2:
@@ -83,6 +91,12 @@ def product_oracle(n, x, y):
         else:
             pair = lambda k: 2 * mp.log((y ** n + mp.mpf(k) ** n) / (x ** n + mp.mpf(k) ** n))
         return float(mp.exp(2 * (n * mp.log(y / x) + mp.nsum(pair, [1, mp.inf], method="richardson"))))
+
+
+@pytest.mark.parametrize("z", [1e5, -2e4j, 1e150, float("nan")])
+def test_oracle_refuses_large_z(z):
+    with pytest.raises(ValueError, match="exceeds 10000"):
+        lattice_oracle(2, z)
 
 
 def check_direct(n, z):

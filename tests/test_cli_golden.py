@@ -26,6 +26,8 @@ FORMATS = ("plain", "csv", "json-lines")
 #: Grid of domain edges: the even origin, a pole, an odd order, a
 #: theta-domain miss, a power past the double range, a regular point.
 EDGE_GRID = str(GOLDEN / "edge.grid")
+#: Grid of the route mix the crosscheck benchmark times (see the file).
+CROSSCHECK_GRID = str(GOLDEN / "crosscheck.grid")
 
 #: name -> argv; each runs once per format.
 CASES = {
@@ -43,6 +45,7 @@ CASES = {
     "eval-theta-huge": ["eval", "-n", "2", "-z", "1e154", "--method", "theta"],
     "verify-edge": ["verify", "--grid", EDGE_GRID],
     "bench-edge": ["bench", "--grid", EDGE_GRID],
+    "verify-crosscheck": ["verify", "--grid", CROSSCHECK_GRID],
 }
 
 _WALL = COLUMNS.index("wall_time_ns")

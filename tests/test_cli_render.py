@@ -96,3 +96,25 @@ def test_renderer_matches_reference(records):
         out = io.StringIO()
         _emit(records, fmt, out)
         assert out.getvalue() == reference(records, fmt), fmt
+
+
+@pytest.mark.parametrize("delta, bound, spelled", [
+    (float("inf"), float("nan"), ("Infinity", "NaN", "inf", "nan")),
+    (0.25, float("-inf"), ("0.25", "-Infinity", "0.25", "-inf")),
+])
+def test_nonfinite_pair_cells(delta, bound, spelled):
+    # A pair's delta and bound are the only cells of verify that can leave
+    # the finite doubles: json-lines spells them as json.dumps does, plain
+    # and csv as %.17g.
+    record = {"record": "verify-pair", "n": 2, "z": 0.5j, "method": "closed",
+              "method_b": "theta", "delta": delta, "bound": bound, "passed": False}
+    json_delta, json_bound, g_delta, g_bound = spelled
+    texts = {}
+    for fmt in ("plain", "csv", "json-lines"):
+        out = io.StringIO()
+        _emit([record], fmt, out)
+        texts[fmt] = out.getvalue()
+        assert texts[fmt] == reference([record], fmt), fmt
+    assert f'"delta": {json_delta}, "bound": {json_bound},' in texts["json-lines"]
+    assert f"delta={g_delta} bound={g_bound} " in texts["plain"]
+    assert f",{g_delta},{g_bound}," in texts["csv"]

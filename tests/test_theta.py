@@ -1,11 +1,14 @@
 """Tests for the Kronrod quadrature core and the theta-integral route."""
 
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
 from cotlattice import (
+    CotlatticeError,
     DomainError,
     NonConvergentError,
     QuadratureFailureError,
@@ -18,7 +21,7 @@ from cotlattice import (
 from cotlattice import quadrature, theta
 from cotlattice.cli import main
 from cotlattice.numerics import EPS
-from cotlattice.quadrature import _gk15, integrate_adaptive
+from cotlattice.quadrature import _gk15, integrate_adaptive, kronrod_nodes
 from cotlattice.theta import _psi_t_array, _upper_piece
 from cotlattice.verify import DEFAULT_VERIFY_GRID
 
@@ -224,16 +227,9 @@ class TestPsi:
             assert abs(mp.mpf(value) - mp.jtheta(3, 0, mp.mpf(float(q)))) <= err
 
 
-def kronrod_nodes(a, b):
-    """The 15 abscissae one Kronrod panel on [a, b] evaluates."""
-    seen = []
-    _gk15(lambda xs: seen.append(xs) or np.zeros_like(xs), (a,), (b,))
-    return seen[0]
-
-
 #: Panels [0, 2^-j] as the adaptive quadrature produces them next to t = 0,
 #: where the smallest node needs far more theta terms than the rest.
-T_PANELS = [kronrod_nodes(0.0, 2.0 ** -j) for j in range(21)]
+T_PANELS = [kronrod_nodes((0.0,), (2.0 ** -j,))[1] for j in range(21)]
 
 
 class TestPsiTArray:
@@ -329,6 +325,53 @@ class TestPsiTArray:
             for t, v in zip(ts, _psi_t_array(1, ts)):
                 ref = theta3(mp.mpf(float(t)))
                 assert abs(v - ref) <= 4 * EPS * ref, t
+
+
+class TestFirstRound:
+    """Where no panel edge depends on s, the first round's nodes, t and the
+    s-free factor of the integrand are built once per order: results are
+    bitwise those of evaluating that round at each call."""
+
+    @staticmethod
+    def outcomes(points, tol):
+        out = []
+        for n, z in points:
+            try:
+                res = u_theta(n, z, tol)
+                out.append(repr((res.value, res.err_estimate, res.work)))
+            except CotlatticeError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+        return out
+
+    def test_cached_round_is_bitwise_the_computed_one(self, monkeypatch):
+        rng = random.Random(23)
+        points = []
+        for n in range(1, 33):
+            for lo, hi in ((0.02, 0.5), (0.5, 50.0)):  # |z^2n|: the cached round, then mostly not
+                r = rng.uniform(lo, hi) ** (0.5 / n)
+                arg = rng.uniform(-0.45, 0.45) * math.pi / (2 * n) if n % 3 else 0.0
+                points.append((n, cmath.rect(r, arg) * (-1) ** rng.randrange(2)))
+        hits = sum((z ** (2 * n)).real <= 1.0 - 0.5 / n for n, z in points)
+        assert hits >= 32
+        for tol in (DEFAULT_VERIFY_GRID.tol, Tolerance()):
+            theta._per_order.cache_clear()
+            cold = self.outcomes(points, tol)
+            warm = self.outcomes(points, tol)
+            per_order = theta._per_order
+            # a key no node array matches: every round evaluates its own factor
+            monkeypatch.setattr(theta, "_per_order", lambda n: (*per_order(n)[:2], None,
+                                                                *per_order(n)[3:]))
+            computed = self.outcomes(points, tol)
+            monkeypatch.undo()
+            assert cold == warm == computed
+
+    def test_cached_arrays_are_read_only(self):
+        for n in (1, 2, 32):
+            _, _, key, ts, factor = theta._per_order(n)
+            assert len(key) == 60 * 8 and ts.shape == factor.shape == (60,)
+            for a in (ts, factor):
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
 
 
 class TestUTheta:

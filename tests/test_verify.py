@@ -1,7 +1,9 @@
 """Tests for the cross-method verification harness."""
 
 import cmath
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -18,7 +20,8 @@ from cotlattice import (
     u_theta,
     verify_points,
 )
-from cotlattice.verify import DEFAULT_BENCH_GRID, DEFAULT_VERIFY_GRID, run_method
+from cotlattice.verify import (DEFAULT_BENCH_GRID, DEFAULT_VERIFY_GRID, MethodRun, PairCheck,
+                               run_method)
 
 TOL = Tolerance(abs_tol=1e-6, rel_tol=1e-6, max_terms=20_000_000)
 
@@ -148,6 +151,38 @@ class TestVerifyPoints:
         assert rep.summary.runs_total == 46
         assert rep.summary.pairs_total == 50
         assert rep.summary.pairs_passed == 50
+
+
+class TestRecords:
+    """MethodRun and PairCheck, built by a hand-written __init__, keep their
+    dataclass behaviour: equality without wall_time_ns, hashing, replace,
+    pickling and frozen fields."""
+
+    def test_method_run(self):
+        run = run_method(Method.CLOSED_FORM, 3, 0.4, TOL)
+        twin = MethodRun(n=3, z=0.4, method=Method.CLOSED_FORM, value=run.value,
+                         err_estimate=run.err_estimate, work=run.work,
+                         wall_time_ns=run.wall_time_ns + 1)
+        assert twin == run and hash(twin) == hash(run)
+        assert (twin.error, twin.error_kind, twin.ok) == (None, None, True)
+        assert twin != dataclasses.replace(run, work=run.work + 1)
+        assert dataclasses.replace(run, wall_time_ns=0).wall_time_ns == 0
+        failed = run_method(Method.THETA_INTEGRAL, 2, 1j, TOL)  # Re z^2 < 0
+        assert (failed.ok, failed.error_kind) == (False, "domain")
+        for r in (run, failed):
+            assert pickle.loads(pickle.dumps(r)) == r
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                r.n = 5
+
+    def test_pair_check(self):
+        pair = verify_points(((4, 1.0 + 0j),), ALL_METHODS, TOL).pairs[0]
+        fields = dataclasses.asdict(pair)
+        assert PairCheck(**fields) == pair and hash(PairCheck(**fields)) == hash(pair)
+        assert dataclasses.replace(pair, passed=not pair.passed) != pair
+        assert pickle.loads(pickle.dumps(pair)) == pair
+        assert repr(pair).startswith("PairCheck(n=4, z=(1+0j), method_a=")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.delta = 0.0
 
 
 class TestBench:
