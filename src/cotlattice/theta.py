@@ -7,18 +7,14 @@ e^(-ta) dt),
 
     U_2n(z) = integral_0^inf e^(-t s) Psi_n(e^(-t)) dt.
 
-On t >= 1 the theta series converges super-exponentially, so that piece
-is integrated term by term in closed form.  On (0, 1] the blowup Psi ~
-c t^(-1/(2n)) at t -> 0 is algebraic and removed exactly by t = u^(2n);
-the bounded integrand goes to adaptive Gauss-Kronrod quadrature.  Theta
-powers q^(k^(2n)) are evaluated as e^(-t k^(2n)), which never overflows,
-and each node skips its own terms past t k^(2n) > 45 (each below 3e-20).
-Next to t = 0 a dual series stands in: Jacobi's exact Psi_1(e^(-t)) =
-sqrt(pi/t) Psi_1(e^(-pi^2/t)) at n = 1, at n >= 2 the lead 2 Gamma(1 +
-1/(2n)) t^(-1/(2n)) of Poisson summation; so a node costs at most 40n terms.
-Where no s-dependent edge lies below 1, the first round's nodes and the
-s-free part of the integrand there depend on the order alone: they are
-built once per order.
+The piece t >= 1 is integrated term by term in closed form.  On (0, 1],
+t = u^(2n) removes the algebraic blowup Psi ~ c t^(-1/(2n)) at t -> 0, and
+adaptive Gauss-Kronrod quadrature takes the bounded integrand.  One evaluator
+sums Psi_n, with a bound per node, at the quadrature's nodes and at psi's one
+t = -log q: terms e^(-t k^(2n)) up to t k^(2n) = 45, and next to t = 0
+Jacobi's dual at n = 1, Poisson's lead at n >= 2; so psi's sum does not
+depend on the tolerance.  Where no s-dependent edge lies below 1, the first
+round's nodes and the s-free part of the integrand are built once per order.
 """
 
 from __future__ import annotations
@@ -70,66 +66,45 @@ def _kpow(k: int, two_n: int) -> float:
 def psi(n: int, q: float, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     """Evaluate Psi_n(q) = 1 + 2 sum_{k>=1} q^(k^(2n)) for a nome 0 < q < 1.
 
-    psi checks q itself: any other q, nan included, raises DomainError
-    before a term is summed.  The series is summed at t = -log q.
-
-    Terms are positive and decreasing.  The discarded tail is dominated
-    by the geometric series of the next term with ratio
-    e^(-t ((K+2)^(2n) - (K+1)^(2n))), which the increasing exponent
-    gaps make valid; summation stops once that majorant, which the
-    bound charges, drops below a quarter of the tolerance target.  The
-    running sum's rounding is tracked exactly (Knuth's TwoSum); the
-    rounding of t costs 4 eps (1 + t) of the value.  At n = 1, t < pi, where
-    ~t^(-1/2) terms would be summed, Jacobi's exact dual sqrt(pi/t)
-    Psi_1(e^(-pi^2/t)) is summed instead, its tail and rounding times
-    sqrt(pi/t), plus 3 eps of the value for that scale and pi^2/t.
+    psi checks q itself: any other q, nan included, raises DomainError before a term is
+    summed.  It is the node t = -log q >= 1.1e-16 of :func:`_psi_t_array` (never the lead
+    below _T_MIN), its bar that node's plus eps |t dPsi/dt| <= eps ((Psi + 1)/(2n) + 2/e)
+    for t's rounding.  ``work`` counts the 2K + 1 terms, 1 at the lead: tol only caps them.
     """
     require_order(n)
     q = float(q)
     if not (math.isfinite(q) and 0.0 < q < 1.0):
         raise DomainError(f"domain: theta nome q must lie in (0, 1), got {q!r}")
-    t = -math.log(q)
-    dual = n == 1 and t < math.pi  # Psi_1(e^-t) = sqrt(pi/t) Psi_1(e^(-pi^2/t))
-    scale, ts = (math.sqrt(math.pi / t), math.pi ** 2 / t) if dual else (1.0, t)
-    two_n = 2 * n
-    total = 1.0
-    lost = 0.0  # what the additions to total have rounded away
-    k = 0
-    while True:
-        head = _kpow(k + 1, two_n)
-        nxt = 2.0 * math.exp(-ts * head)
-        ratio = math.exp(-ts * (_kpow(k + 2, two_n) - head)) if nxt > 0.0 else 0.0
-        if scale * nxt < 0.25 * tol.target(scale * total) * (1.0 - ratio):
-            break
-        k += 1
-        s = total + nxt
-        kept = s - total
-        lost += (total - (s - kept)) + (nxt - kept)
-        total = s
-        if 2 * k + 1 > tol.max_terms:
-            raise NonConvergentError(
-                f"psi(n={n}, q={q}): {2 * k + 1} terms exceed max_terms="
-                f"{tol.max_terms} before meeting tolerance"
-            )
-    tail = nxt / (1.0 - ratio) if ratio < 1.0 else nxt
-    total *= scale
-    err = scale * (tail + abs(lost)) + 4.0 * EPS * total * (1.0 + t)
-    err += 3.0 * EPS * total if dual else 0.0
-    return EvalResult(
-        value=complex(total), err_estimate=err, method=Method.DIRECT_SUM, work=2 * k + 1
-    )
+    v, k = (a.item() for a in _psi_t_array(n, np.array([-math.log(q)])))
+    if 2 * k + 1 > tol.max_terms:
+        raise NonConvergentError(f"psi(n={n}, q={q}): {2 * k + 1} terms exceed max_terms="
+                                 f"{tol.max_terms} before meeting tolerance")
+    err = ((min(k / 2, k / 16 + 5) + 6 + math.log(v)) * EPS + 3.0 * math.exp(-_EXP_CUT)) * v
+    err += EPS * (0.5 / n * (v + 1.0) + 0.74)
+    return EvalResult(value=complex(v), err_estimate=err, method=Method.DIRECT_SUM, work=2 * k + 1)
 
 
-def _psi_t_array(n: int, ts: np.ndarray, us: np.ndarray | None = None) -> np.ndarray:
-    """Psi_n(e^(-t)) for an array of t > 0, each node truncated at its own
-    t k^(2n) > 45; a node with t > 45 returns exactly 1.  t^(-g), g = 1/(2n),
-    is 1/u from ``us`` = t^g where given, right where t = u^(2n) underflows.
+def _psi_t_array(n: int, ts: np.ndarray, us: np.ndarray | None = None) -> tuple[
+        np.ndarray, np.ndarray]:
+    """(Psi_n(e^(-t)), K) for an array of t > 0: a node sums its K terms k >= 1 with
+    t k^(2n) <= 45 (a node with t > 45 returns exactly 1).  t^(-g), g = 1/(2n), is 1/u
+    from ``us`` = t^g where given, right where t = u^(2n) underflows.  At n = 1, nodes
+    with t < pi sum Jacobi's dual series (K <= 3).  At n >= 2, nodes past _Y_LEAD take
+    Poisson's lead 2 Gamma(1 + g) t^(-g) (K = 0), as do those of n >= 54 with t < _T_MIN,
+    for which it is within 1 of Psi (the integral test).  The rest have K <= 40n, never
+    over 800; their (node, k) pairs lie flat, summed _CHUNK at a time by np.add.reduceat.
 
-    At n = 1, nodes with t < pi sum Jacobi's dual series (<= 3 terms).  At
-    n >= 2, nodes past _Y_LEAD take Poisson's lead 2 Gamma(1 + g) t^(-g), as do
-    those of n >= 54 with t < _T_MIN, for which it is within 1 of Psi (the
-    integral test).  The rest need k <= 40n, never over 800; their (node, k)
-    pairs lie flat, node after node, summed _CHUNK at a time by np.add.reduceat.
+    At its double t >= _T_MIN a node's value v is within ((S + 6 + log v) eps +
+    3 e^(-45)) v of Psi.  Past t k^(2n) > 45 the terms fall faster than a geometric
+    series of ratio e^(-2.19) (the exponent gaps grow, and 90n/(K + 1) > 2.19): under
+    2.3 e^(-45); the lead's remainder is under e^(-45) of it.  A summed term's exponent
+    x carries 1.5 eps x, and |t dPsi/dt| = 2 sum x e^(-x) <= g (Psi + 1) + 2/e (the
+    integral test); with exp's ulp, v carries 4.1 eps v.  A term meets K - 1 roundings
+    in a sum of any order, at most (K - 1)/8 + 10 in np.add.reduceat's over one or two
+    passes (a node's first term plus numpy's pairwise sum of the rest, 8 strided
+    accumulators per block of <= 128, as the tests pin): S = min(K/2, K/16 + 5).  The
+    dual's pi^2/t carries 4 eps, its terms and scale 5 eps v.  The lead carries 5.1 eps
+    (Gamma's 2.7), and g's rounding g |log t| eps/2 <= log(v) eps.
     """
     g = 0.5 / n
     inv = 1.0 / (ts ** g if us is None else us)  # t^(-g)
@@ -155,8 +130,8 @@ def _psi_t_array(n: int, ts: np.ndarray, us: np.ndarray | None = None) -> np.nda
         terms *= minus_t[live].repeat(width)
         acc[live] += np.add.reduceat(np.exp(terms, out=terms), lo[live] - p0)
     if n == 1:
-        return (1.0 + 2.0 * acc) * np.where(dual, math.sqrt(math.pi) * inv, 1.0)
-    return np.where(lead, 2.0 * math.gamma(1.0 + g) * inv, 1.0 + 2.0 * acc)
+        return (1.0 + 2.0 * acc) * np.where(dual, math.sqrt(math.pi) * inv, 1.0), counts
+    return np.where(lead, 2.0 * math.gamma(1.0 + g) * inv, 1.0 + 2.0 * acc), counts
 
 
 def _theta_factor(n: int, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +139,7 @@ def _theta_factor(n: int, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2n u^(2n-1) Psi_n(e^(-t))."""
     ts = us ** (2 * n)
     with np.errstate(over="ignore"):  # n = 1's dual exponent (pi/u)^2 at tiny u: terms 0
-        return ts, (2 * n) * us ** (2 * n - 1) * _psi_t_array(n, ts, us)
+        return ts, (2 * n) * us ** (2 * n - 1) * _psi_t_array(n, ts, us)[0]
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,9 @@ third holds the closed form's vector pass and its scalar loop, next to
 poles too, within their bar plus a first-order charge for the rounding of
 the kernel's arguments, which the bar does not yet include.  A seeded
 loop holds the dyadic route within its bar over all ten levels and
-reports the median ratio of bar to actual error.
+reports the median ratio of bar to actual error; another holds psi, the
+theta series at one nome, within its bar of the series in 40-digit
+arithmetic (``psi_oracle``).
 """
 
 import cmath
@@ -30,10 +32,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from cotlattice import (DomainError, KernelSingularError, ProductQuery, Tolerance,
-                        ToleranceError, phi, product_ratio, u_closed, u_direct, u_theta)
+                        ToleranceError, phi, product_ratio, psi, u_closed, u_direct, u_theta)
 from cotlattice import closed
 from cotlattice.numerics import EPS
 from cotlattice.zeta_product import product_parts
+from psi_oracle import log_nome, psi_ref
 
 AUDIT = hypothesis.settings(max_examples=100, derandomize=True, database=None,
                             deadline=None)
@@ -284,6 +287,40 @@ def test_phi_near_pole_points(m, z):
     res = phi(m, z)
     miss = abs(res.value - lattice_oracle(2**m, z))
     assert miss <= res.err_estimate, (m, z, miss, res.err_estimate)
+
+
+#: Orders of the psi audit: the dual (1), the series and the lead (2 to 4), and
+#: orders that sum few terms at any double nome (at most 12 at 8, 1 at 32 and 456).
+PSI_ORDERS = (1, 2, 3, 4, 8, 32, 456)
+
+
+def test_psi_bound_holds():
+    # Seeded nomes q = e^(-t), t log-uniform in 1e-14..50, and q = 1 - 2^-53, the
+    # nome next to 1 (t = 1.1e-16).  psi's sum does not depend on the tolerance,
+    # which only caps its terms; at the default target, 1e-13 and 1e-14 its bar
+    # meets it (the bar of its K <= 92 terms' sum stays under 11 eps of the value).
+    rng = random.Random(19)
+    tols = (Tolerance(), Tolerance(0.0, 1e-13), Tolerance(0.0, 1e-14), Tolerance(0.0, 1e-15))
+    ratios, misses, over = [], [], []
+    for n in PSI_ORDERS:
+        qs = [math.exp(-10.0 ** rng.uniform(-14.0, 1.7)) for _ in range(60)]
+        for q in (*qs, 1.0 - 2.0 ** -53):
+            ref = psi_ref(n, log_nome(q))
+            for tol in tols:
+                res = psi(n, q, tol)
+                with mp.workdps(40):
+                    miss = float(abs(res.value.real - ref))
+                if miss > res.err_estimate:
+                    misses.append((n, q, tol.rel_tol, miss / res.err_estimate))
+                elif miss > 0 and tol is tols[0]:
+                    ratios.append(res.err_estimate / miss)
+                if tol is not tols[3] and res.err_estimate > tol.target(res.value.real):
+                    over.append((n, q, tol.rel_tol))
+    median = statistics.median(ratios)
+    print(f"psi: {len(PSI_ORDERS) * 61} nomes, median bar/actual {median:.1f}")
+    assert not misses, misses
+    assert not over, over
+    assert median < 100.0, median
 
 
 def test_closed_product_near_one():

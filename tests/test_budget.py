@@ -1,6 +1,8 @@
 """The series routes keep to their term budget: each either reports
-``work <= max_terms`` or raises NonConvergentError, and none sums a
-block the budget does not cover, the first one included.
+``work <= max_terms`` or raises NonConvergentError.  ``u_direct`` and
+``zeta_even`` sum no block the budget does not cover, the first one
+included.  ``psi`` sums its one node first, at most 185 terms for any
+double q, and then checks the count against the budget.
 
 ``product_ratio`` is not among them: its series side is a cross-check
 whose budget stop is documented as not an error.

@@ -22,6 +22,7 @@ from cotlattice.cli import (
     parse_complex,
     parse_grid_file,
 )
+from psi_oracle import log_nome, psi_ref
 
 
 def run_cli(argv, capsys):
@@ -343,9 +344,14 @@ class TestThetaCommand:
     """theta evaluates Psi_n(q)."""
 
     def test_value(self, capsys):
+        # t = -log 0.1 < pi: Jacobi's dual, its terms k <= 3; Psi_1(0.1) =
+        # 1.20020000200000021..., half an ulp below the value.
         code, out, err = run_cli(["theta", "-n", "1", "-q", "0.1"], capsys)
         assert code == 0
-        assert float(parse_plain(out[0])["value_re"]) == 1.2002000020000001
+        rec = parse_plain(out[0])
+        assert float(rec["value_re"]) == 1.2002000020000003
+        assert rec["work"] == "7"
+        assert abs(float(rec["value_re"]) - psi_ref(1, log_nome(0.1))) <= float(rec["err_estimate"])
 
     def test_bad_nome(self, capsys):
         code, out, err = run_cli(["theta", "-n", "1", "-q", "1.5"], capsys)
@@ -355,20 +361,17 @@ class TestThetaCommand:
         code, out, err = run_cli(["theta", "-n", "1", "-q", "0.04",
                                   "--max-terms", "4"], capsys)
         assert (code, out) == (1, [])
-        assert err == ("cotlattice: psi(n=1, q=0.04): 5 terms exceed max_terms=4 "
+        assert err == ("cotlattice: psi(n=1, q=0.04): 7 terms exceed max_terms=4 "
                        "before meeting tolerance\n")
 
     def test_nome_next_to_one_sums_the_dual(self, capsys):
         # t = 1e-14: the direct series would need ~1.8e7 terms, over the
         # default budget; Jacobi's dual needs none past its leading 1.
-        mp = pytest.importorskip("mpmath").mp
         code, out, err = run_cli(["theta", "-n", "1", "-q", "0.99999999999999"], capsys)
         assert code == 0
         rec = parse_plain(out[0])
-        with mp.workdps(40):
-            t = -mp.log(mp.mpf(0.99999999999999))
-            ref = mp.sqrt(mp.pi / t) * mp.jtheta(3, 0, mp.exp(-mp.pi ** 2 / t))
-            assert abs(float(rec["value_re"]) - ref) <= float(rec["err_estimate"])
+        ref = psi_ref(1, log_nome(0.99999999999999))
+        assert abs(float(rec["value_re"]) - ref) <= float(rec["err_estimate"])
         assert rec["work"] == "1"
 
 

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import operator
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from cotlattice.numerics import EPS
 from cotlattice.quadrature import _gk15, integrate_adaptive, kronrod_nodes
 from cotlattice.theta import _psi_t_array, _upper_piece
 from cotlattice.verify import DEFAULT_VERIFY_GRID
+from psi_oracle import log_nome, psi_ref
 
 PI_COTH_PI = 3.153348094937162  # pi * coth(pi) = U_2(1)
 
@@ -195,15 +198,28 @@ class TestPsi:
             assert abs(res.value.real - brute) <= res.err_estimate
 
     def test_work_is_odd_term_count(self):
-        res = psi(1, 0.1)
-        assert res.work % 2 == 1
+        # work counts the 2K + 1 terms of psi's node exactly, 1 where none is summed.
+        for n, t, work in (
+            (2, 1e-12, 1),     # Poisson's lead: Psi_2 ~ 1812.8, no term summed
+            (4, 1e-14, 181),   # the most terms at any double nome: k <= 90
+            (456, 0.1, 3),     # k = 1 only; 3^912 leaves the double range
+            (2, 46.0, 1),      # past the cut: exactly 1
+        ):
+            assert psi(n, math.exp(-t)).work == work, (n, t)
+
+    def test_sum_does_not_depend_on_tolerance(self):
+        # The tolerance only caps the terms: value, bar and work are the node's.
+        for n, q in ((1, 0.1), (2, 0.999), (4, 0.5)):
+            outs = {repr(psi(n, q, tol)) for tol in (Tolerance(), Tolerance(0.0, 1e-15),
+                                                     Tolerance(1e-3, 0.0, max_terms=200))}
+            assert len(outs) == 1, (n, q)
 
     def test_budget_message_quotes_the_charged_terms(self):
-        # k = 2 pairs of terms plus the leading 1: the 2k + 1 = 5 that
+        # k = 3 pairs of terms plus the leading 1: the 2k + 1 = 7 that
         # work counts, not k.  t = 3.2 >= pi sums the direct series.
         with pytest.raises(NonConvergentError) as exc:
             psi(1, 0.04, Tolerance(max_terms=4))
-        assert str(exc.value) == ("psi(n=1, q=0.04): 5 terms exceed max_terms=4 "
+        assert str(exc.value) == ("psi(n=1, q=0.04): 7 terms exceed max_terms=4 "
                                   "before meeting tolerance")
 
     def test_overflowing_power_is_a_zero_term(self, capsys):
@@ -219,12 +235,10 @@ class TestPsi:
     def test_stops_on_tail_bound_near_one(self, q, capsys):
         # Near q = 1, where n = 1 sums Jacobi's dual series (t < pi), the
         # value lies within its bar of mpmath's theta3.
-        mp = pytest.importorskip("mpmath").mp
         assert main(["theta", "-n", "1", "-q", q]) == 0
         cells = dict(cell.split("=", 1) for cell in capsys.readouterr().out.split())
         value, err = float(cells["value_re"]), float(cells["err_estimate"])
-        with mp.workdps(30):
-            assert abs(mp.mpf(value) - mp.jtheta(3, 0, mp.mpf(float(q)))) <= err
+        assert abs(value - psi_ref(1, log_nome(float(q)))) <= err
 
 
 #: Panels [0, 2^-j] as the adaptive quadrature produces them next to t = 0,
@@ -237,42 +251,38 @@ class TestPsiTArray:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32])
     def test_matches_scalar_psi(self, n):
-        tol = Tolerance(abs_tol=0.0, rel_tol=1e-16)
+        # At the t = -log q of a double q, a node is psi(n, q): the same value
+        # and count, within psi's bar of 40-digit mpmath at the exact -log q.
         for ts in T_PANELS:
             qs = np.exp(-ts)
-            # psi sums at t' = -log q, which near t = 1e-9 is many ulps from t
-            for q, v in zip(qs, _psi_t_array(n, -np.log(qs))):
-                ref = psi(n, q, tol)
-                # psi's bound plus two ulps for the array's own rounding
-                assert abs(v - ref.value.real) <= ref.err_estimate + 2 * EPS * v, (n, q)
+            ts = np.array([-math.log(q) for q in qs])
+            values, counts = _psi_t_array(n, ts)
+            for q, t, v, k in zip(qs, ts, values, counts):
+                res = psi(n, q)
+                assert (res.value.real, res.work) == (v, 2 * k + 1), (n, q)
+                assert abs(v - psi_ref(n, log_nome(q))) <= res.err_estimate, (n, q)
+                # At the node's own t the sum is within a few ulps, whatever psi's bar.
+                ref = psi_ref(n, t)
+                assert abs(v - ref) <= 1e-15 * ref, (n, q)
 
     def test_matches_jtheta(self):
-        mp = pytest.importorskip("mpmath").mp
-
-        def theta3(t):
-            t = mp.mpf(t)
-            if mp.exp(-t) < mp.THETA_Q_LIM:
-                return mp.jtheta(3, 0, mp.exp(-t))
-            # jtheta refuses q this close to 1; use Jacobi's transform
-            return mp.sqrt(mp.pi / t) * mp.jtheta(3, 0, mp.exp(-mp.pi ** 2 / t))
-
-        with mp.workdps(30):
-            for ts in T_PANELS:
-                for t, v in zip(ts, _psi_t_array(1, ts)):
-                    ref = theta3(t)
-                    assert abs(v - ref) <= 4 * EPS * ref, t
+        for ts in T_PANELS:
+            for t, v in zip(ts, _psi_t_array(1, ts)[0]):
+                ref = psi_ref(1, t)
+                assert abs(v - ref) <= 4 * EPS * ref, t
 
     def test_past_cut_is_exactly_one(self):
         ts = np.array([45.0 + 1e-12, 50.0, 60.0, 1e3])
-        assert _psi_t_array(1, ts).tolist() == [1.0] * 4
-        mixed = _psi_t_array(2, np.array([1e-6, 46.0]))
+        assert _psi_t_array(1, ts)[0].tolist() == [1.0] * 4
+        mixed = _psi_t_array(2, np.array([1e-6, 46.0]))[0]
         assert mixed[1] == 1.0 and mixed[0] > 1.0
 
     def test_deep_nodes_take_the_lead(self):
         # Past the switch Psi_2(e^(-t)) is 2 Gamma(5/4) t^(-1/4) to e^(-45):
         # no term count, however small t; t = 1 still sums its series.
         ts = np.array([1e-27, 1e-200, 1.0])
-        got = _psi_t_array(2, ts)
+        got, counts = _psi_t_array(2, ts)
+        assert counts.tolist() == [0, 0, 2]
         for t, v in zip(ts[:2], got[:2]):
             lead = 2.0 * math.gamma(1.25) * t ** -0.25
             assert abs(v - lead) <= 2 * EPS * lead, t
@@ -282,49 +292,66 @@ class TestPsiTArray:
     def test_matches_mpmath_across_the_switch(self, n):
         # The switch sits at t = (sin(pi/(6n)) / _Y_LEAD)^(2n): just below it
         # the lead, just above it up to 40n terms a node.
-        mp = pytest.importorskip("mpmath").mp
         switch = (math.sin(math.pi / (6 * n)) / theta._Y_LEAD) ** (2 * n)
         ts = np.array([switch * (1.0 - 1e-9), switch * (1.0 + 1e-9)])
-        with mp.workdps(40):
-            for t, v in zip(ts, _psi_t_array(n, ts)):
-                t = mp.mpf(float(t))
-                # Terms past t k^(2n) = 120 are below e^(-120).
-                top = int((120 / t) ** (mp.mpf(1) / (2 * n))) + 1
-                ref = 1 + 2 * mp.fsum(mp.exp(-t * mp.mpf(k) ** (2 * n)) for k in range(1, top + 1))
-                assert abs(v - ref) <= 1e-15 * ref, (n, float(t))
+        for t, v in zip(ts, _psi_t_array(n, ts)[0]):
+            ref = psi_ref(n, t)
+            assert abs(v - ref) <= 1e-15 * ref, (n, float(t))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_flat_pairs_match_scalar_psi(self, n):
         # Nodes just short of the switch sum up to 40n terms each: with nodes past
         # the cut (no terms) between them, their pairs fill four passes, and
-        # some nodes' terms straddle a pass boundary.
+        # some nodes' terms straddle a pass boundary.  Each copy of a node lies
+        # within psi's bar of 40-digit mpmath and within a few ulps of it at its
+        # own t, the copies summed in one pass bitwise at psi's value.
         near = (math.sin(math.pi / (6 * n)) / theta._Y_LEAD) ** (2 * n) * 1.01
         qs = np.exp(-np.array([near, 50.0, near * 3.0, 46.0, 0.5]))
-        ts = np.tile(-np.log(qs), 400)  # the t' = -log q at which psi sums
+        ts = np.tile([-math.log(q) for q in qs], 400)  # the t = -log q at which psi sums
         kcut = (45.0 / ts) ** (0.5 / n)
         assert int(kcut.astype(int).sum()) > 3 * theta._CHUNK
-        got = _psi_t_array(n, ts)
+        got, counts = _psi_t_array(n, ts)
         assert got[1::5].tolist() == got[3::5].tolist() == [1.0] * 400
-        tol = Tolerance(abs_tol=0.0, rel_tol=1e-16)
         for q, t in zip(qs, ts[:5]):
-            ref = psi(n, q, tol)
+            res = psi(n, q)
             v = got[ts == t]  # a node split over two passes sums in two parts
-            assert (abs(v - ref.value.real) <= ref.err_estimate + 2 * EPS * v).all(), (n, t)
+            assert (counts[ts == t] == res.work // 2).all(), (n, t)
+            assert (v == res.value.real).sum() >= 400 - 3, (n, t)  # 3 pass boundaries
+            assert (abs(v - psi_ref(n, log_nome(q))) <= res.err_estimate).all(), (n, t)
+            ref = psi_ref(n, t)
+            assert (abs(v - ref) <= 1e-15 * ref).all(), (n, t)
 
     def test_jacobi_dual_matches_jtheta(self):
         # n = 1 sums Jacobi's dual series for t < pi, the direct one above.
-        mp = pytest.importorskip("mpmath").mp
-
-        def theta3(t):
-            if mp.exp(-t) < mp.THETA_Q_LIM:
-                return mp.jtheta(3, 0, mp.exp(-t))
-            return mp.sqrt(mp.pi / t) * mp.jtheta(3, 0, mp.exp(-mp.pi ** 2 / t))
-
         ts = np.array([1e-300, 1e-13, 1e-6, math.pi - 1e-12, math.pi + 1e-12, 10.0])
-        with mp.workdps(40):
-            for t, v in zip(ts, _psi_t_array(1, ts)):
-                ref = theta3(mp.mpf(float(t)))
-                assert abs(v - ref) <= 4 * EPS * ref, t
+        for t, v in zip(ts, _psi_t_array(1, ts)[0]):
+            ref = psi_ref(1, t)
+            assert abs(v - ref) <= 4 * EPS * ref, t
+
+    def test_reduceat_sums_pairwise(self):
+        # The bar's count of a term's roundings rests on np.add.reduceat's order: a
+        # segment's first term plus numpy's pairwise sum of the rest, which sums up to
+        # 128 terms in 8 strided accumulators, joins them as a tree, adds the last
+        # len % 8 in turn, and halves longer runs at a multiple of 8.  Terms over 40
+        # binades make any other order round differently somewhere.
+        def pairwise(a):
+            if len(a) < 8:
+                return reduce(operator.add, a, 0.0)
+            if len(a) > 128:
+                half = len(a) // 2 - len(a) // 2 % 8
+                return pairwise(a[:half]) + pairwise(a[half:])
+            r, tail = a[:8], len(a) - len(a) % 8
+            for i in range(8, tail, 8):
+                r = [x + y for x, y in zip(r, a[i:i + 8])]
+            return reduce(operator.add, a[tail:], ((r[0] + r[1]) + (r[2] + r[3]))
+                          + ((r[4] + r[5]) + (r[6] + r[7])))
+
+        lens = np.arange(1, 300)
+        heads = lens.cumsum() - lens
+        x = np.exp(np.random.default_rng(5).uniform(-40.0, 0.0, int(lens.sum())))
+        for h, m, v in zip(heads, lens, np.add.reduceat(x, heads)):
+            seg = x[h:h + m].tolist()
+            assert v == seg[0] + pairwise(seg[1:]), m
 
 
 class TestFirstRound:
