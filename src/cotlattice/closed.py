@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import ModuleType
 from typing import NoReturn
 
@@ -355,7 +355,7 @@ def unit_circle_parts(
     w = complex(math.cos(n * theta), math.sin(n * theta))  # off by (|n theta| + 2) eps
     value, err, _ = lattice_series(
         n, w, (abs(n * theta) + 2.0) * EPS, 16, tol.max_terms, target,
-        partial("unit_circle_parts(n={}, theta={})".format, n, theta))
+        lambda: f"unit_circle_parts(n={n}, theta={theta})")
     if err > target(value):
         raise ToleranceError(f"unit_circle_parts(n={n}, theta={theta}): error bound "
                              f"{err:.3g} exceeds target {target(value):.3g}")

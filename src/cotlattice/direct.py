@@ -26,7 +26,7 @@ the route never touches the closed form.
 from __future__ import annotations
 
 import math
-from functools import partial
+from decimal import Decimal
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable
@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonConvergentError
-from .numerics import EPS, Kahan, powers, series_tail
+from .numerics import EPS, SIGNS, Kahan, series_tail, signed_powers
 from .types import (
     DEFAULT_TOLERANCE,
     EvalResult,
@@ -47,8 +47,6 @@ from .types import (
 __all__ = ["u_direct"]
 
 _CHUNK = 2_000_000
-#: The signs of k in the terms 1/((+-k)^n + w): one row for even n.
-_SIGNS = (np.array([[1.0 + 0j]]), np.array([[1.0 + 0j], [-1.0 + 0j]]))
 
 
 def _ldexp(v: complex, e: int) -> complex:
@@ -61,15 +59,15 @@ def _pair_sums(n: int, w: complex, lo: int, hi: int) -> tuple[complex, float, fl
     Each term t = 1/(d + w), d = (+-k)^n, is summed as it stands, a row per
     sign (one for even n), each row by numpy's pairwise sum as if alone;
     kappa = (|d| + |w|)/|d + w|, its denominator's condition number, is
-    large only next to a pole.  d comes from :func:`powers` except where
-    k^n or |w| nears the top of the double range: there t is 2^(-e) /
-    ((+-k 2^-j)^n + w 2^-e), e = j n, which scales exactly and keeps
-    d + |w| a double; j is capped so that w 2^-e stays far from underflow,
-    and terms whose scaled k^n still overflows are 0.
+    large only next to a pole.  k^n and the rows (+-k)^n come from
+    :func:`signed_powers` except where k^n or |w| nears the top of the
+    double range: there t is 2^(-e) / ((+-k 2^-j)^n + w 2^-e), e = j n,
+    which scales exactly and keeps d + |w| a double; j is capped so that
+    w 2^-e stays far from underflow, and terms whose scaled k^n still
+    overflows are 0.
     """
     acc = Kahan()
     cond = mag = 0.0
-    signs = _SIGNS[n % 2]
     for start in range(lo, hi + 1, _CHUNK):
         top = min(start + _CHUNK - 1, hi)
         e, ws = 0, w
@@ -82,12 +80,18 @@ def _pair_sums(n: int, w: complex, lo: int, hi: int) -> tuple[complex, float, fl
             with np.errstate(over="ignore", under="ignore"):
                 d = ks ** n
             d = d[np.isfinite(d)]
+            rows = SIGNS[n % 2] * d
         else:
-            d = powers(n, start, top)
-        inv = 1.0 / (signs * d + ws)
-        m = np.abs(inv)  # |inv|^2 would underflow for large k^n
-        cs = np.add.reduce(np.concatenate(((d + abs(ws)) * m * m, m)), axis=1).tolist()
-        for t, c, s in zip(np.add.reduce(inv, axis=1).tolist(), cs, cs[len(signs):]):
+            d, rows = signed_powers(n, start, top)
+        inv = 1.0 / (rows + ws)
+        r = len(inv)
+        block = np.empty((2 * r, inv.shape[1]))  # rows (d + |w|) |t| |t|, then |t|
+        m = np.abs(inv, out=block[r:])  # |t|^2 would underflow for large k^n
+        weight = np.add(d, abs(ws), out=block[:r])
+        weight *= m
+        weight *= m
+        cs = np.add.reduce(block, axis=1).tolist()
+        for t, c, s in zip(np.add.reduce(inv, axis=1).tolist(), cs, cs[r:]):
             if e:
                 t, c, s = _ldexp(t, -e), math.ldexp(c, -e), math.ldexp(s, -e)
             acc.add(t)
@@ -107,7 +111,8 @@ def lattice_series(n: int, w: complex, rel_w: float, cutoff: int, max_terms: int
     the cutoff doubles while the tail bound exceeds ``target(value)``,
     each doubling extending the previous partial sum.  Raises
     NonConvergentError (naming ``where()``) when the first block, 2 cutoff
-    + 1 terms, or a doubling would exceed ``max_terms``.
+    + 1 terms, or a doubling would exceed ``max_terms``, also where the
+    cutoff itself is past the double range.
 
     Returns (value, err, final cutoff).  ``err`` is the tail bound plus
     a rounding bound for a ``w`` good to relative ``rel_w``.  A term's
@@ -123,8 +128,12 @@ def lattice_series(n: int, w: complex, rel_w: float, cutoff: int, max_terms: int
     for odd n, c_1 are then formed from w / 2, the tail summed for c_1 / 2.
     """
     if 2 * cutoff + 1 > max_terms:
+        try:
+            shown = f"{cutoff:.3g}"
+        except OverflowError:  # 2 ceil(|z|) past the double range
+            shown = f"{Decimal(cutoff):.3g}"
         raise NonConvergentError(
-            f"{where()}: starting cutoff K={cutoff:.3g} already exceeds max_terms={max_terms}"
+            f"{where()}: starting cutoff K={shown} already exceeds max_terms={max_terms}"
         )
     e = 1 if abs(w) >= 2.0 ** 1023 else 0
     k0_term = 0.5 / _ldexp(w, -1) if e else 1.0 / w
@@ -188,7 +197,6 @@ def u_direct(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     z = validate_domain(n, z)
     w, rel_w = power_in_range(z, n)
     k = max(16, 2 * math.ceil(abs(z)))
-    value, err, k = lattice_series(n, w, rel_w, k, tol.max_terms,
-                                   lambda v: tol.target(abs(v)),
-                                   partial("u_direct(n={}, z={})".format, n, z))
-    return EvalResult(value=value, err_estimate=err, method=Method.DIRECT_SUM, work=2 * k + 1)
+    value, err, k = lattice_series(n, w, rel_w, k, tol.max_terms, tol.target,
+                                   lambda: f"u_direct(n={n}, z={z})")
+    return EvalResult(value, err, Method.DIRECT_SUM, 2 * k + 1)

@@ -1,5 +1,6 @@
 """Small numeric building blocks: compensated accumulation, integer
-powers, cached tables of k^p, and memoized zeta-style tail estimates."""
+powers, cached tables of k^p and (+-k)^p, and expanded zeta-style tails
+summed from cached per-(p, cutoff) tables of Euler-Maclaurin estimates."""
 
 from __future__ import annotations
 
@@ -21,8 +22,12 @@ __all__ = [
 
 EPS = 2.0 ** -52
 _LOG_EPS = math.log(EPS)
-#: Cache sizes: k^p tables (of up to _TABLE_LEN terms) and zeta_tail's memo.
-_POWER_TABLES, _TABLE_LEN, _ZETA_TAILS = 256, 1024, 1024
+#: Cache sizes: k^p and (+-k)^p tables (of up to _TABLE_LEN terms) and the
+#: per-(p, cutoff) tables of _ORDERS zeta tails (q <= 1/2 stops at 52).
+_POWER_TABLES, _SIGNED_TABLES, _TABLE_LEN, _ZETA_TABLES = 256, 64, 1024, 64
+_ORDERS = 53
+#: The signs of k in (+-k)^p: one row for even p.
+SIGNS = (np.array([[1.0 + 0j]]), np.array([[1.0 + 0j], [-1.0 + 0j]]))
 
 
 def ipow(base, e: int):
@@ -79,7 +84,20 @@ def powers(p: int, lo: int, hi: int) -> np.ndarray:
     return (_power_table if hi - lo < _TABLE_LEN else _power_table.__wrapped__)(p, lo, hi)
 
 
-@lru_cache(maxsize=_ZETA_TAILS)
+@lru_cache(maxsize=_SIGNED_TABLES)
+def _signed_table(p: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    d = powers(p, lo, hi)
+    rows = SIGNS[p % 2] * d
+    rows.flags.writeable = False
+    return d, rows
+
+
+def signed_powers(p: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k^p, (+-k)^p) for lo <= k <= hi: :func:`powers` and its complex rows
+    +k^p, then -k^p (one for even p), C-contiguous, read-only, cached alike."""
+    return (_signed_table if hi - lo < _TABLE_LEN else _signed_table.__wrapped__)(p, lo, hi)
+
+
 def zeta_tail(s: float, cutoff: int) -> tuple[float, float]:
     """Estimate sum_{k > cutoff} k**-s with a certified remainder bound.
 
@@ -106,6 +124,11 @@ def zeta_tail(s: float, cutoff: int) -> tuple[float, float]:
     return est, rem
 
 
+@lru_cache(maxsize=_ZETA_TABLES)
+def _zeta_table(p: int, cutoff: int) -> tuple[tuple[float, float], ...]:
+    return tuple(zeta_tail(float(p * m), cutoff) for m in range(1, _ORDERS + 1))
+
+
 def series_tail(coeffs: Iterable[complex], p: int, cutoff: int,
                 scale: float, radius: float) -> tuple[complex, float]:
     """sum_{k > cutoff} sum_{m >= 1} c_m k^(-p m) with a certified bound.
@@ -115,9 +138,10 @@ def series_tail(coeffs: Iterable[complex], p: int, cutoff: int,
     ``coeffs`` yields c_1, c_2, ... (consumed only as far as needed; it
     may end early when the later c_m vanish), and
     |c_m| <= scale * radius^(p (m-1)).  With q = (radius / cutoff)^p the
-    orders m <= J are summed as c_m * zeta_tail(p m, cutoff), J being
-    the first order with q^J <= EPS (or the last with a finite c_m);
-    the rest is bounded by the geometric majorant
+    orders m <= J are summed as c_m * zeta_tail(p m, cutoff), read from a
+    cached table of (p, cutoff), J being the first order with q^J <= EPS
+    (or the last with a finite c_m); the rest is bounded by the geometric
+    majorant
 
         sum_{m>J} scale radius^(p (m-1)) cutoff^(1-p m) / (p m - 1)
             <= scale cutoff^(1-p) q^J / ((p (J+1) - 1) (1 - q)),
@@ -139,11 +163,12 @@ def series_tail(coeffs: Iterable[complex], p: int, cutoff: int,
     est = 0j
     bound = mag = 0.0
     j = 0
+    table = _zeta_table(p, cutoff)
     for c in coeffs:
         if j and not cmath.isfinite(c):
             break  # this order and the rest are left to the majorant
+        t, rem = table[j]
         j += 1
-        t, rem = zeta_tail(float(p * j), cutoff)
         est += c * t
         mag += abs(c) * t
         bound += abs(c) * rem

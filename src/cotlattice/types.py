@@ -187,12 +187,11 @@ def _has_pole(n: int, z: complex) -> bool:
     s = max(1.0, az)
     zsn = ipow(z / s, n)
     azn = abs(zsn)
-    signs = (1.0,) if n % 2 == 0 else (1.0, -1.0)
     for k in band:
-        for sign in signs:
-            ksn = ipow(sign * k / s, n)
-            if abs(ksn + zsn) < POLE_EPS * max(abs(ksn), azn):
-                return True
+        ksn = ipow(k / s, n)  # (-k/s)^n is -ksn, bit for bit, for odd n
+        limit = POLE_EPS * max(abs(ksn), azn)
+        if abs(ksn + zsn) < limit or (n % 2 and abs(zsn - ksn) < limit):
+            return True
     return False
 
 

@@ -79,7 +79,7 @@ def zeta_even(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
         raise NonConvergentError(f"zeta_even(n={n}): starting cutoff {cutoff} already "
                                  f"exceeds max_terms={tol.max_terms}")
     while True:
-        partial += np.add.reduce(np.arange(cutoff, lo, -1, dtype=np.float64) ** (-s)).item()
+        partial += float(np.add.reduce(np.arange(cutoff, lo, -1, dtype=np.float64) ** (-s)))
         est, rem = series_tail((1.0,), 2 * n, cutoff, 0.0, 0.0)
         value = partial + est.real
         target = 0.25 * tol.target(value)
@@ -92,8 +92,7 @@ def zeta_even(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
             )
         lo, cutoff = cutoff, 2 * cutoff
     err = rem + EPS * value * (4.0 + math.log2(cutoff))
-    return EvalResult(value=complex(value), err_estimate=err,
-                      method=Method.DIRECT_SUM, work=cutoff)
+    return EvalResult(complex(value), err, Method.DIRECT_SUM, cutoff)
 
 
 def zeta_contour(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
@@ -193,8 +192,7 @@ def _rhs_closed(n: int, x: float, y: float) -> EvalResult:
         raise DomainError(
             f"domain: closed product for n={n} on ({x}, {y}) left double range"
         )
-    return EvalResult(value=complex(total), err_estimate=total * EPS * rel,
-                      method=Method.CLOSED_FORM, work=n)
+    return EvalResult(complex(total), total * EPS * rel, Method.CLOSED_FORM, n)
 
 
 def _log_coeffs(f: float, a: float, b: float) -> Iterator[float]:
@@ -235,10 +233,19 @@ def _lhs_series(n: int, x: float, y: float, tol: Tolerance,
     while True:
         den = powers(p, lo, cutoff) + a
         u = (b - a) / den
-        pair_sum += f * np.add.reduce(np.log1p(u)).item()
-        # log1p magnifies the error of its argument (a few ulps of
-        # |b| / den and of u) by 1 / (1 + u), large as y -> 1 at odd n
-        cond += f * np.add.reduce((6.0 * abs(b) / den + 5.0 * np.abs(u)) / (1.0 + u)).item()
+        # rows log1p(u) and its condition (6 |b| / den + 5 |u|) / (1 + u):
+        # log1p magnifies the error of its argument (a few ulps of |b| / den
+        # and of u) by 1 / (1 + u), large as y -> 1 at odd n; 5 |u| = +-5 u,
+        # as den > 0 gives u the sign of b - a
+        block = np.empty((2, len(u)))
+        np.log1p(u, out=block[0])
+        kappa = np.multiply(u, 5.0 if b >= a else -5.0, out=block[1])
+        kappa += np.divide(6.0 * abs(b), den, out=den)
+        u += 1.0
+        kappa /= u
+        logs, conds = np.add.reduce(block, axis=1).tolist()
+        pair_sum += f * logs
+        cond += f * conds
         tail, bound = series_tail(_log_coeffs(f, a, b), p, cutoff, f * abs(b - a), y)
         if bound <= target or 2 * cutoff > int(tol.max_terms):
             break
@@ -251,8 +258,7 @@ def _lhs_series(n: int, x: float, y: float, tol: Tolerance,
     rounding = EPS * (n * (abs(math.log(x)) + abs(math.log(y))) + abs(log_lhs) + cond
                       + 2.0 * math.log2(cutoff + 2.0) + 8.0)
     err = value * (math.expm1(2.0 * bound) + rounding)
-    return EvalResult(value=complex(value), err_estimate=err,
-                      method=Method.DIRECT_SUM, work=2 * cutoff + 1)
+    return EvalResult(complex(value), err, Method.DIRECT_SUM, 2 * cutoff + 1)
 
 
 def product_parts(query: ProductQuery,
@@ -280,8 +286,7 @@ def compose_ratio(lhs: EvalResult, rhs: EvalResult) -> EvalResult:
     bounds, so it certifies the identity as well as the value.
     """
     err = abs(lhs.value.real - rhs.value.real) + lhs.err_estimate + rhs.err_estimate
-    return EvalResult(value=rhs.value, err_estimate=err,
-                      method=Method.CLOSED_FORM, work=lhs.work + rhs.work)
+    return EvalResult(rhs.value, err, Method.CLOSED_FORM, lhs.work + rhs.work)
 
 
 def product_ratio(query: ProductQuery,

@@ -210,6 +210,23 @@ class TestEval:
         assert "starting cutoff K=2e+100 already exceeds max_terms=10000000" in \
             parse_plain(out[0])["error"]
 
+    def test_cutoff_past_double_range_is_exit_1(self, tmp_path, capsys):
+        # K0 = 2 ceil(|z|) ~ 2.06e308 is past the double range: an error record,
+        # not a traceback, in eval and in a verify grid
+        code, out, err = run_cli(["eval", "-n", "1", "-z", "9.86e307+3.05e307i",
+                                  "--method", "direct"], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        assert ("starting cutoff K=2.06e+308 already exceeds max_terms=10000000"
+                in parse_plain(out[0])["error"])
+        grid = tmp_path / "g.txt"
+        grid.write_text("n 1 z 9.86e307+3.05e307i\n")
+        code, out, err = run_cli(["verify", "--grid", str(grid)], capsys)
+        assert "Traceback" not in err
+        assert parse_plain(out[-1])["record"] == "verify-summary"
+        direct = [parse_plain(line) for line in out if "method=direct" in line]
+        assert "starting cutoff K=2.06e+308" in direct[0]["error"]
+
     def test_theta_at_large_z(self, capsys):
         # Nodes next to t = 0 take Poisson's lead, where the series would need ~6.5e7 terms.
         code, out, err = run_cli(["eval", "-n", "4", "-z", "1e5", "--method", "theta"], capsys)

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import operator
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -166,6 +168,16 @@ class TestUDirect:
         with pytest.raises(DomainError):
             u_direct(1, 3.0)
 
+    def test_cutoff_past_double_range_raises(self):
+        # |z| >= 2^1023: K0 = 2 ceil(|z|) is an int no double holds, which the
+        # budget message once formatted through float (a bare OverflowError).
+        with pytest.raises(NonConvergentError,
+                           match=r"starting cutoff K=2\.06e\+308 already exceeds max_terms"):
+            u_direct(1, 9.86e307 + 3.05e307j)
+        with pytest.raises(NonConvergentError,
+                           match=r"starting cutoff K=2\.83e\+307 already exceeds max_terms"):
+            u_direct(1, 1e307 + 1e307j)
+
     def test_tight_budget_raises(self):
         # Below the 2 K0 + 1 = 33 terms of the starting cutoff.
         tight = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_terms=20)
@@ -173,8 +185,47 @@ class TestUDirect:
             u_direct(1, 0.25, tight)
 
 
+def pairwise(a, lanes=8, block=128):
+    """numpy's pairwise sum of one contiguous row: ``lanes`` strided
+    accumulators over runs of at most ``block`` terms, joined as a tree,
+    then the last len % lanes terms in turn; longer runs are halved at a
+    multiple of ``lanes``.  A complex row sums each part with 4 lanes over
+    runs of 64 terms."""
+    if len(a) < lanes:
+        return reduce(operator.add, a, -0.0)
+    if len(a) > block:
+        half = len(a) // 2 - len(a) // 2 % lanes
+        return pairwise(a[:half], lanes, block) + pairwise(a[half:], lanes, block)
+    r, tail = a[:lanes], len(a) - len(a) % lanes
+    for i in range(lanes, tail, lanes):
+        r = [x + y for x, y in zip(r, a[i:i + lanes])]
+    while len(r) > 1:
+        r = [x + y for x, y in zip(r[::2], r[1::2])]
+    return reduce(operator.add, a[tail:], r[0])
+
+
+def per_order_tail(coeffs, p, cutoff, scale, radius):
+    """series_tail's sum with one zeta_tail call per order."""
+    log_k = math.log(cutoff)
+    log_q = p * (math.log(radius) - log_k)
+    est, bound, mag, j = 0j, 0.0, 0.0, 0
+    for c in coeffs:
+        if j and not cmath.isfinite(c):
+            break
+        j += 1
+        t, rem = numerics.zeta_tail(float(p * j), cutoff)
+        est += c * t
+        mag += abs(c) * t
+        bound += abs(c) * rem
+        if j * log_q <= math.log(numerics.EPS):
+            break
+    bound += 2.0 * math.exp(math.log(scale) + (1 - p) * log_k + j * log_q) / (p * (j + 1) - 1)
+    return est, bound + (3 + j) * numerics.EPS * mag, j
+
+
 class TestCaches:
-    """The k^p tables and the zeta-tail memo are read-only and bounded."""
+    """The k^p and (+-k)^p tables and the per-(p, cutoff) zeta-tail tables are
+    read-only, bounded and equal to a fresh computation."""
 
     def test_tables_are_read_only(self):
         table = numerics.powers(3, 1, 16)
@@ -186,9 +237,8 @@ class TestCaches:
 
     def test_fixed_sizes(self):
         assert numerics._power_table.cache_info().maxsize == numerics._POWER_TABLES
-        assert numerics.zeta_tail.cache_info().maxsize == numerics._ZETA_TAILS
-        for s, k in ((2.0, 16), (7.0, 33)):
-            assert numerics.zeta_tail(s, k) == numerics.zeta_tail.__wrapped__(s, k)
+        assert numerics._signed_table.cache_info().maxsize == numerics._SIGNED_TABLES
+        assert numerics._zeta_table.cache_info().maxsize == numerics._ZETA_TABLES
 
     def test_long_ranges_are_not_kept(self):
         before = numerics._power_table.cache_info().currsize
@@ -197,6 +247,68 @@ class TestCaches:
         assert numerics.powers(2, 1, hi) is not first
         assert numerics._power_table.cache_info().currsize == before
         assert first.tolist() == [float(k) ** 2 for k in range(1, hi + 1)]
+
+    def test_signed_rows(self):
+        for p in (1, 2, 3, 4):
+            d, rows = numerics.signed_powers(p, 5, 20)
+            assert d is numerics.powers(p, 5, 20)
+            signs = (1, -1) if p % 2 else (1,)
+            assert rows.tolist() == [[complex(s * float(k) ** p) for k in range(5, 21)]
+                                     for s in signs]
+            assert rows.flags.c_contiguous and not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0] = 2.0
+            assert numerics.signed_powers(p, 5, 20)[1] is rows
+        hi = numerics._TABLE_LEN + 1
+        assert numerics.signed_powers(2, 1, hi)[1] is not numerics.signed_powers(2, 1, hi)[1]
+
+    def test_zeta_tables(self):
+        table = numerics._zeta_table(6, 32)
+        assert isinstance(table, tuple) and len(table) == numerics._ORDERS
+        assert table == tuple(numerics.zeta_tail(6.0 * m, 32)
+                              for m in range(1, numerics._ORDERS + 1))
+        assert numerics._zeta_table(6, 32) is table
+
+    @pytest.mark.parametrize("p, cutoff", [(2, 16), (3, 40), (8, 5)])
+    def test_series_tail_at_q_one_half(self, p, cutoff):
+        # The largest radius series_tail accepts, q = (radius / K)^p next to 1/2,
+        # sums the most orders (J = 52; c_52 stays finite at these K): bitwise
+        # the per-order loop's sum.
+        radius = cutoff * 0.5 ** (1.0 / p)
+        while p * (math.log(radius) - math.log(cutoff)) > -math.log(2.0):
+            radius = math.nextafter(radius, 0.0)
+        while p * (math.log(math.nextafter(radius, math.inf)) - math.log(cutoff)) \
+                <= -math.log(2.0):
+            radius = math.nextafter(radius, math.inf)
+        w = complex(0.6, 0.8) * radius ** p
+        est, bound, j = per_order_tail(geometric(2.0, -w), p, cutoff, 2.0, radius)
+        assert j == 52
+        assert series_tail(geometric(2.0, -w), p, cutoff, 2.0, radius) == (est, bound)
+        with pytest.raises(InvalidCutoffError):
+            series_tail(geometric(2.0, -w), p, cutoff, 2.0, math.nextafter(radius, math.inf))
+
+    def test_row_sums_are_pairwise(self):
+        # The direct bar's (13 + log2(K)/2) eps sum |t| term counts the roundings
+        # of numpy's pairwise sum: np.add.reduce(..., axis=1) over the C-contiguous
+        # (1 or 2, K) blocks of _pair_sums sums each row as that row alone.
+        # A left-to-right sum rounds differently on some rows.
+        sequential = 0
+        for n in (1, 2, 3, 4):
+            w = complex(0.3, 0.4) ** n
+            for k in (16, 17, 31, 64, 100, 127, 128, 129, 255, 300, 513, 1000, 1024):
+                d, rows = numerics.signed_powers(n, 1, k)
+                inv = 1.0 / (rows + w)
+                m = np.abs(inv)
+                block = np.concatenate(((d + abs(w)) * m * m, m))
+                assert block.flags.c_contiguous and inv.flags.c_contiguous
+                for v, row in zip(np.add.reduce(inv, axis=1).tolist(), inv.tolist()):
+                    re, im = [t.real for t in row], [t.imag for t in row]
+                    assert v == complex(pairwise(re, 4, 64), pairwise(im, 4, 64)), (n, k)
+                    sequential += v != complex(reduce(operator.add, re), reduce(operator.add, im))
+                for v, row in zip(np.add.reduce(block, axis=1).tolist(), block.tolist()):
+                    assert v == pairwise(row), (n, k)
+                    sequential += v != reduce(operator.add, row)
+        assert sequential > 0
 
     def test_call_at_max_terms_keeps_no_chunk(self):
         # K = 3,000,002 needs a full 2M-term chunk and a second one; none

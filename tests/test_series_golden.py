@@ -4,9 +4,10 @@
 are run on fixed seeded inputs, and each outcome (value, err_estimate and
 work as ``float.hex``, or the exception type and message) must equal the
 recorded one exactly.  The u_direct points cover orders 1..8, 12, 31, 64
-and 195, real and complex, near poles, at |z^n| up to 2^1022 and at
-cutoffs whose terms need scaling (k^n past 2^1022) or overflow, under
-several tolerances and budgets.
+and 195, real and complex, near poles, at |z^n| up to 2^1024 (past 2^1023
+the k = 0 term and c_1 are formed from z^n / 2), and at cutoffs whose
+terms need scaling (k^n past 2^1022) or overflow, under several
+tolerances and budgets.
 
 A change that means to keep these outcomes proves it here.  To record
 new ones after an intended change, run
@@ -81,6 +82,14 @@ def direct_points() -> list[tuple[int, complex, int]]:
     # more than one chunk of terms, the origin, a pole, a budget miss
     points += [(1, complex(1.5e6 + 0.25, 0.0), 0), (2, 1.3e6 + 4e5j, 0),
                (2, 0j, 0), (3, 2 + 0j, 0), (1, 0.25 + 0j, 3), (2, 300 + 0j, 3)]
+    # |z^n| from 2^1023 to 2^1024: the k = 0 term and, for odd n, c_1 are
+    # formed from z^n / 2, real and complex
+    for n in (64, 195, 1000):
+        for j in range(8):
+            r = 2.0 ** ((1023.0 + rng.random()) / n)
+            phi = math.pi * (2.0 * rng.random() - 1.0)
+            z = complex(r * math.cos(phi), r * math.sin(phi)) if j % 2 else (-r, r)[j % 4 // 2]
+            points.append((n, complex(z), 0))
     return points
 
 

@@ -1,5 +1,6 @@
 """Tests for the shared result types, domain checks, and numeric helpers."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -202,6 +203,12 @@ class TestValidateDomain:
             for r in (k, k + 0.25, k + 0.5, k + 1.0 - 2.0**-5):
                 points.append((n, complex(r * math.cos(phase), r * math.sin(phase))))
         points.append((939, 347264519225798.2 - 770927345234757j))
+        # unit_circle_parts' points: z = e^(i theta) at and next to the roots
+        # of z^n = -1 and, for odd n, of z^n = +1 (the pole of k = -1)
+        for n in range(1, 10):
+            for j in range(2 * n):
+                for d in (0.0, 1e-15, 5e-13 / n, 1e-12 / n, 2e-12 / n, 1e-11):
+                    points.append((n, cmath.rect(1.0, math.pi * j / n + d)))
         verdicts = set()
         for n, z in points:
             pole = is_pole(n, z)
