@@ -1,37 +1,29 @@
-"""Closed-form evaluation of U_n(z) by a finite trigonometric kernel.
+"""Closed-form evaluation of U_n(z) by a finite cotangent kernel.
 
-Writing the n-th roots of -z^n as z e^(i theta_k) with
-theta_k = (2k - 1) pi / n, partial fractions against the classical
-cotangent expansion collapse the lattice sum to n kernel terms:
+Partial fractions against the classical cotangent expansion collapse the
+lattice sum to one term per n-th root rho_k = e^(i theta_k) of -1,
+theta_k = (2k - 1) pi / n:
 
-    U_n(z) = pi / (n z^(n-1)) * sum_{k=1}^{n} f_k,
+    U_n(z) = pi / (n z^(n-1)) * sum_{k=1}^{n} rho_k cot(pi z rho_k).
 
-    f_k = [a_k sin(2 pi z a_k) + b_k sinh(2 pi z b_k)]
-          / [cosh(2 pi z b_k) - cos(2 pi z a_k)],
+For n = 1 and n = 2 this is pi cot(pi z) and (pi / z) coth(pi z).  The
+terms of conjugate roots rho, conj(rho) sum to rho cot(u) + conj(rho cot(u')),
+u = pi z rho, u' = pi conj(z) rho; for even n the roots -rho, -conj(rho)
+repeat them (cot is odd).  So each ray is evaluated as the mean
 
-with a_k = cos(theta_k), b_k = sin(theta_k).  The identity holds for
-complex z as well.  Since f_k is even in b_k, the conjugate rays theta
-and 2 pi - theta give identical terms; since it is even in a_k too, for
-even n the rays theta and pi - theta do as well.  So only the ceil(n/2)
-rays with theta in (0, pi] are evaluated for odd n, and the (n + 2) // 4
-with theta in (0, pi/2] for even n, each weighted by the number of roots
-it stands for (:func:`kernel_table`, a table of numpy columns, and
-:func:`kernel_rows`, its rows as Python numbers).  For n = 1
-and n = 2 the sum is pi cot(pi z) and (pi / z) coth(pi z).
+    f_k = [rho cot(u) + conj(rho cot(u'))] / 2 = Re(rho cot u) for real z,
 
-Below ``_CROSSOVER`` rays a scalar loop sums the f_k as written; from
-there up one numpy pass (:func:`_kernel_pass`) sums their cotangent form,
-U_n = pi / (n z^(n-1)) times the sum of rho cot(pi z rho) over the n
-roots rho = e^(i theta_k).  Both sum in angle order and raise
-KernelSingularError at the same points.  Two stability measures apply to
-every kernel term of the loop:
+over the ceil(n/2) rays with theta in (0, pi] for odd n and the (n + 2) // 4
+with theta in (0, pi/2] for even n, each weighted by the number of roots it
+stands for (:func:`kernel_table`, a table of numpy columns, and
+:func:`kernel_rows`, its rows as Python numbers).  tan saturates to +-i at
+large |Im u|, so no term needs a rescale, and near z = 0, where tan u ~ u,
+no term underflows.
 
-* cosh(y) - cos(x) is evaluated as 2 sinh^2(y/2) + 2 sin^2(x/2), which
-  is an exact rearrangement and free of the small-argument cancellation
-  of the naive difference;
-* once the exponential scale max(|Re y|, |Im x|) exceeds 30, numerator
-  and denominator are rescaled by e^(-scale) so that cosh/sinh never
-  overflow (cosh alone would overflow near argument 710).
+Below ``_CROSSOVER`` rays a scalar loop sums the f_k by ``cmath.tan``; from
+there up one numpy pass does (:func:`_kernel_pass`).  Both compute the same
+terms, sum in angle order and raise KernelSingularError by the same test
+(:func:`_kernel_loop`).
 """
 
 from __future__ import annotations
@@ -39,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from types import ModuleType
 from typing import NoReturn
 
 import numpy as np
@@ -64,19 +55,13 @@ __all__ = [
     "unit_circle_parts",
 ]
 
-#: Exponential scale beyond which kernel terms switch to the rescaled form.
-_BIG = 30.0
-#: Relative threshold at which a kernel denominator counts as singular.
-_SING_EPS = 1e-12
-#: 2 _SING_EPS with 1e-6 of slack for the rounding of sinh, sin, cosh, cos.
-_SING_CAP = 2.0 * _SING_EPS * (1.0 + 1e-6)
+#: T of the one singularity test, |tan u tan u'| < T min(1, |pi z|)^2 (:func:`_kernel_loop`).
+_SINGULAR = 1e-12
 #: Ray count from which u_closed evaluates the kernel in one numpy pass:
 #: below it numpy's fixed cost per call outweighs the scalar loop.
 _CROSSOVER = 8
-#: |tan| below which the pass re-decides a ray by the scalar rule, times min(1, |w|).
-_TAN_EPS = 1e-5
-#: |w| from which the pass's rounding of w rho could hide a ray from its prefilter.
-_PASS_W = 2.0 ** 32
+#: |Im u| from which cot u is +-i within 2 e^(-40) / (1 - e^(-40)) < 8.5e-18.
+_FLAT = 20.0
 
 
 @lru_cache(maxsize=None)
@@ -129,126 +114,82 @@ def kernel_table(n: int) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=None)
 def kernel_rows(n: int) -> tuple[tuple[float, float, int, float, float], ...]:
     """The (a, b, mult, ka, kb) rows of :func:`kernel_table` as Python
-    numbers, for the scalar loops of u_closed and the closed product,
-    which numpy scalars would slow."""
+    numbers, for the closed product's scalar loop, which numpy scalars
+    would slow."""
     return tuple(zip(*(col.tolist() for col in kernel_table(n))))
 
 
-def _half_angle(a, b, x, y, r, m):
-    """(num, den, cap) by ``m``: a sin x + b sinh y and
-    2 sinh^2(y/2) + 2 sin^2(x/2) = cosh y - cos x, both times r^2, and
-    the cap below which den needs the exact test of :func:`_vanished`."""
-    sh = m.sinh(0.5 * y)
-    sn = m.sin(0.5 * x)
-    # |cosh y| <= 1 + 2 |sinh(y/2)|^2 and |cos x| <= 1 + 2 |sin(x/2)|^2,
-    # so a denominator at or above this cap is not singular; only one
-    # below it needs the cosh and cos of the exact test.  |v^2| = |v|^2.
-    cap = _SING_CAP * (1.5 + abs(sh * sh) + abs(sn * sn))
-    num = a * m.sin(x) + b * m.sinh(y)
-    if r != 1.0:
-        sh, sn, num = sh * r, sn * r, num * r * r
-    return num, 2.0 * sh * sh + 2.0 * sn * sn, cap
+@lru_cache(maxsize=None)
+def _ray_pairs(n: int) -> tuple[tuple[complex, int], ...]:
+    """The (rho, mult) of :func:`kernel_table`'s rays as Python numbers, for
+    :func:`_kernel_loop`."""
+    a, _, mult, _, _ = kernel_table(n)
+    return tuple(zip(a.base.tolist(), mult.tolist()))
 
 
-def _vanished(den, x, y, m):
-    """The exact singularity test |den| < 1e-12 (1 + |cosh y| + |cos x|)."""
-    return abs(den) < _SING_EPS * (1.0 + abs(m.cosh(y)) + abs(m.cos(x)))
+def _kernel_loop(rays, pz: complex, lim: float) -> tuple[complex, float, float]:
+    """(sum mult f, sum mult |f|, min |Im u|) over ``rays``, (rho, mult)
+    pairs, at pz = pi z, a float for real z: f = Re(rho cot u) for real z,
+    [rho cot u + conj(rho cot u')] / 2 for complex z, with u = pz rho and
+    u' = conj(pz) rho (for real z, u' = u), by ``cmath.tan``.
 
-
-def _rescaled_real(a, b, x, y, m):
-    """(num, den) for real x, y, both rescaled by e^(-|y|): sinh and cosh
-    overflow past ~710 while the ratio itself stays O(1)."""
-    e1 = m.exp(-abs(y))
-    e2 = e1 * e1
-    num = 2.0 * a * m.sin(x) * e1 + b * m.copysign(1.0, y) * (1.0 - e2)
-    return num, 1.0 + e2 - 2.0 * m.cos(x) * e1
-
-
-def _rescaled_complex(a, b, x, y, s, m):
-    """(num, den, limit) through e^(+-y), e^(+-ix) rescaled by e^(-s),
-    s = max(|Re y|, |Im x|): all exponents then have non-positive real
-    part, so nothing overflows.  den counts as vanished below ``limit``."""
-    ep = m.exp(y - s)
-    em = m.exp(-y - s)
-    fp = m.exp(1j * x - s)
-    fm = m.exp(-1j * x - s)
-    num = a * (fp - fm) / 2j + b * (ep - em) / 2.0
-    den = (ep + em - fp - fm) / 2.0
-    scale = (abs(ep) + abs(em) + abs(fp) + abs(fm)) / 2.0 + abs(m.exp(-s))
-    return num, den, _SING_EPS * scale
-
-
-def _kernel(a: float, b: float, w: complex, r: float, m: ModuleType) -> complex:
-    """[a sin x + b sinh y] / [cosh y - cos x] at x = w a, y = w b.
-
-    ``w`` is 2 pi z, a float for real z or a complex, evaluated by ``m``:
-    ``math`` for a float, ``cmath`` for a complex.  Each regime is a
-    helper: :func:`_half_angle` below exponential scale 30, its terms times
-    r^2, r a power of two (exact) that keeps the denominator from
-    underflowing near z = 0 (see :func:`u_closed`), and
-    :func:`_rescaled_real` or :func:`_rescaled_complex` above.  The
-    denominator counts as vanished below ``_SING_EPS`` of its addends.
+    The one singularity test, which :func:`_kernel_pass` applies alike: a
+    ray with |tan u| |tan u'| < ``lim`` = _SINGULAR min(1, |pi z|)^2 raises
+    KernelSingularError.  tan u tan u' vanishes at the poles of U_n on the
+    ray and its conjugate; near z = 0 it is ~|pi z|^2, which the min scales
+    out, so that no small z counts as a pole.
     """
-    x = w * a
-    y = w * b
-    if abs(y.real) <= _BIG and abs(x.imag) <= _BIG:
-        num, den, cap = _half_angle(a, b, x, y, r, m)
-        if abs(den) < cap and _vanished(den, x, y, m):
-            _singular(x, y)
-        return num / den
-    if m is math:
-        num, den = _rescaled_real(a, b, x, y, m)
-        return num / den
-    num, den, limit = _rescaled_complex(a, b, x, y, max(abs(y.real), abs(x.imag)), m)
-    if abs(den) < limit:
-        _singular(x, y)
-    return num / den
+    tot = abs_tot = 0.0
+    low = math.inf
+    pzc = pz.conjugate()
+    real = isinstance(pz, float)
+    for rho, mult in rays:
+        u = pz * rho
+        t = cmath.tan(u)
+        if real:
+            p = abs(t) * abs(t)
+            f = mult * (rho / t).real
+            y = abs(u.imag)
+        else:
+            u2 = pzc * rho
+            t2 = cmath.tan(u2)
+            p = abs(t) * abs(t2)
+            f = 0.5 * mult * (rho / t + (rho / t2).conjugate())
+            y = min(abs(u.imag), abs(u2.imag))
+        if p < lim:
+            _singular(rho)
+        if y < low:
+            low = y
+        tot += f
+        abs_tot += abs(f)
+    return tot, abs_tot, low
 
 
-def _kernel_pass(rho: np.ndarray, mult: np.ndarray, w: complex, r: float) -> tuple[complex, float]:
-    """(sum mult f, sum mult |f|) over the rays rho = a + ib in one numpy
-    pass of :func:`_kernel`'s cotangent form: f = Re(rho cot(w rho / 2))
-    for real w, and [rho cot(w rho / 2) + conj(rho) cot(w conj(rho) / 2)] / 2
-    for complex w, as cosh y - cos x = 2 sin(w rho / 2) sin(w conj(rho) / 2)
-    at x + iy = w rho.  np.tan saturates to +-i, so no term needs a
-    rescale.  Rays with a small tangent are re-decided by :func:`_kernel`.
-    """
-    if isinstance(w, float):
-        t = np.tan((0.5 * w) * rho)
-        f = mult * (rho / t).real
-        scale = 1.0
-    else:
-        t = np.tan(np.multiply.outer((0.5 * w, 0.5 * w.conjugate()), rho))
-        q = rho / t
-        f = mult * (q[0] + q[1].conj())
-        scale = 0.5
-    # The prefilter |tan| < 1e-5 min(1, |w|) of either half catches every
-    # ray the rule flags.  Take the loop's halves u, u' = (x +- iy)/2, with
-    # s, c = sin u, cos u, C = cosh Im u, and s', c', C' for u'.  Then
-    # cosh y - cos x = 2 s s', |cosh y| and |cos x| = |cos(u -+ u')| are at
-    # most 2 C C', and so is the rescaled form's scale minus 1.  So in either
-    # regime the rule flags only where 2 |s s'| < 1e-12 r^-2 (1 + 4 C C'),
-    # r^-2 <= min(1, |w|)^2.  If both |tan| >= t, |s| >= t |c| and |s|^2 +
-    # |c|^2 = 2 C^2 - 1 give |s s'| >= t^2 / (1 + t^2) and 4 C C' <= 4 |s s'|
-    # (1 + 1/t^2): the rule needs t < 1.6e-6 min(1, |w|).  The halves here
-    # (for real w u' = conj u, one row) are the loop's up to the rounding of
-    # w rho, eps |w| < 1e-6 min(1, |w|) for |w| < _PASS_W (none for real w),
-    # and tan(u + d) = (tan u + tan d) / (1 - tan u tan d) keeps a flagged
-    # ray under 2.7e-6 min(1, |w|) here.
+def _kernel_pass(rho: np.ndarray, mult: np.ndarray, pz: complex, lim: float) -> tuple[
+        complex, float, float]:
+    """:func:`_kernel_loop` over the rays rho (a complex column) with
+    multiplicities mult in one numpy pass: the same terms, test and sums,
+    the terms summed in angle order.  min |Im u| <= |pi z| is taken only
+    where |pi z| > _FLAT, the only place u_closed reads it; it is 0 below."""
+    real = isinstance(pz, float)
+    u = pz * rho if real else np.multiply.outer((pz, pz.conjugate()), rho)
+    t = np.tan(u)
+    q = rho / t
     mod = np.abs(t)
-    lim = _TAN_EPS * min(1.0, abs(w))
-    if mod.min() < lim:
-        m = math if isinstance(w, float) else cmath
-        for k in np.flatnonzero((mod < lim).reshape(-1, len(rho)).any(axis=0)).tolist():
-            ray = complex(rho[k])
-            _kernel(ray.real, ray.imag, w, r, m)
-    return scale * sum(f.tolist()), scale * sum(np.abs(f).tolist())
+    if real:
+        f, p, scale = mult * q.real, mod * mod, 1.0
+    else:
+        f, p, scale = mult * (q[0] + q[1].conj()), mod[0] * mod[1], 0.5
+    if p.min() < lim:
+        _singular(complex(rho[(p < lim).argmax()]))
+    low = np.abs(u.imag).min().item() if abs(pz) > _FLAT else 0.0
+    return scale * sum(f.tolist()), scale * sum(np.abs(f).tolist()), low
 
 
-def _singular(x: complex, y: complex) -> NoReturn:
+def _singular(rho: complex) -> NoReturn:
     raise KernelSingularError(
-        f"kernel denominator cosh - cos vanished (x={x:.6g}, y={y:.6g}); "
-        "the evaluation point sits on or near a pole"
+        f"kernel term at the root rho={rho:.6g}: tan(pi z rho) tan(pi conj(z) rho) "
+        "vanished; the evaluation point sits on or near a pole"
     )
 
 
@@ -257,66 +198,63 @@ def u_closed(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
 
     One sum over the distinct rays of :func:`kernel_table` ((n + 2) // 4
     for even n, ceil(n/2) for odd n), each term weighted by its
-    multiplicity: a scalar loop below ``_CROSSOVER`` rays, one numpy pass
-    from there up to |2 pi z| = ``_PASS_W``.  ``work`` reports n, the number
-    of terms of the closed form, regardless of |z|.
-
-    Near z = 0 every kernel denominator shrinks like |2 pi z|^2 / 2 and
-    underflows below |z| ~ 1e-155.  The kernel scales numerator and
-    denominator by r^2, r the power of two with 1 <= |2 pi z| r < 2 (1
-    for |2 pi z| >= 1): exact, and it keeps both O(1), so they meet the
-    singularity threshold at that size and U_1(1e-300) = 1e300 evaluates.
-    The pass needs no r: at its orders (n >= 15) z^(n-1) keeps |z| > 1e-22.
+    multiplicity: :func:`_kernel_loop` below ``_CROSSOVER`` rays, one numpy
+    pass from there up.  ``work`` reports n, the number of terms of the
+    closed form, regardless of |z|.
 
     Raises DomainError at poles and z = 0 of even n (validate_domain) and
-    where z^(n-1) (power_in_range) or |U_n(z)| plus its bar leaves the
-    double range; KernelSingularError where a kernel denominator vanishes.
-    Both range checks on the input come before the kernel: z^(n-1), and
-    |2 pi z| >= 2^-1022, below which only n = 1 is left and |U_1| ~ 1/|z| is
-    no double.  So a value past the double range near z = 0 is never taken
-    for a pole, and r <= 2^1022.
+    where z^(n-1) (power_in_range), pi z or |U_n(z)| plus its bar leaves the
+    double range; KernelSingularError where a ray fails the singularity
+    test.  The range checks on the input come first: z^(n-1), and |pi z| >=
+    2^-1023, below which only n = 1 is left and |U_1| ~ 1/|z| is no double;
+    so no value past the double range near z = 0 is taken for a pole.  Where
+    a part of pi z is no double, the kernel runs at z/4, where every |Im u|
+    past ``_FLAT`` gives each cot u the +-i it has at z.
     """
     z = validate_domain(n, z)
     zr = z.real if z.imag == 0.0 else z  # a float for real z
     zp, rel = power_in_range(zr, n - 1)
-    w = 2.0 * math.pi * zr
-    aw = abs(w)
-    if aw < 2.0 ** -1022:  # n = 1 alone (z^0 = 1): |U_1| ~ 1/|z| > 2.8e308
+    pz = math.pi * zr
+    quarter = not cmath.isfinite(pz)
+    if quarter:
+        pz = math.pi * (0.25 * zr)
+    apz = math.hypot(pz.real, pz.imag)
+    if apz < 2.0 ** -1023:  # n = 1 alone (z^0 = 1): |U_1| ~ 1/|z| > 2.8e308
         raise DomainError(f"domain: |U_{n}({z})| exceeds double range")
-    r = 1.0 if aw >= 1.0 else math.ldexp(1.0, 1 - math.frexp(aw)[1])
+    lim = _SINGULAR * min(1.0, apz) ** 2
     a, _, mult, _, _ = kernel_table(n)
-    if len(a) >= _CROSSOVER and aw < _PASS_W:
-        tot, abs_tot = _kernel_pass(a.base, mult, w, r)
+    if len(a) >= _CROSSOVER:
+        tot, abs_tot, low = _kernel_pass(a.base, mult, pz, lim)
     else:
-        m = math if isinstance(w, float) else cmath
-        tot = abs_tot = 0.0
         try:
-            for a_k, b_k, mult_k, _, _ in kernel_rows(n):
-                f = mult_k * _kernel(a_k, b_k, w, r, m)
-                tot += f
-                abs_tot += abs(f)
+            tot, abs_tot, low = _kernel_loop(_ray_pairs(n), pz, lim)
         except OverflowError:  # a term's modulus is no double, nor is U_n's
-            tot = abs_tot = math.inf
+            tot = abs_tot = low = math.inf
     term_sum = complex(tot)
-    nzp = n * zp  # pi/n first where this overflows; pref is then subnormal
-    pref = math.pi / nzp if cmath.isfinite(nzp) else (math.pi / n) / zp
+    nzp = n * zp  # past 2^1022, nzp or the complex division's denominator overflows
+    pref = (math.pi / nzp if abs(nzp.real) + abs(nzp.imag) < 2.0 ** 1022
+            else 0.25 * ((math.pi / n) / (0.25 * zp)))
     value = complex(pref * term_sum)
     try:
         size = abs(value)
     except OverflowError:  # finite parts whose modulus is no double
         size = math.inf
-    # Rounding model: cancellation across kernel terms, argument scale and
-    # the rounding of z^(n-1), all relative to the value.
+    # Rounding model, relative to the value: cancellation across kernel terms,
+    # the rounding of z^(n-1), and the arguments' scale 2 pi |z|, unless each
+    # u lies past _FLAT (with its rounding, 4 eps |pi z|), where cot u is +-i
+    # within 8.5e-18 however u rounds, under 0.1 eps of the term.
     cond = abs_tot / abs(term_sum) if term_sum != 0 else 1.0
-    err = size * EPS * (8.0 + 4.0 * cond + 2.0 * math.pi * abs(z)) + rel * size
+    err = size * EPS * (8.0 + 4.0 * cond) + rel * size
+    if apz <= _FLAT or low <= _FLAT + 4.0 * abs(EPS * pz):
+        if quarter:
+            raise DomainError(f"domain: pi z leaves double range at z={z}")
+        err += 2.0 * math.pi * EPS * abs(z) * size
     if value == 0:
         err = abs(pref) * abs_tot * 4.0 * EPS
     if abs(pref) < 2.0 ** -1022:  # pref and value lose digits to underflow
         err += (abs_tot + 2.0) * math.ulp(0.0)
     if not math.isfinite(size + err):  # the value or its bar is no double
-        raise DomainError(
-            f"domain: |U_{n}({z})| exceeds double range"
-        )
+        raise DomainError(f"domain: |U_{n}({z})| exceeds double range")
     return EvalResult(value, err, Method.CLOSED_FORM, n)
 
 

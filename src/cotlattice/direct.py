@@ -196,7 +196,8 @@ def u_direct(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResu
     """
     z = validate_domain(n, z)
     w, rel_w = power_in_range(z, n)
-    k = max(16, 2 * math.ceil(abs(z)))
+    az = math.hypot(z.real, z.imag)  # inf, where abs(z) raises, past 1.8e308
+    k = max(16, 2 * math.ceil(az)) if az < math.inf else 4 * math.ceil(abs(0.5 * z))
     value, err, k = lattice_series(n, w, rel_w, k, tol.max_terms, tol.target,
                                    lambda: f"u_direct(n={n}, z={z})")
     return EvalResult(value, err, Method.DIRECT_SUM, 2 * k + 1)

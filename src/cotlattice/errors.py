@@ -22,8 +22,8 @@ class DomainError(CotlatticeError):
 
 
 class KernelSingularError(DomainError):
-    """A closed-form kernel denominator cosh - cos vanished to working
-    precision, which signals a pole (or a near-pole too close to resolve)."""
+    """A closed-form kernel term rho cot(pi z rho) met a vanishing tangent
+    product, which signals a pole (or a near-pole too close to resolve)."""
 
 
 class RecursionPoleError(DomainError):

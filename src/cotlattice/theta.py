@@ -55,14 +55,6 @@ _CHUNK = 1 << 14
 _IOTA = np.arange(_CHUNK)
 
 
-def _kpow(k: int, two_n: int) -> float:
-    """k^(2n), or +inf past the double range, where e^(-t k^(2n)) = 0."""
-    try:
-        return float(k) ** two_n
-    except OverflowError:
-        return math.inf
-
-
 def psi(n: int, q: float, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     """Evaluate Psi_n(q) = 1 + 2 sum_{k>=1} q^(k^(2n)) for a nome 0 < q < 1.
 
@@ -170,11 +162,13 @@ def _upper_piece(n: int, s: complex, target: float) -> tuple[complex, float]:
     es = math.exp(-r) if isinstance(s, float) else cmath.exp(-s)
     total = es / s
     mag = abs(total)
+    # k^(2n), inf past the range: e^(-k^(2n)) is 0, and ends the loop, by k = 28.
+    kpow = powers(2 * n, 1, 32).tolist()
     k = 1
     while True:
-        kp = _kpow(k, 2 * n)
+        kp = kpow[k - 1]
         lead = 2.0 * math.exp(-r - kp) / (r + kp)
-        ratio = math.exp(kp - _kpow(k + 1, 2 * n)) if lead > 0.0 else 0.0
+        ratio = math.exp(kp - kpow[k]) if lead > 0.0 else 0.0
         if lead <= 0.25 * target * (1.0 - ratio):
             break
         nxt = 2.0 * es * math.exp(-kp) / (s + kp)

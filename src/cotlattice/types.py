@@ -173,7 +173,9 @@ def _has_pole(n: int, z: complex) -> bool:
         return True
     if n % 2 == 0 and z.imag == 0.0:
         return False
-    az = abs(z)
+    az = math.hypot(z.real, z.imag)  # inf, where abs(z) raises, past 1.8e308
+    if az == math.inf:  # past 2^53 the test below sees only z/|z|: take it at z/4
+        return _has_pole(n, 0.25 * z)
     # A pole needs |k| = |z|.  An integer k with d = ||z| - k| / |z| > 1e-10
     # has ||k|^n - |z|^n| >= min(1, n d) / 4 of the larger power, far above
     # POLE_EPS plus the rounding of the two powers below.  So only the k
@@ -205,10 +207,11 @@ def power_in_range(z: complex, k: int) -> tuple[complex, float]:
     may add sqrt(2) ulp(0), charged as 2 ulp(0)/|z^k| (none is smaller).
     """
     p = z if k == 1 else ipow(z, k)
+    ap = math.hypot(p.real, p.imag)  # inf, where abs(p) raises, past 1.8e308
     if p == 0 or not (math.isfinite(p.real) and math.isfinite(p.imag)
-                      and math.isfinite(1.0 / abs(p))):
+                      and math.isfinite(1.0 / ap)):
         raise DomainError(f"domain: z^{k} leaves double range at z={complex(z)}")
     if k <= 1:  # no product, no rounding
         return p, 0.0
-    per_product = (0.5 if z.imag == 0.0 else 1.125) * EPS + 2.0 * math.ulp(0.0) / abs(p)
+    per_product = (0.5 if z.imag == 0.0 else 1.125) * EPS + 2.0 * math.ulp(0.0) / ap
     return p, (k - 1) * per_product

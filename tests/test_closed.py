@@ -22,7 +22,7 @@ from cotlattice import (
     validate_domain,
 )
 from cotlattice import closed, zeta_product
-from cotlattice.closed import _kernel, kernel_rows, kernel_table
+from cotlattice.closed import _kernel_loop, _kernel_pass, kernel_rows, kernel_table
 from cotlattice.numerics import EPS, ipow
 
 LOOSE = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
@@ -117,76 +117,69 @@ class TestKernelTable:
 
 
 class TestKernel:
-    """The one kernel is even in b, bitwise, in both regimes."""
+    """The one kernel term is even in b, bitwise: the rays rho and conj(rho)
+    give one term, in the scalar loop, where tan saturates or not."""
 
     def test_conjugate_rays_bitwise_equal(self):
         rng = random.Random(20251)
         for _ in range(400):
             theta = rng.uniform(0.05, math.pi - 0.05)
-            a, b = math.cos(theta), math.sin(theta)
-            # |Re w b| or |Im w a| beyond 30 takes the rescaled branch.
-            mag = rng.choice((rng.uniform(0.1, 4.0), rng.uniform(40.0, 400.0)))
-            w_real = rng.choice((-1.0, 1.0)) * mag
-            phase = rng.uniform(-math.pi, math.pi)
-            w_cplx = complex(mag * math.cos(phase), mag * math.sin(phase))
-            for w, m in ((w_real, math), (w_cplx, cmath)):
-                try:
-                    f = _kernel(a, b, w, 1.0, m)
-                except DomainError:
-                    continue
-                assert f == _kernel(a, -b, w, 1.0, m)
-                assert type(f) is type(w)
+            rho = complex(math.cos(theta), math.sin(theta))
+            # |Im pi z rho| past 20 saturates tan to +-i.
+            mag = rng.choice((rng.uniform(0.03, 1.3), rng.uniform(13.0, 130.0)))
+            z_real = rng.choice((-1.0, 1.0)) * mag
+            z_cplx = cmath.rect(mag, rng.uniform(-math.pi, math.pi))
+            for z in (z_real, z_cplx):
+                pz = math.pi * z
+                f = _kernel_loop(((rho, 1),), pz, 0.0)
+                assert f == _kernel_loop(((rho.conjugate(), 1),), pz, 0.0)
+                assert type(f[0]) is type(z)
+
+
+def _singular_at(rho, pz):
+    """The singularity test, spelled out: |tan u| |tan u'| < 1e-12 min(1, |pi z|)^2
+    with u = pi z rho, u' = pi conj(z) rho, by cmath."""
+    p = abs(cmath.tan(pz * rho)) * abs(cmath.tan(pz.conjugate() * rho))
+    return p < 1e-12 * min(1.0, abs(pz)) ** 2
 
 
 class TestSingularGate:
-    """_kernel raises KernelSingularError exactly where the exact test
-    |cosh y - cos x| < 1e-12 (1 + |cosh y| + |cos x|) holds, on both sides
-    of the cheap cap that spares most terms that test."""
-
-    @staticmethod
-    def _exact(a, b, w):
-        m = math if isinstance(w, float) else cmath
-        x, y = w * a, w * b
-        sh, sn = m.sinh(0.5 * y), m.sin(0.5 * x)
-        den = 2.0 * sh * sh + 2.0 * sn * sn
-        return abs(den) < 1e-12 * (1.0 + abs(m.cosh(y)) + abs(m.cos(x)))
+    """The scalar loop raises KernelSingularError exactly where
+    |tan u| |tan u'| < 1e-12 min(1, |pi z|)^2 holds, for real and complex z."""
 
     def test_raises_exactly_at_threshold(self):
+        assert closed._SINGULAR == 1e-12
         outcomes = set()
         for m in (1, 3, 40):
             for b in (0.0, 1e-9):
-                a = math.sqrt(1.0 - b * b)
-                for im in (None, 0.0, 1e-9):  # real w, complex w
+                rho = complex(-math.sqrt(1.0 - b * b), b)
+                for im in (None, 0.0, 1e-9):  # real z, complex z
 
-                    def w_at(d):
-                        # x = w a = 2 pi m + d, y = w b ~ 0
-                        x = 2.0 * math.pi * m + d
-                        return x / a if im is None else complex(x / a, im)
+                    def pz_at(d):
+                        # Re u = Re(pz rho) = -(pi m + d): tan u ~ -d, next to a zero
+                        x = (math.pi * m + d) / -rho.real
+                        return x if im is None else complex(x, im)
 
-                    # The denominator 2 sin^2(d/2) crosses the threshold
-                    # ~3e-12 near d = 2.45e-6; bisect to the crossing.
-                    lo, hi = 1e-7, 1e-5
-                    assert self._exact(a, b, w_at(lo))
-                    assert not self._exact(a, b, w_at(hi))
+                    # tan u ~ d: the test crosses its threshold near d = 1e-6;
+                    # bisect to the crossing.
+                    lo, hi = 1e-8, 1e-4
+                    assert _singular_at(rho, pz_at(lo))
+                    assert not _singular_at(rho, pz_at(hi))
                     for _ in range(60):
                         mid = 0.5 * (lo + hi)
-                        if self._exact(a, b, w_at(mid)):
+                        if _singular_at(rho, pz_at(mid)):
                             lo = mid
                         else:
                             hi = mid
-                    # The cap lies 1e-6 above the threshold: steps of 1e-7
-                    # reach below the threshold, between the two and above
-                    # the cap.
-                    mod = math if im is None else cmath
                     for step in range(-12, 13):
-                        w = w_at(lo * (1.0 + 1e-7 * step))
-                        singular = self._exact(a, b, w)
+                        pz = pz_at(lo * (1.0 + 1e-7 * step))
+                        singular = _singular_at(rho, pz)
                         outcomes.add(singular)
                         if singular:
                             with pytest.raises(KernelSingularError):
-                                _kernel(a, b, w, 1.0, mod)
+                                _kernel_loop(((rho, 1),), pz, 1e-12)
                         else:
-                            _kernel(a, b, w, 1.0, mod)
+                            _kernel_loop(((rho, 1),), pz, 1e-12)
         assert outcomes == {True, False}
 
 
@@ -217,10 +210,10 @@ class TestVectorPass:
     @staticmethod
     def _points(seed, count):
         rng = random.Random(seed)
-        # Every ray rescaled, complex and real (even n: every b > 0); mixed
-        # real and complex; |2 pi z| < 1, where the pass scales by r^2 (at
-        # |z| = 1e-7 z^56 underflows, while the unscaled denominators would
-        # already meet the singularity threshold).
+        # Every ray's tan saturated, complex and real (even n: every b > 0);
+        # mixed real and complex; |2 pi z| < 1, where tan u ~ u (at |z| =
+        # 1e-7 z^56 underflows, and |tan u tan u'| ~ 1e-13 is no pole only
+        # by the singularity test's min(1, |pi z|)^2 scale).
         pts = [(110, 16 + 16j), (97, -20 + 15j), (114, 200.0), (118, -220.0),
                (95, 8.0), (112, -6.5 + 3.0j), (95, 1e-3), (110, 3e-3j), (57, -2e-4 + 1e-4j),
                (57, 1e-7), (57, 1e-7j)]
@@ -257,37 +250,43 @@ class TestVectorPass:
         assert min(seen.values()) >= 3, seen
 
     def test_raises_exactly_at_threshold(self):
-        # The axis ray theta = pi of an odd order (a = -1, b = 0) has
-        # x = -w, w = 2 pi m + d; every other ray has y = w b far from 0.
+        # The axis ray theta = pi of an odd order (rho = -1) has u = -pi z,
+        # pi z = pi m + d; every other ray has |Im u| far from 0.
         n = 2 * closed._CROSSOVER + 1
         a, b, _, _, _ = kernel_table(n)
         assert b[-1] == 0.0 and len(a) >= closed._CROSSOVER
+        rho = a.base
 
-        def exact(w):
-            x, y = w * a, w * b
-            den = 2.0 * np.sinh(0.5 * y) ** 2 + 2.0 * np.sin(0.5 * x) ** 2
-            return bool((np.abs(den) < 1e-12 * (1.0 + np.abs(np.cosh(y))
-                                                + np.abs(np.cos(x)))).any())
+        def exact(z):
+            # The rule in numpy's arithmetic, as the pass spells it.
+            pz = math.pi * z
+            if isinstance(pz, float):
+                mod = np.abs(np.tan(pz * rho))
+                p = mod * mod
+            else:
+                mod = np.abs(np.tan(np.multiply.outer((pz, pz.conjugate()), rho)))
+                p = mod[0] * mod[1]
+            return bool((p < 1e-12 * min(1.0, abs(pz)) ** 2).any())
 
         outcomes = set()
         for m in (1, 3, 40):
             for im in (0.0, 1e-9):
                 def z_at(d):
-                    x = 2.0 * math.pi * m + d
-                    return (x if im == 0.0 else complex(x, im)) / (2.0 * math.pi)
+                    x = math.pi * m + d
+                    return x / math.pi if im == 0.0 else complex(x, im) / math.pi
 
-                lo, hi = 1e-7, 1e-5
-                assert exact(2.0 * math.pi * z_at(lo))
-                assert not exact(2.0 * math.pi * z_at(hi))
+                lo, hi = 1e-8, 1e-4
+                assert exact(z_at(lo))
+                assert not exact(z_at(hi))
                 for _ in range(60):
                     mid = 0.5 * (lo + hi)
-                    if exact(2.0 * math.pi * z_at(mid)):
+                    if exact(z_at(mid)):
                         lo = mid
                     else:
                         hi = mid
                 for step in range(-12, 13):
                     z = z_at(lo * (1.0 + 1e-7 * step))
-                    singular = exact(2.0 * math.pi * z)
+                    singular = exact(z)
                     outcomes.add(singular)
                     if singular:
                         with pytest.raises(KernelSingularError):
@@ -326,41 +325,41 @@ class TestVectorPass:
 
     def test_rescaled_singular_ray_matches_loop(self):
         # Next to the pole z = 12 e^(11 pi i / 47) of order 47 the singular
-        # ray's exponential scale is ~37: the loop's rescaled complex form's
-        # test, which the pass's tangent prefilter must hand the ray to.
+        # ray's halves have |Im u| ~ 18, where tan is all but saturated: the
+        # pass raises where the loop does, on both sides of the crossing.
         n = 47
-        a, b, mult, _, _ = kernel_table(n)
+        a, _, mult, _, _ = kernel_table(n)
+        rays = list(zip(a.base.tolist(), mult.tolist()))
         pole = 12.0 * cmath.exp(11j * math.pi / n)
 
-        def w_at(t):
-            return 2.0 * math.pi * pole * (1.0 + t)
+        def pz_at(t):
+            return math.pi * pole * (1.0 + t)
 
-        def loop_raises(w):
+        def loop_raises(pz):
             try:
-                for a_k, b_k in zip(a.tolist(), b.tolist()):
-                    _kernel(a_k, b_k, w, 1.0, cmath)
+                _kernel_loop(rays, pz, closed._SINGULAR)
             except KernelSingularError:
                 return True
             return False
 
-        lo, hi = 2.0 ** -50, 2.0 ** -40
-        assert loop_raises(w_at(lo)) and not loop_raises(w_at(hi))
+        lo, hi = 2.0 ** -50, 2.0 ** -30
+        assert loop_raises(pz_at(lo)) and not loop_raises(pz_at(hi))
         for _ in range(40):
             mid = math.sqrt(lo * hi)
-            if loop_raises(w_at(mid)):
+            if loop_raises(pz_at(mid)):
                 lo = mid
             else:
                 hi = mid
         outcomes = set()
         for step in range(-12, 13):
-            w = w_at(lo * (1.0 + 0.02 * step))
-            singular = loop_raises(w)
+            pz = pz_at(lo * (1.0 + 0.02 * step))
+            singular = loop_raises(pz)
             outcomes.add(singular)
             if singular:
                 with pytest.raises(KernelSingularError):
-                    closed._kernel_pass(a.base, mult, w, 1.0)
+                    _kernel_pass(a.base, mult, pz, closed._SINGULAR)
             else:
-                closed._kernel_pass(a.base, mult, w, 1.0)
+                _kernel_pass(a.base, mult, pz, closed._SINGULAR)
         assert outcomes == {True, False}
 
     def test_conjugate_symmetry_bitwise(self):
@@ -427,9 +426,18 @@ class TestUClosed:
             assert u_closed(n, z.conjugate()).value == u_closed(n, z).value.conjugate()
 
     def test_large_real_argument(self):
-        # U_2(z) -> pi/z as z grows; exercises the rescaled kernel branch.
+        # U_2(z) -> pi/z as z grows: tan is saturated, and the bar holds
+        # only the value's rounding, without the arguments' scale.
         res = u_closed(2, 1.0e6)
         assert abs(res.value - math.pi / 1.0e6) <= 1e-12 * (math.pi / 1.0e6)
+
+    @pytest.mark.parametrize("z", [5e307 + 3.05e307j, 9.86e307 + 3.05e307j,
+                                   1.7e308 + 1.7e308j])
+    def test_saturated_argument_past_double_range(self, z):
+        # 2 pi z, or pi z itself, has a part past the double range, and so
+        # does 2 pi |z| |U_1|; |Im pi z| is far past 20, where cot is -i.
+        res = u_closed(1, z)
+        assert res.value == -1j * math.pi and res.err_estimate < 1e-14
 
     def test_large_imaginary_argument(self):
         # cot(pi(0.5 + iy)) -> -i as y -> +inf.
@@ -472,8 +480,8 @@ class TestUClosed:
 
 class TestNearAxisPole:
     """On the axis rays theta = pi (odd n) and theta = pi/2 (n = 2 mod 4)
-    cosh y - cos x has a double zero at the pole, so the kernel's 1e-12
-    relative singularity test fires out to ~4e-7/k from it, while
+    tan u tan u' has a double zero at the pole, so the singularity test
+    |tan u tan u'| < 1e-12 fires out to ~3e-7/k from it, while
     validate_domain admits points down to ~1e-12/n.  The intended
     behaviour is a value within its bar of the direct sum's."""
 
@@ -488,8 +496,8 @@ class TestNearAxisPole:
 
 
 class TestTinyArgument:
-    """Near z = 0 every kernel denominator is ~|2 pi z|^2 / 2; that is
-    not a pole, and u_closed must evaluate there."""
+    """Near z = 0 every |tan u tan u'| is ~|pi z|^2; that is not a pole,
+    and u_closed must evaluate there."""
 
     @staticmethod
     def _points(seed):
@@ -532,9 +540,8 @@ class TestTinyArgument:
         assert abs(res.value - 1e240) <= res.err_estimate
 
     def test_underflowed_denominator_raises(self):
-        # Below |z| ~ 5e-309 even the rescaled denominator is too small
-        # and U_1 ~ 1/z leaves the double range: a domain error, never
-        # an inf or a division by 0.
+        # Below |z| ~ 3.5e-309 U_1 ~ 1/z leaves the double range: a
+        # domain error, never an inf or a division by 0.
         with pytest.raises(DomainError):
             u_closed(1, 1e-310)
 
@@ -553,15 +560,15 @@ class TestTinyArgument:
         (1, 4e-323, "|U_1((4e-323+0j))| exceeds double range"),
     ])
     def test_subnormal_argument_is_a_range_error(self, n, z, message):
-        # |2 pi z| < 2^-1022: the range checks run before the kernel, which
-        # took these points for poles (KernelSingularError).
+        # |pi z| < 2^-1023: the range checks run before the kernel, which
+        # once took these points for poles (KernelSingularError).
         with pytest.raises(DomainError) as exc:
             u_closed(n, z)
         assert type(exc.value) is DomainError and message in str(exc.value)
 
     def test_n1_below_normal_denominator(self):
-        # 2 sin^2(pi z) is subnormal below |z| ~ 5.8e-155; the kernel's
-        # exact rescaling keeps U_1 ~ 1/z evaluable down to ~1e-308.
+        # sin^2(pi z) is subnormal below |z| ~ 5.8e-155; tan(pi z) ~ pi z
+        # is not, and U_1 ~ 1/z evaluates down to ~1e-308.
         for z in (1e-160, -1e-200, 1e-300, 1e-160 + 1e-161j):
             res = u_closed(1, z)
             assert abs(res.value - 1.0 / z) <= res.err_estimate
@@ -587,20 +594,19 @@ def _unfolded_closed(n, z):
     """(value, bar) of U_n(z) by u_closed's loop and rounding model over
     the unfolded table."""
     zr = z.real if z.imag == 0.0 else z
-    w = 2.0 * math.pi * zr
-    r = math.ldexp(1.0, min(1023, 1 - math.frexp(min(1.0, abs(w)))[1]))
-    m = math if z.imag == 0.0 else cmath
-    tot = abs_tot = 0.0
-    for a, b, mult, _, _ in _rows(_unfolded_table(n)):
-        f = mult * _kernel(a, b, w, r, m)
-        tot += f
-        abs_tot += abs(f)
+    pz = math.pi * zr
+    a, b, mult, _, _ = _unfolded_table(n)
+    rays = list(zip((a + 1j * b).tolist(), mult.tolist()))
+    tot, abs_tot, low = _kernel_loop(rays, pz, 0.0)
     pref = math.pi / (n * ipow(zr, n - 1))
     value = complex(pref * tot)
     if value == 0:
         return value, abs(pref) * abs_tot * 4.0 * EPS
     cond = abs_tot / abs(tot) if tot != 0 else 1.0
-    return value, abs(value) * EPS * (8.0 + 4.0 * cond + 2.0 * math.pi * abs(z))
+    err = abs(value) * EPS * (8.0 + 4.0 * cond)
+    if low <= closed._FLAT + 4.0 * abs(EPS * pz):
+        err += 2.0 * math.pi * EPS * abs(z) * abs(value)
+    return value, err
 
 
 class TestEvenFold:
@@ -610,9 +616,8 @@ class TestEvenFold:
     @staticmethod
     def _points(seed, count):
         rng = random.Random(seed)
-        # |2 pi z b| > 30 takes the rescaled branch; |2 pi z| < 1 scales
-        # the half-angle form by r > 1, up to 2^511 at the smallest |z|
-        # where U_n ~ z^-n is still a double.
+        # |2 pi z b| > 30 saturates tan on every ray; |2 pi z| < 1 reaches
+        # down to the smallest |z| where U_n ~ z^-n is still a double.
         pts = [(8, 12.3 + 0j), (16, -7.5 + 3.1j), (6, 40.5j),
                (2, 3e-154 + 0j), (2, -2e-152 + 1e-152j), (4, 1e-76j)]
         for i in range(count):
