@@ -20,10 +20,10 @@ stands for (:func:`kernel_table`, a table of numpy columns, and
 large |Im u|, so no term needs a rescale, and near z = 0, where tan u ~ u,
 no term underflows.
 
-Below ``_CROSSOVER`` rays a scalar loop sums the f_k by ``cmath.tan``; from
-there up one numpy pass does (:func:`_kernel_pass`).  Both compute the same
-terms, sum in angle order and raise KernelSingularError by the same test
-(:func:`_kernel_loop`).
+Below ``_CROSSOVER`` rays a scalar loop sums the f_k by ``cmath.tan`` in
+angle order; from there up one numpy pass sums them pairwise
+(:func:`_kernel_pass`).  Both compute the same terms and raise
+KernelSingularError by the same test (:func:`_kernel_loop`).
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ __all__ = [
 #: T of the one singularity test, |tan u tan u'| < T min(1, |pi z|)^2 (:func:`_kernel_loop`).
 _SINGULAR = 1e-12
 #: Ray count from which u_closed evaluates the kernel in one numpy pass:
-#: below it numpy's fixed cost per call outweighs the scalar loop.
-_CROSSOVER = 8
+#: below it numpy's fixed cost per call outweighs the scalar loop (measured
+#: break-even near 16 rays for complex z, 22 for real z).
+_CROSSOVER = 18
 #: |Im u| from which cot u is +-i within 2 e^(-40) / (1 - e^(-40)) < 8.5e-18.
 _FLAT = 20.0
 
@@ -167,10 +168,13 @@ def _kernel_loop(rays, pz: complex, lim: float) -> tuple[complex, float, float]:
 
 def _kernel_pass(rho: np.ndarray, mult: np.ndarray, pz: complex, lim: float) -> tuple[
         complex, float, float]:
-    """:func:`_kernel_loop` over the rays rho (a complex column) with
-    multiplicities mult in one numpy pass: the same terms, test and sums,
-    the terms summed in angle order.  min |Im u| <= |pi z| is taken only
-    where |pi z| > _FLAT, the only place u_closed reads it; it is 0 below."""
+    """:func:`_kernel_loop` over the N rays rho (a complex column) with
+    multiplicities mult in one numpy pass: the same terms and test, each
+    sum taken by ``np.add.reduce`` in numpy's pairwise order, where a term
+    meets at most 24 + max(0, ceil(log2(N / 128))) roundings (26 up to 512
+    rays) against up to N - 1 in a left fold.  min |Im u| <= |pi z| is
+    taken only where |pi z| > _FLAT, the only place u_closed reads it; it
+    is 0 below."""
     real = isinstance(pz, float)
     u = pz * rho if real else np.multiply.outer((pz, pz.conjugate()), rho)
     t = np.tan(u)
@@ -183,7 +187,8 @@ def _kernel_pass(rho: np.ndarray, mult: np.ndarray, pz: complex, lim: float) -> 
     if p.min() < lim:
         _singular(complex(rho[(p < lim).argmax()]))
     low = np.abs(u.imag).min().item() if abs(pz) > _FLAT else 0.0
-    return scale * sum(f.tolist()), scale * sum(np.abs(f).tolist()), low
+    return (scale * np.add.reduce(f).item(), scale * np.add.reduce(np.abs(f)).item(),
+            low)
 
 
 def _singular(rho: complex) -> NoReturn:

@@ -178,10 +178,12 @@ def _upper_piece(n: int, s: complex, target: float) -> tuple[complex, float]:
     return total, lead / (1.0 - ratio) + (16 + 2 * k) * EPS * mag + 4 * k * math.ulp(0.0)
 
 
+@lru_cache(maxsize=1)
 def laplace_power(n: int, z: complex) -> tuple[complex, float]:
     """(s, rel) for s = z^(2n), as :func:`power_in_range` gives them (a float
     for real z), where the Laplace identity of :func:`u_theta` holds: Re s > 0.
     Raises DomainError where it does not, or where s is no usable double.
+    The last result is kept, for verify's test of z and the u_theta run after it.
     """
     s, rel = power_in_range(z.real if z.imag == 0.0 else z, 2 * n)
     if not (s.real > 0.0):

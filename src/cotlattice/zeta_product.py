@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -60,6 +61,13 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=1024)
+def _zeta_block(n: int, lo: int, cutoff: int) -> float:
+    """sum_{k=cutoff..lo+1} k^(-2n), summed from the top: a block of
+    :func:`zeta_even`, kept, since it depends on n and the block alone."""
+    return float(np.add.reduce(np.arange(cutoff, lo, -1, dtype=np.float64) ** float(-2 * n)))
+
+
 def zeta_even(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     """zeta(2n) as half the z -> 0 limit of U_2n(z) - z^(-2n).
 
@@ -73,13 +81,12 @@ def zeta_even(n: int, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
     of 16 included.
     """
     require_order(n)
-    s = float(2 * n)
     partial, lo, cutoff = 0.0, 0, 16
     if cutoff > tol.max_terms:
         raise NonConvergentError(f"zeta_even(n={n}): starting cutoff {cutoff} already "
                                  f"exceeds max_terms={tol.max_terms}")
     while True:
-        partial += float(np.add.reduce(np.arange(cutoff, lo, -1, dtype=np.float64) ** (-s)))
+        partial += _zeta_block(n, lo, cutoff)
         est, rem = series_tail((1.0,), 2 * n, cutoff, 0.0, 0.0)
         value = partial + est.real
         target = 0.25 * tol.target(value)

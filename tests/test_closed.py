@@ -24,6 +24,7 @@ from cotlattice import (
 from cotlattice import closed, zeta_product
 from cotlattice.closed import _kernel_loop, _kernel_pass, kernel_rows, kernel_table
 from cotlattice.numerics import EPS, ipow
+from pairwise import pairwise, roundings
 
 LOOSE = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
 
@@ -225,6 +226,11 @@ class TestVectorPass:
             r = 10.0 ** rng.uniform(-min(6.0, top), min(3.0, top))
             phase = rng.uniform(-math.pi, math.pi) if i % 4 > 1 else rng.choice((0.0, math.pi))
             pts.append((n, complex(r * math.cos(phase), r * math.sin(phase))))
+            if i < 40:  # 32..512 rays, where pairwise and angle-order sums differ most
+                rays = rng.randint(32, 512)
+                n = 2 * rays - 1 if i % 2 else 4 * rays - 2
+                r = 10.0 ** rng.uniform(-280.0 / n, 280.0 / n)
+                pts.append((n, complex(r * math.cos(phase), r * math.sin(phase))))
         return pts
 
     def test_matches_scalar_loop(self):
@@ -362,8 +368,40 @@ class TestVectorPass:
                 _kernel_pass(a.base, mult, pz, closed._SINGULAR)
         assert outcomes == {True, False}
 
+    def test_reduce_sums_pairwise(self):
+        # The pass's sums, and the rounding count its docstring states, rest on
+        # np.add.reduce's order over a contiguous row (tests/pairwise.py): 8 lanes over
+        # runs of 128 for floats, 4 over runs of 64 for each part of a complex row.
+        # Terms over 40 binades with both signs make any other order round
+        # differently somewhere.
+        rng = np.random.default_rng(27)
+        sequential = 0
+        for m in range(1, 601):
+            x = rng.choice((-1.0, 1.0), 2 * m) * np.exp(rng.uniform(-40.0, 0.0, 2 * m))
+            row, crow = x[:m], x.view(np.complex128)
+            assert row.flags.c_contiguous and crow.flags.c_contiguous and len(crow) == m
+            assert np.add.reduce(row).item() == pairwise(row.tolist()), m
+            re, im = crow.real.tolist(), crow.imag.tolist()
+            assert np.add.reduce(crow).item() == complex(pairwise(re, 4, 64),
+                                                         pairwise(im, 4, 64)), m
+            sequential += np.add.reduce(row).item() != sum(row.tolist())
+        assert sequential > 0
+
+    def test_rounding_count(self):
+        # _kernel_pass's docstring: a term meets at most 24 + max(0, ceil(log2(N/128)))
+        # roundings in an N-term sum, 26 up to 512 rays; a complex sum's parts fewer.
+        def bound(m):
+            return 24 + max(0, math.ceil(math.log2(m / 128)))
+
+        for lanes, block in ((8, 128), (4, 64)):
+            counts = [roundings(m, lanes, block) for m in range(1, 4097)]
+            assert all(c <= bound(m) for m, c in enumerate(counts, 1))
+        counts = [roundings(m) for m in range(1, 4097)]
+        assert max(counts[:512]) == 26
+        assert {m for m, c in enumerate(counts, 1) if c == bound(m)} >= {127, 239, 463, 911}
+
     def test_conjugate_symmetry_bitwise(self):
-        for n in (96, 112, 255, 1024):  # 112: the least even n of the pass
+        for n in (70, 96, 112, 255, 1024):  # 70: the least even n of the pass
             top = 10.0 ** (280.0 / n)
             for r in (1e-3, 0.3, 0.9, 1.4, 8.0, 40.0):
                 if not 1.0 / top < r < top:  # |z|^n stays a double

@@ -13,6 +13,7 @@ from cotlattice import DomainError, NonConvergentError, Method, Tolerance, u_clo
 from cotlattice.errors import InvalidCutoffError
 from cotlattice import numerics
 from cotlattice.numerics import series_tail
+from pairwise import pairwise
 
 LOOSE = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
 
@@ -183,25 +184,6 @@ class TestUDirect:
         tight = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_terms=20)
         with pytest.raises(NonConvergentError):
             u_direct(1, 0.25, tight)
-
-
-def pairwise(a, lanes=8, block=128):
-    """numpy's pairwise sum of one contiguous row: ``lanes`` strided
-    accumulators over runs of at most ``block`` terms, joined as a tree,
-    then the last len % lanes terms in turn; longer runs are halved at a
-    multiple of ``lanes``.  A complex row sums each part with 4 lanes over
-    runs of 64 terms."""
-    if len(a) < lanes:
-        return reduce(operator.add, a, -0.0)
-    if len(a) > block:
-        half = len(a) // 2 - len(a) // 2 % lanes
-        return pairwise(a[:half], lanes, block) + pairwise(a[half:], lanes, block)
-    r, tail = a[:lanes], len(a) - len(a) % lanes
-    for i in range(lanes, tail, lanes):
-        r = [x + y for x, y in zip(r, a[i:i + lanes])]
-    while len(r) > 1:
-        r = [x + y for x, y in zip(r[::2], r[1::2])]
-    return reduce(operator.add, a[tail:], r[0])
 
 
 def per_order_tail(coeffs, p, cutoff, scale, radius):

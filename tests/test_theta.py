@@ -2,9 +2,7 @@
 
 import cmath
 import math
-import operator
 import random
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -26,6 +24,7 @@ from cotlattice.numerics import EPS
 from cotlattice.quadrature import _gk15, integrate_adaptive, kronrod_nodes
 from cotlattice.theta import _psi_t_array, _upper_piece
 from cotlattice.verify import DEFAULT_VERIFY_GRID
+from pairwise import pairwise
 from psi_oracle import log_nome, psi_ref
 
 PI_COTH_PI = 3.153348094937162  # pi * coth(pi) = U_2(1)
@@ -330,22 +329,8 @@ class TestPsiTArray:
 
     def test_reduceat_sums_pairwise(self):
         # The bar's count of a term's roundings rests on np.add.reduceat's order: a
-        # segment's first term plus numpy's pairwise sum of the rest, which sums up to
-        # 128 terms in 8 strided accumulators, joins them as a tree, adds the last
-        # len % 8 in turn, and halves longer runs at a multiple of 8.  Terms over 40
-        # binades make any other order round differently somewhere.
-        def pairwise(a):
-            if len(a) < 8:
-                return reduce(operator.add, a, 0.0)
-            if len(a) > 128:
-                half = len(a) // 2 - len(a) // 2 % 8
-                return pairwise(a[:half]) + pairwise(a[half:])
-            r, tail = a[:8], len(a) - len(a) % 8
-            for i in range(8, tail, 8):
-                r = [x + y for x, y in zip(r, a[i:i + 8])]
-            return reduce(operator.add, a[tail:], ((r[0] + r[1]) + (r[2] + r[3]))
-                          + ((r[4] + r[5]) + (r[6] + r[7])))
-
+        # segment's first term plus numpy's pairwise sum of the rest (tests/pairwise.py).
+        # Terms over 40 binades make any other order round differently somewhere.
         lens = np.arange(1, 300)
         heads = lens.cumsum() - lens
         x = np.exp(np.random.default_rng(5).uniform(-40.0, 0.0, int(lens.sum())))
