@@ -57,9 +57,8 @@ __all__ = [
 
 #: T of the one singularity test, |tan u tan u'| < T min(1, |pi z|)^2 (:func:`_kernel_loop`).
 _SINGULAR = 1e-12
-#: Ray count from which u_closed evaluates the kernel in one numpy pass:
-#: below it numpy's fixed cost per call outweighs the scalar loop (measured
-#: break-even near 16 rays for complex z, 22 for real z).
+#: Ray count from which u_closed runs the kernel as one numpy pass: below it numpy's
+#: fixed cost outweighs the scalar loop (break-even ~15 rays complex z, ~20 real z).
 _CROSSOVER = 18
 #: |Im u| from which cot u is +-i within 2 e^(-40) / (1 - e^(-40)) < 8.5e-18.
 _FLAT = 20.0
@@ -169,26 +168,28 @@ def _kernel_loop(rays, pz: complex, lim: float) -> tuple[complex, float, float]:
 def _kernel_pass(rho: np.ndarray, mult: np.ndarray, pz: complex, lim: float) -> tuple[
         complex, float, float]:
     """:func:`_kernel_loop` over the N rays rho (a complex column) with
-    multiplicities mult in one numpy pass: the same terms and test, each
-    sum taken by ``np.add.reduce`` in numpy's pairwise order, where a term
-    meets at most 24 + max(0, ceil(log2(N / 128))) roundings (26 up to 512
-    rays) against up to N - 1 in a left fold.  min |Im u| <= |pi z| is
-    taken only where |pi z| > _FLAT, the only place u_closed reads it; it
+    multiplicities mult in one numpy pass: the same terms and test; one
+    ``np.add.reduce`` sums the rows f and |f| each in numpy's pairwise order,
+    where a term meets at most 24 + max(0, ceil(log2(N / 128))) roundings
+    (26 up to 512 rays), not N - 1 as in a left fold.  min |Im u| <= |pi z|
+    is taken only where |pi z| > _FLAT, the only place u_closed reads it; it
     is 0 below."""
     real = isinstance(pz, float)
     u = pz * rho if real else np.multiply.outer((pz, pz.conjugate()), rho)
     t = np.tan(u)
     q = rho / t
     mod = np.abs(t)
+    g = np.zeros((2, len(rho)), float if real else complex)  # rows f and |f|
     if real:
-        f, p, scale = mult * q.real, mod * mod, 1.0
+        f, p, scale = np.multiply(mult, q.real, out=g[0]), mod * mod, 1.0
     else:
-        f, p, scale = mult * (q[0] + q[1].conj()), mod[0] * mod[1], 0.5
+        f, p, scale = np.multiply(mult, q[0] + q[1].conj(), out=g[0]), mod[0] * mod[1], 0.5
     if p.min() < lim:
         _singular(complex(rho[(p < lim).argmax()]))
     low = np.abs(u.imag).min().item() if abs(pz) > _FLAT else 0.0
-    return (scale * np.add.reduce(f).item(), scale * np.add.reduce(np.abs(f)).item(),
-            low)
+    np.abs(f, out=g[1].real)
+    s, a = np.add.reduce(g, axis=1).tolist()
+    return scale * s, scale * a.real, low
 
 
 def _singular(rho: complex) -> NoReturn:

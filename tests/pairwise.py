@@ -1,6 +1,7 @@
 """A Python model of numpy's pairwise summation, the order in which
-``np.add.reduce`` sums one contiguous 1-D row, and the number of roundings
-a term meets in that order.
+``np.add.reduce`` sums one contiguous 1-D row (or each row of a C-contiguous
+block, along its last axis), and the number of roundings a term meets in
+that order.
 
 A float64 row sums in ``lanes`` = 8 strided accumulators over runs of at
 most ``block`` = 128 terms, joined as a tree, then the last len % lanes

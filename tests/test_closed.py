@@ -24,7 +24,7 @@ from cotlattice import (
 from cotlattice import closed, zeta_product
 from cotlattice.closed import _kernel_loop, _kernel_pass, kernel_rows, kernel_table
 from cotlattice.numerics import EPS, ipow
-from pairwise import pairwise, roundings
+from pairwise import roundings
 
 LOOSE = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
 
@@ -305,6 +305,11 @@ class TestVectorPass:
         # Next to poles k e^(i (2j + 1) pi / n) on every kind of ray, the
         # axis rays of odd n (real w) and of n = 2 mod 4 among them, on both
         # sides of the rule's reach: the pass raises what the loop raises.
+        # The orders follow _CROSSOVER so that every one reaches the pass.
+        c = closed._CROSSOVER
+        orders = (2 * c - 1, 2 * c + 1, 4 * c - 2, 4 * c + 2, 2 * c + 29, 4 * c + 26, 255, 1024)
+        assert min(len(kernel_table(n)[0]) for n in orders) >= c
+
         def outcome(n, z):
             try:
                 return ("value", u_closed(n, z).work)
@@ -314,7 +319,7 @@ class TestVectorPass:
         rng = random.Random(2121)
         seen = set()
         for _ in range(300):
-            n = rng.choice((15, 17, 30, 31, 46, 64, 255, 1024))
+            n = rng.choice(orders)
             j = rng.choice((rng.randrange(n), (n - 1) // 2, n // 4))  # the axis rays often
             k = rng.randint(1, max(1, min(5, int(10.0 ** (280.0 / n)))))
             d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14.0, -5.0)
@@ -367,25 +372,6 @@ class TestVectorPass:
             else:
                 _kernel_pass(a.base, mult, pz, closed._SINGULAR)
         assert outcomes == {True, False}
-
-    def test_reduce_sums_pairwise(self):
-        # The pass's sums, and the rounding count its docstring states, rest on
-        # np.add.reduce's order over a contiguous row (tests/pairwise.py): 8 lanes over
-        # runs of 128 for floats, 4 over runs of 64 for each part of a complex row.
-        # Terms over 40 binades with both signs make any other order round
-        # differently somewhere.
-        rng = np.random.default_rng(27)
-        sequential = 0
-        for m in range(1, 601):
-            x = rng.choice((-1.0, 1.0), 2 * m) * np.exp(rng.uniform(-40.0, 0.0, 2 * m))
-            row, crow = x[:m], x.view(np.complex128)
-            assert row.flags.c_contiguous and crow.flags.c_contiguous and len(crow) == m
-            assert np.add.reduce(row).item() == pairwise(row.tolist()), m
-            re, im = crow.real.tolist(), crow.imag.tolist()
-            assert np.add.reduce(crow).item() == complex(pairwise(re, 4, 64),
-                                                         pairwise(im, 4, 64)), m
-            sequential += np.add.reduce(row).item() != sum(row.tolist())
-        assert sequential > 0
 
     def test_rounding_count(self):
         # _kernel_pass's docstring: a term meets at most 24 + max(0, ceil(log2(N/128)))

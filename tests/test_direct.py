@@ -271,9 +271,11 @@ class TestCaches:
 
     def test_row_sums_are_pairwise(self):
         # The direct bar's (13 + log2(K)/2) eps sum |t| term counts the roundings
-        # of numpy's pairwise sum: np.add.reduce(..., axis=1) over the C-contiguous
-        # (1 or 2, K) blocks of _pair_sums sums each row as that row alone.
-        # A left-to-right sum rounds differently on some rows.
+        # of numpy's pairwise sum (tests/pairwise.py), and so does the closed
+        # pass's docstring: np.add.reduce(..., axis=1) over the C-contiguous
+        # (1 or 2, K) blocks of _pair_sums and the (2, N) blocks of f and |f| of
+        # closed._kernel_pass sums each row as that row alone, in the order of a
+        # 1-D row.  A left-to-right sum rounds differently on some rows.
         sequential = 0
         for n in (1, 2, 3, 4):
             w = complex(0.3, 0.4) ** n
@@ -290,6 +292,18 @@ class TestCaches:
                 for v, row in zip(np.add.reduce(block, axis=1).tolist(), block.tolist()):
                     assert v == pairwise(row), (n, k)
                     sequential += v != reduce(operator.add, row)
+        # Float and complex rows of every length to 600, terms over 40 binades
+        # with both signs.
+        rng = np.random.default_rng(27)
+        for m in range(1, 601):
+            x = rng.choice((-1.0, 1.0), 4 * m) * np.exp(rng.uniform(-40.0, 0.0, 4 * m))
+            real, cplx = x[:2 * m].reshape(2, m), x.view(np.complex128).reshape(2, m)
+            for v, row in zip(np.add.reduce(real, axis=1).tolist(), real):
+                assert v == np.add.reduce(row).item() == pairwise(row.tolist()), m
+                sequential += v != reduce(operator.add, row.tolist())
+            for v, row in zip(np.add.reduce(cplx, axis=1).tolist(), cplx):
+                assert v == np.add.reduce(row).item() == complex(
+                    pairwise(row.real.tolist(), 4, 64), pairwise(row.imag.tolist(), 4, 64)), m
         assert sequential > 0
 
     def test_call_at_max_terms_keeps_no_chunk(self):
