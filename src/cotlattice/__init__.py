@@ -5,7 +5,7 @@ summation with a proven tail bound (`u_direct`), a finite closed form
 built from the odd (2k-1)pi/n unit-circle angles (`u_closed`), a
 dyadic route that writes U_(2^m) as one level of order-2 sums at
 rotated arguments (`phi`), and a Laplace-transform route through theta
-series and adaptive quadrature (`u_theta`).  On top of the evaluators
+series and certified Gauss-Legendre quadrature (`u_theta`).  On top of the evaluators
 sit extractors for zeta(2n) (`zeta_even`, and `zeta_contour` through
 the closed form), unit-circle decompositions (`unit_circle_parts`),
 squared infinite-product ratios (`product_ratio`), and a cross-method

@@ -45,7 +45,8 @@ class NonConvergentError(ToleranceError):
 
 
 class QuadratureFailureError(ToleranceError):
-    """Adaptive quadrature cannot bring its error sum to tolerance within max_nodes."""
+    """The certified quadrature cannot size its panels within max_nodes, or meets a
+    value or bound that is not finite."""
 
 
 #: The CLI's exit code for each kind of :func:`error_kind`.

@@ -1,165 +1,164 @@
-"""Adaptive Gauss-Kronrod quadrature for smooth complex integrands.
+"""Gauss-Legendre panels with a certified Bernstein-ellipse error bound.
 
-One panel applies the 15-point Kronrod rule with its embedded 7-point
-Gauss rule; the difference of the two drives the classical QUADPACK
-error model
+Where f is analytic in the open Bernstein ellipse E_rho of a panel of half
+width h, with |f| <= M there, the N-point Gauss-Legendre rule (N >= 2) errs
+by at most (64/15) h M rho^(2-2N) / (rho^2 - 1): f's Chebyshev coefficients
+a_k are at most 2M rho^(-k), odd k cost the symmetric rule nothing, and an
+even k >= 2N costs it at most 2 + 2/15 (Trefethen, *Approximation Theory
+and Approximation Practice*, Thm 19.3, whose n counts n + 1 points).
 
-    err = resasc * min(1, (200 |K15 - G7| / resasc)^1.5)
-
-floored at 50 eps * resabs, where resabs integrates |f| and resasc
-integrates |f - mean|.  Each round bisects the largest panels while the
-rest's errors sum above target (one split at a time would split them too),
-and gives up when the node budget cannot pay for that or when the resolved
-panels' floors exceed the largest reachable target, which no split lowers.
-
-Integrands receive a numpy array of abscissae and must return one value
-(real or complex) per node, 15 per panel; the panels of one round, the
-first ones or the halves of that round's bisections, share one call.
-"""
+The caller bounds |f| per panel and rho of RHOS, RHOS[0] = 1 being the
+panel itself.  A panel whose own bound 2h M_1 fits its share of the target
+takes no node; any other the least order of ORDERS whose bound fits at some
+rho, or it is bisected.  So all chosen nodes go to the integrand in one call,
+after the budget check, and the bar is a sum of bounds.  Integrands return
+one value per node, or (values, a bound on each value's error)."""
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureFailureError
 from .numerics import EPS
 
-__all__ = ["integrate_adaptive", "kronrod_nodes", "QuadratureResult"]
+__all__ = ["integrate_adaptive", "gauss_legendre", "Panels", "QuadratureResult", "ORDERS", "RHOS"]
 
-# 15-point Kronrod abscissae (positive half, descending) with the
-# 7-point Gauss rule embedded at the odd positions.
-_XGK = np.array([0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
-                 0.7415311855993944, 0.5860872354676911, 0.4058451513773972,
-                 0.2077849550078985, 0.0])
-_WGK = np.array([0.02293532201052922, 0.06309209262997855, 0.1047900103222502,
-                 0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-                 0.2044329400752989, 0.2094821410847278])
-_WG = np.array([0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
-                0.4179591836734694])
+#: The orders a panel may take, and the ellipses a caller bounds |f| on.
+ORDERS, RHOS = (4, 6, 8, 12, 16, 24, 32, 48, 64), np.array([1.0, 1.6, 2.8, 4.0, 10.0])
+#: Nodes per level of a panel: 0 takes none (its bound 2h M_1), 1.. the orders,
+#: the last bisects it.  _LOG_RULE: each level's log bound per unit of h M over
+#: E_rho, _BIG where it does not apply.
+_COUNT, _BISECT, _BIG = np.array((0, *ORDERS, 0)), len(ORDERS) + 1, 1e300
+_LOG_RULE = np.full((len(RHOS), _BISECT + 1, 1), _BIG)
+_LOG_RULE[0, 0], _LOG_RULE[0, _BISECT] = math.log(2.0), -_BIG
+_LOG_RULE[1:, 1:_BISECT, 0] = np.log((64.0 / 15.0) * RHOS[1:, None] ** (2.0 - 2.0 * np.array(
+    ORDERS)) / (RHOS[1:, None] ** 2 - 1.0))
 
-#: All 15 Kronrod nodes on [-1, 1], ascending.
-_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
-#: Kronrod weights matching _NODES.
-_WEIGHTS_K = np.concatenate((_WGK[:-1], _WGK[::-1]))
-#: Columns: the Kronrod weights, and Kronrod minus Gauss weights (the
-#: Gauss rule scattered onto the 15 Kronrod positions, zero off-rule).
-_WEIGHTS_KD = np.stack((_WEIGHTS_K, _WEIGHTS_K), axis=1)
-_WEIGHTS_KD[1:14:2, 1] -= np.concatenate((_WG[:-1], _WG[::-1]))
+
+@lru_cache(maxsize=None)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """1 + x for the nodes x of the even ``order``-point rule on [-1, 1],
+    ascending, and their weights, read-only: the doubles next to 34-digit Newton
+    iterates from Tricomi's cos(pi (4k - 1)/(4N + 2)).  Weights from double
+    nodes err by 2x/(1 - x^2) times the nodes' error, 1600 ulps at 64 points."""
+
+    def newton(x, one):  # a Newton step on P_N from x, and P_N'(x)
+        p0, p1 = one, x
+        for k in range(2, order + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = order * (p0 - x * p1) / (1 - x * x)
+        return x - p1 / dp, dp
+
+    x = np.cos(math.pi * (4 * np.arange(1, order // 2 + 1) - 1) / (4 * order + 2))
+    for _ in range(6):
+        x = newton(x, 1.0)[0]
+    rows = []
+    with localcontext() as ctx:
+        ctx.prec = 34
+        for xd in map(Decimal, x.tolist()):  # the positive nodes, descending
+            xd, dp = newton(newton(xd, Decimal(1))[0], Decimal(1))
+            rows.append((float(1 - xd), float(1 + xd), float(2 / ((1 - xd * xd) * dp * dp))))
+    down, up, w = np.array(rows).T
+    shifted, weights = np.concatenate((down, up[::-1])), np.concatenate((w, w[::-1]))
+    shifted.flags.writeable = weights.flags.writeable = False
+    return shifted, weights
+
+
+class Panels:
+    """Panels [a[i], b[i]] and log_rule[r, l, i], the log of level l's bound on
+    panel i per unit of M over E_rho, rho = RHOS[r].  A node a + h (1 + x) is
+    within 1.5 eps (|a| + h (1 + x)) of the exact one where b - a is exact (a = 0
+    or b <= 2a): an integrand's bounds cover what that moves its values."""
+
+    def __init__(self, a, b) -> None:
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        if not (a.ndim == 1 and a.shape == b.shape and a.size
+                and np.isfinite(a).all() and np.isfinite(b).all() and (a < b).all()):
+            raise ValueError(f"bad panels [{a!r}, {b!r}]")
+        self.a, self.b, self.mid, self.h = a, b, 0.5 * (a + b), 0.5 * (b - a)
+        self.log_rule = _LOG_RULE + np.log(self.h)
+        self.rows = np.arange(a.size)
+
+    def halves(self, pick: np.ndarray) -> Panels:
+        """The two halves of each panel ``pick`` selects, in order."""
+        a, m, b = self.a[pick], self.mid[pick], self.b[pick]
+        if not ((a < m) & (m < b)).all():
+            raise QuadratureFailureError("quadrature panel too narrow to bisect misses its share")
+        return Panels(np.stack((a, m), axis=1).ravel(), np.stack((m, b), axis=1).ravel())
+
+    def nodes(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of panel i at order ORDERS[levels[i] - 1], none
+        where levels[i] is 0 (or bisects), grouped by order."""
+        xs, ws = [np.empty(0)], [np.empty(0)]
+        for lv in (np.flatnonzero(np.bincount(levels)[1:_BISECT]) + 1).tolist():
+            x, w = gauss_legendre(ORDERS[lv - 1])
+            pick = levels == lv
+            xs.append((self.a[pick, None] + self.h[pick, None] * x).ravel())
+            ws.append((self.h[pick, None] * w).ravel())
+        return np.concatenate(xs), np.concatenate(ws)
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral value with its accumulated error bound and node count."""
+    """Integral value with its error bound and node count."""
 
     value: complex
     err_estimate: float
     nodes: int
 
 
-def kronrod_nodes(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Half widths of the panels [a[i], b[i]] and their 15 Kronrod nodes each, flat."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    h = 0.5 * (b - a)
-    return h, ((a + h)[:, None] + h[:, None] * _NODES).ravel()
+def integrate_adaptive(f, panels: Panels, log_m, target: float, max_nodes: int,
+                       gather=None) -> QuadratureResult:
+    """Integrate f over ``panels`` to an error bound of at most ``target``.
 
-
-def _gk15(f, a, b) -> list[tuple[complex, float, float]]:
-    """Kronrod panels [a[i], b[i]], evaluated in one call of f on their 15
-    nodes each: one (value, err_model, resabs) per panel."""
-    h, nodes = kronrod_nodes(a, b)
-    ys = np.asarray(f(nodes)).reshape(len(h), 15)
-    # einsum, not @: a BLAS product may round a row differently by batch size
-    kd = np.einsum("ij,jk->ik", ys, _WEIGHTS_KD)
-    absy, dev = np.einsum("ij,j->i", np.abs(np.concatenate((ys, ys - 0.5 * kd[:, :1]))),
-                          _WEIGHTS_K).reshape(2, -1)  # mean = resk/(b-a)
-    out = []
-    for hh, (k, d), ab, dv in zip(h.tolist(), kd.tolist(), absy.tolist(), dev.tolist()):
-        diff, resabs, resasc = abs(hh * d), abs(hh) * ab, abs(hh) * dv
-        err = resasc * min(1.0, 200.0 * diff / resasc) ** 1.5 if resasc and diff else diff
-        out.append((hh * k, max(err, 50.0 * EPS * resabs), resabs))
-    return out
-
-
-def integrate_adaptive(
-    f,
-    a: float,
-    b: float,
-    abs_tol: float,
-    rel_tol: float,
-    max_nodes: int,
-    breaks: tuple[float, ...] = (),
-) -> QuadratureResult:
-    """Integrate f over [a, b] to max(abs_tol, rel_tol * |integral|).
-
-    Args:
-        f: vectorized integrand, called with a numpy array of abscissae.
-        a, b: finite interval endpoints, a < b.
-        abs_tol, rel_tol: error targets (at least one positive).
-        max_nodes: total node budget; each panel evaluation costs 15.
-        breaks: ascending interior points that start as panel edges.
-
-    Raises:
-        QuadratureFailureError: budget exhausted, the resolved panels'
-            floors above the largest reachable target, or a panel too
-            narrow to bisect still dominates the error.
-    """
-    edges = (a, *breaks, b)
-    if not (all(map(math.isfinite, edges))
-            and all(x < y for x, y in zip(edges, edges[1:]))):
-        raise ValueError(f"bad interval [{a!r}, {b!r}] with breaks {breaks!r}")
-    # Heap of (-err, seq, a, b, value, err, floor); seq makes ordering total
-    # and deterministic.  Each round evaluates the panels lo[i]..hi[i] that
-    # replace the popped ones (none, value 0, in the first round).
-    heap: list = []
-    seq = itertools.count()
-    nodes = 0
-    total_value = total_err = total_floor = pval = perr = pfloor = 0.0
-    lo, hi = edges[:-1], edges[1:]
+    ``log_m(p)`` gives, per rho of RHOS and panel of Panels p, the log of a
+    bound on |f| over E_rho (+inf where f may not be analytic).  Where none is
+    bisected, ``gather(levels)``, if given, returns :meth:`Panels.nodes` for
+    ``panels``.  Of P panels, those whose own bound is at most target/2P take
+    no node and the k others target/2k each, a bisected one's halves half its
+    share.  The bar adds the values' bounds, the weights' rounding (3 u) and
+    the sum's: numpy's pairwise sum of a complex row takes a term through at
+    most 20 + log2(count) additions (tests/pairwise.py).
+    Raises QuadratureFailureError before f is called where the nodes chosen,
+    and 8 per panel left to bisect, exceed ``max_nodes`` or a panel to bisect
+    has no double midpoint, and after it where f or a bound is not finite."""
+    if not target > 0.0:
+        raise ValueError(f"quadrature target must be positive, got {target!r}")
+    log_share = math.log(0.5 * target / panels.a.size)
+    picked, bound, nodes, cur = [], 0.0, 0, panels
     while True:
-        if nodes + 15 * len(lo) > max_nodes:  # the first round included
-            raise QuadratureFailureError(
-                f"quadrature node budget {max_nodes} exhausted: {nodes} used, "
-                f"{15 * len(lo)} more needed")
-        panels = _gk15(f, lo, hi)
-        nodes += 15 * len(panels)
-        total_value += sum(p[0] for p in panels) - pval
-        total_err += sum(p[1] for p in panels) - perr
-        # A panel within 100x of its floor is resolved; bisection only splits its resabs.
-        floors = [50.0 * EPS * ra if e <= 5000.0 * EPS * ra else 0.0 for _, e, ra in panels]
-        total_floor += sum(floors) - pfloor
-        for pa, pb, (v, e, _), fl in zip(lo, hi, panels, floors):
-            heapq.heappush(heap, (-e, next(seq), pa, pb, v, e, fl))
-        target = max(abs_tol, rel_tol * abs(total_value))
-        if total_err <= target:
+        log_e = (cur.log_rule + log_m(cur)[:, None, :]).min(axis=0)
+        if cur is panels:  # the k panels whose own bound is over target/2P share target/2
+            k = int(np.count_nonzero(log_e[0] > log_share))
+            log_share = math.log(0.5 * target / max(k, 1))
+        levels = (log_e <= log_share).argmax(axis=0)  # the first that fits
+        miss = levels == _BISECT
+        split = int(np.count_nonzero(miss))
+        chosen = log_e[levels, cur.rows][~miss]  # nan or inf below, where nothing fits
+        if not chosen.max(initial=-math.inf) <= 700.0:
+            raise QuadratureFailureError(f"quadrature bound exp({chosen.max()}) on a panel")
+        bound += float(np.exp(chosen).sum())
+        nodes += int(_COUNT[levels].sum())
+        picked.append((cur, levels))
+        if nodes + 2 * ORDERS[0] * split > max_nodes:  # each half takes 4 or none
+            raise QuadratureFailureError(f"quadrature node budget {max_nodes} exhausted: "
+                                         f"{nodes} nodes chosen, {split} panels left to bisect")
+        if not split:
             break
-        if not math.isfinite(total_err):  # no split can mend it, and nan would pick none
-            raise QuadratureFailureError(f"quadrature error bound {total_err} after {nodes} nodes")
-        # |integral| <= |total_value| + total_err, so no later target exceeds this one.
-        reachable = max(abs_tol, rel_tol * (abs(total_value) + total_err))
-        if total_floor > reachable:
-            raise QuadratureFailureError(
-                f"quadrature floor {total_floor:.3g} of resolved panels above the "
-                f"largest reachable target {reachable:.3g} after {nodes} nodes")
-        split, rest = [], total_err  # the panels this round must bisect
-        while heap and rest > target:
-            split.append(heapq.heappop(heap))
-            rest -= split[-1][5]
-        lo, hi = [], []
-        for _, _, pa, pb, _, perr, _ in split:
-            mid = 0.5 * (pa + pb)
-            if not (pa < mid < pb):
-                raise QuadratureFailureError(
-                    f"panel [{pa!r}, {pb!r}] cannot be bisected further but its "
-                    f"error {perr:.3g} dominates the bound {total_err:.3g}")
-            lo += (pa, mid)
-            hi += (mid, pb)
-        pval, perr, pfloor = (sum(p[i] for p in split) for i in (4, 5, 6))
-    # Recompute sums from live panels once at the end; the incremental
-    # running totals accumulate cancellation over many splits.
-    return QuadratureResult(value=complex(sum(item[4] for item in heap)),
-                            err_estimate=float(sum(item[5] for item in heap)), nodes=nodes)
+        cur, log_share = cur.halves(miss), log_share - math.log(2.0)
+    xs, ws = (gather(levels) if len(picked) == 1 and gather is not None
+              else map(np.concatenate, zip(*(p.nodes(lv) for p, lv in picked))))
+    if not xs.size:
+        return QuadratureResult(value=0j, err_estimate=bound, nodes=0)
+    out = f(xs)
+    ys, errs = out if isinstance(out, tuple) else (out, 0.0)
+    value = complex(np.add.reduce(ws * ys))
+    err = bound + float(ws @ (errs + (24 + xs.size.bit_length()) * EPS * np.abs(ys)))
+    if not (math.isfinite(value.real) and math.isfinite(value.imag) and math.isfinite(err)):
+        raise QuadratureFailureError(f"quadrature sum {value} with bound {err} is not finite")
+    return QuadratureResult(value=value, err_estimate=err, nodes=int(xs.size))

@@ -9,12 +9,14 @@ e^(-ta) dt),
 
 The piece t >= 1 is integrated term by term in closed form.  On (0, 1],
 t = u^(2n) removes the algebraic blowup Psi ~ c t^(-1/(2n)) at t -> 0, and
-adaptive Gauss-Kronrod quadrature takes the bounded integrand.  One evaluator
-sums Psi_n, with a bound per node, at the quadrature's nodes and at psi's one
-t = -log q: terms e^(-t k^(2n)) up to t k^(2n) = 45, and next to t = 0
-Jacobi's dual at n = 1, Poisson's lead at n >= 2; so psi's sum does not
-depend on the tolerance.  Where no s-dependent edge lies below 1, the first
-round's nodes and the s-free part of the integrand are built once per order.
+Gauss-Legendre panels take the bounded integrand, each certified by a
+Bernstein-ellipse bound (:mod:`~cotlattice.quadrature`).  Per order the panels,
+their bounds' s-free constants and, lazily, their nodes' Psi_n values are
+kept; a call adds the s-dependent part of each bound and e^(-t s).  One
+evaluator sums Psi_n, with a bound per node, at the quadrature's nodes and at
+psi's one t = -log q: terms e^(-t k^(2n)) up to t k^(2n) = 45, and next to
+t = 0 Jacobi's dual at n = 1, Poisson's lead at n >= 2; so psi's sum does not
+depend on the tolerance.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 from .errors import DomainError, NonConvergentError
 from .numerics import EPS, powers
-from .quadrature import integrate_adaptive, kronrod_nodes
+from . import quadrature
+from .quadrature import Panels, integrate_adaptive
 from .types import (
     DEFAULT_TOLERANCE,
     EvalResult,
@@ -53,6 +56,8 @@ _T_MIN = _EXP_CUT / sys.float_info.max
 #: (node, k) pairs per pass of _psi_t_array: memory bounded at any node count.
 _CHUNK = 1 << 14
 _IOTA = np.arange(_CHUNK)
+#: Ladder panels [a, a (1 + _RATIO/n)] in u, and the choices of orders kept per order.
+_RATIO, _MEMO = 0.7, 32
 
 
 def psi(n: int, q: float, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
@@ -126,26 +131,141 @@ def _psi_t_array(n: int, ts: np.ndarray, us: np.ndarray | None = None) -> tuple[
     return np.where(lead, 2.0 * math.gamma(1.0 + g) * inv, 1.0 + 2.0 * acc), counts
 
 
-def _theta_factor(n: int, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """t = u^(2n) at nodes u, and u_theta's integrand without its e^(-t s):
-    2n u^(2n-1) Psi_n(e^(-t))."""
+def _theta_factor(n: int, us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """At nodes u: t = u^(2n), u_theta's integrand without its e^(-t s),
+    2n u^(2n-1) Psi_n(e^(-t)), and a bound on the relative error of that
+    integrand's value there, less the (2 + 3n) eps |s| t that e^(-t s) adds:
+    the node bound of :func:`_psi_t_array`; 10 eps for t's rounding (its
+    |t dPsi/dt| <= 1.74 Psi), the power, the products and the complex exp; and
+    the node's own rounding, 1.5 eps u (:class:`~cotlattice.quadrature.Panels`),
+    which moves the integrand by 1.5 eps |d log f / d log u| of itself, where
+    d log f / d log u = 2n - 1 + 2n t Psi'/Psi - 2n t s and -(2 + 1.48n) <=
+    2n t Psi'/Psi <= 0 (Psi falls in t): under 1.5 eps (2n + 1.5 + 2n |t s|)."""
     ts = us ** (2 * n)
     with np.errstate(over="ignore"):  # n = 1's dual exponent (pi/u)^2 at tiny u: terms 0
-        return ts, (2 * n) * us ** (2 * n - 1) * _psi_t_array(n, ts, us)[0]
+        v, k = _psi_t_array(n, ts, us)
+        factor = (2 * n) * us ** (2 * n - 1) * v
+    rel = (np.minimum(0.5 * k, k / 16 + 5) + 19 + 3 * n + np.log(v)) * EPS
+    return ts, factor, rel + 3.0 * math.exp(-_EXP_CUT)
+
+
+def _ellipse(n: int, u0: float, p: Panels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """s-free constants (A, B, log C) per rho of RHOS and panel of ``p`` with
+    |integrand| <= C exp(-(A Re s - B |Im s|)) over the panel's ellipse E_rho,
+    for Re s > 0.  Its box [m - alpha, m + alpha] x [-beta, beta] bounds |u|
+    by R = m + alpha, and where 2n phi < pi/2, phi = atan(beta/(m - alpha)),
+    t = u^(2n) by Re t >= (m - alpha)^(2n) cos(2n phi) = A and |Im t| <= R^(2n)
+    sin(2n phi) = B; elsewhere by |t| <= R^(2n).  On (u0, 1] the integrand is
+    analytic where Re t > 0, and there |Psi_n(e^(-t))| <= Psi_n(e^(-A)); on
+    [0, u0] the evaluator returns the entire lead.  A and B carry 1e-12 and C
+    1e-9 of slack for their own rounding."""
+    g, rho = 0.5 / n, quadrature.RHOS[:, None]
+    alpha, beta = (0.5 * (rho + 1.0 / rho)) * p.h, (0.5 * (rho - 1.0 / rho)) * p.h
+    big, small = p.mid + alpha, np.maximum(p.mid - alpha, 0.0)
+    ang = (2 * n) * np.arctan2(beta, small)
+    sector = ang < 0.5 * math.pi
+    with np.errstate(over="ignore"):
+        top = np.minimum(big ** (2 * n), 1e300)
+    shrink = np.where(sector, np.cos(ang), 0.0)
+    a = np.where(sector, small ** (2 * n) * shrink, -top)
+    b = np.where(sector, top * np.sin(ang), top)
+    log_big = np.log(big)
+    lead = p.b <= u0
+    if n == 1:
+        log_c = np.full(a.shape, math.log(2.0 * math.sqrt(math.pi)))
+    else:
+        log_c = math.log(4 * n * math.gamma(1.0 + g)) + (2 * n - 2) * log_big
+    live, psi_hi = sector & ~lead, np.full(a.shape, np.inf)
+    if live.any():  # Psi past a double t < _T_MIN is within 1 of the lead (_psi_t_array)
+        v = _psi_t_array(n, a[live], small[live] * shrink[live] ** g)[0]
+        psi_hi[live] = v * (1.0 + 1e-12) + (a[live] < _T_MIN)
+    log_c = np.where(lead, log_c, math.log(2 * n) + (2 * n - 1) * log_big + np.log(psi_hi))
+    return a - 1e-12 * abs(a), b * (1.0 + 1e-12), log_c + 1e-9
+
+
+class _Order:
+    """What u_theta's order alone fixes.  With g = 1/(2n), the panel [0, u0]
+    is where the evaluator returns an entire function: Poisson's lead below
+    u0 = sin(pi/(6n))/_Y_LEAD, and at n = 1 Jacobi's dual below u0 = pi/sqrt(45),
+    where its terms past the 1 are under e^(-45).  Geometric panels
+    [a, a (1 + _RATIO/n)] follow up to 1, the same shape in t at every scale.
+    Per panel and rho the s-free constants of :func:`_ellipse`; per panel and
+    order of ORDERS, built when first chosen, the nodes, weights and
+    _theta_factor there; per choice of orders, up to _MEMO of them, those
+    gathered flat."""
+
+    def __init__(self, n: int) -> None:
+        g = 0.5 / n
+        self.n = n
+        u0 = math.pi / math.sqrt(45.0) if n == 1 else math.sin(math.pi / (6 * n)) / _Y_LEAD
+        self.u0 = u0
+        k = math.ceil(-math.log(u0) / math.log1p(_RATIO / n))
+        edges = u0 ** (1.0 - np.arange(k + 1) / k)
+        self.panels = Panels(np.append(0.0, edges[:-1]), edges)
+        self.ellipse = _ellipse(n, u0, self.panels)
+        self.reach = float(np.abs(self.ellipse[:2]).max())
+        self.tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.memo: dict[bytes, tuple[np.ndarray, ...]] = {}
+        self.gamma_c = math.gamma(1.0 + g) * math.gamma(2.0 - g)
+        # On [0, u0] the lead's rest is under e^(-45) of it (2.0001 e^(-45) at n = 1),
+        # so its integral under that of the lead's modulus: the lead's integral over
+        # [0, u0], or 2 Gamma(1 + g) Gamma(1 - g) (Re s)^(g-1) over (0, inf).
+        rest = math.exp(-_EXP_CUT) * (2.0001 if n == 1 else 1.0)
+        self.lead = (rest * 2 * math.gamma(1 + g) * u0 ** (2 * n - 1) * 2 * n / (2 * n - 1),
+                     rest * 2 * math.pi * g / math.sin(math.pi * g))
+        # A node of n >= 54 with t < _T_MIN puts its Psi within 1 (_psi_t_array), so
+        # the integrand within 2n u^(2n-1) < 2n _T_MIN/u of its own, u > u0.
+        self.deep = 2 * n * _T_MIN / u0 if n > 1 else 0.0
+
+    def log_m(self, p: Panels, re: float, im: float) -> np.ndarray:
+        if p is self.panels and self.reach * max(re, im) < 1e300:
+            a, b, log_c = self.ellipse
+            return log_c - a * re + b * im
+        a, b, log_c = self.ellipse if p is self.panels else _ellipse(self.n, self.u0, p)
+        with np.errstate(over="ignore"):  # an exponent past the double range: no bound
+            return log_c - a * re + b * im
+
+    def gather(self, levels: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Nodes, weights, t, factor and relative bound of panel i at level
+        levels[i], as :meth:`Panels.nodes` orders them.  Each (panel, level)
+        is built alone, once, so that its values do not depend on what else
+        was asked for (:func:`_psi_t_array` sums in passes)."""
+        key = levels.tobytes()
+        hit = self.memo.get(key)
+        if hit is None:
+            parts, p = [], self.panels
+            for lv in (np.flatnonzero(np.bincount(levels)[1:]) + 1).tolist():
+                pick = levels == lv
+                table, built = self.tables.setdefault(lv, (
+                    np.empty((5, p.a.size, quadrature.ORDERS[lv - 1])), np.zeros(p.a.size, bool)))
+                for i in (pick & ~built).nonzero()[0].tolist():
+                    us, ws = p.nodes(np.where(p.rows == i, lv, 0))
+                    table[:, i] = us, ws, *_theta_factor(self.n, us)
+                    built[i] = True
+                parts.append(table[:, pick].reshape(5, -1))
+            flat = np.concatenate(parts, axis=1) if parts else np.empty((5, 0))
+            flat.flags.writeable = False
+            hit = tuple(flat)
+            if len(self.memo) < _MEMO:
+                self.memo[key] = hit
+        return hit
 
 
 @lru_cache(maxsize=None)
-def _per_order(n: int) -> tuple[float, float, bytes, np.ndarray, np.ndarray]:
-    """What u_theta's order alone fixes: Gamma(1 + g) Gamma(2 - g), deep, and the
-    first round where no edge depends on s, (0, 1) cut in 4: its nodes' bytes
-    and :func:`_theta_factor` there, read-only."""
-    g, us = 1.0 / (2 * n), kronrod_nodes((0.0, 0.25, 0.5, 0.75), (0.25, 0.5, 0.75, 1.0))[1]
-    ts, factor = _theta_factor(n, us)
-    ts.flags.writeable = factor.flags.writeable = False
-    # A node of n >= 54 with t < _T_MIN puts its Psi within 1 (_psi_t_array), so
-    # the integrand within 2n u^(2n-1) < 2n _T_MIN/u of its own, u > sin(pi/(6n))/_Y_LEAD.
-    deep = 2 * n * _Y_LEAD / math.sin(math.pi / (6 * n)) * _T_MIN if n > 1 else 0.0
-    return math.gamma(1.0 + g) * math.gamma(2.0 - g), deep, us.tobytes(), ts, factor
+def _per_order(n: int) -> _Order:
+    return _Order(n)
+
+
+def _lower_scale(n: int, s: complex) -> float:
+    """A lower bound on |U_2n(z)|, s = z^(2n), Re s > 0.  Every term 1/(k^(2n) + s)
+    has its argument within [-|arg s|, 0] (or its mirror), so |U| is at least
+    cos(arg s / 2) sum_k 1/|k^(2n) + s| >= cos(arg s / 2) sum_k 1/(k^(2n) + |s|),
+    and that sum is at least 1/|s| + 2/(1 + |s|) and, by the integral test,
+    (2 pi g / sin(pi g)) |s|^(g-1) - 1/|s|, g = 1/(2n)."""
+    g, a = 0.5 / n, abs(s)
+    lead = 2.0 * math.pi * g / math.sin(math.pi * g) * a ** (g - 1.0) - 1.0 / a
+    cos_half = 1.0 if isinstance(s, float) else math.cos(0.5 * abs(cmath.phase(s)))
+    return (1.0 - 1e-12) * cos_half * max(1.0 / a + 2.0 / (1.0 + a), lead)
 
 
 def _upper_piece(n: int, s: complex, target: float) -> tuple[complex, float]:
@@ -204,42 +324,45 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
 
     With s = z^(2n), t >= 1 is the closed sum of :func:`_upper_piece`.
     On (0, 1], t = u^(2n) gives 2n u^(2n-1) Psi_n(e^(-u^(2n))) e^(-u^(2n) s),
-    integrated with the peak of its modulus, u* = ((2n-1)/(2n Re s))^(1/(2n)),
-    and the end of that peak's tail as first panel edges where they lie
-    below 1.  The bar also charges the rounding of s, bounded by
-    :func:`power_in_range`.  ``work`` counts the (0, 1] quadrature nodes.
+    integrated on the panels of :class:`_Order` by the certified rule of
+    :func:`~cotlattice.quadrature.integrate_adaptive`, to a quarter of
+    ``tol.target`` at :func:`_lower_scale`.  The bar adds the rule's bounds
+    (of the panels it integrates and of those it skips), the nodes' own
+    bounds, the lead's and the deep nodes' charges, the upper piece's bound,
+    and the rounding of the sum and of s, bounded by :func:`power_in_range`.
+    ``work`` counts the (0, 1] quadrature nodes.
     """
     require_order(n)
     z = require_finite_scalar(z)
     s, rel = laplace_power(n, z)
-    r = s.real
-    abs_target = tol.target(abs(1.0 / s)) / 10.0
-    upper, upper_err = _upper_piece(n, s, abs_target)
+    r, size = s.real, abs(s)
+    target = tol.target(_lower_scale(n, s))
+    upper, upper_err = _upper_piece(n, s, target / 8.0)
+    order = _per_order(n)
+    im = abs(s.imag)
+    entry = None
 
-    # |integrand| peaks at u* = ((1 - g)/Re s)^g; past (36/Re s)^g the e^(-36)
-    # factor leaves < 3e-16 of its integral (Psi falls in t).  As first panel
-    # edges they let the first panels see the peak and its tail, however narrow;
-    # cutting each in 4 (a constant) costs fewer nodes than the rounds it saves.
-    g = 1.0 / (2 * n)
-    edges = (0.0, *(b for b in ((1.0 - g) ** g / r ** g, 36.0 ** g / r ** g) if b < 1.0), 1.0)
-    gamma_c, deep, first_key, *first_factor = _per_order(n)
+    def gather(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal entry
+        entry = order.gather(levels)
+        return entry[0], entry[1]
 
-    def integrand_u(us: np.ndarray) -> np.ndarray:
-        ts, factor = first_factor if us.tobytes() == first_key else _theta_factor(n, us)
-        return factor * np.exp(-ts * s)  # |e^(-t s)| <= 1: t <= 1 and Re s > 0
+    def integrand_u(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hit = entry is not None and us is entry[0]
+        ts, factor, rel_u = entry[2:] if hit else _theta_factor(n, us)
+        ys = factor * np.exp(ts * -s)  # |e^(-t s)| <= 1: t <= 1 and Re s > 0
+        return ys, np.abs(ys) * (rel_u + ((2 + 3 * n) * EPS * size) * ts)
 
-    quad = integrate_adaptive(
-        integrand_u, 0.0, 1.0, abs_tol=abs_target, rel_tol=tol.rel_tol / 4.0,
-        max_nodes=int(tol.max_nodes),
-        breaks=tuple(a + (b - a) * j / 4 for a, b in zip(edges, edges[1:]) for j in range(4))[1:],
-    )
+    quad = integrate_adaptive(integrand_u, order.panels, lambda p: order.log_m(p, r, im),
+                              target / 4.0, int(tol.max_nodes), gather)
     # power_in_range leaves |ds| <= rel |s|.  Near s, |dU/ds| = |s^-2 +
     # 2 sum_k (k^2n + s)^-2| <= 1.01 |s|^-2 + 2 sum_k (k^2n + rho)^-2, rho = Re s -
     # |ds|: under 4 zeta(4) = 4.33 for rho > -1/2, its integral for rho >= 1.
-    rho = r - rel * abs(s)
-    rest = 4.33 if rho < 1.0 else gamma_c * rho ** (g - 2.0)
+    rho = r - rel * size
+    rest = 4.33 if rho < 1.0 else order.gamma_c * rho ** (0.5 / n - 2.0)
     value = quad.value + upper
-    err = (quad.err_estimate + upper_err + deep + 4.0 * EPS * abs(value)
-           + 1.01 * rel / abs(s) + 2.0 * rest * (rel * abs(s)))
+    lead = min(order.lead[0], order.lead[1] * r ** (0.5 / n - 1.0))
+    err = (quad.err_estimate + upper_err + lead + order.deep + 4.0 * EPS * abs(value)
+           + 1.01 * rel / size + 2.0 * rest * (rel * size))
     return EvalResult(value=complex(value), err_estimate=err,
                       method=Method.THETA_INTEGRAL, work=quad.nodes)

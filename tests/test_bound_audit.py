@@ -9,8 +9,10 @@ of the product ratio.  The points where earlier rounding models claimed
 too little are pinned as explicit cases: on the direct route, on the
 closed form and the dyadic recursion (which once left out the rounding
 of the power of z they divide by), on the closed side of the product
-ratio, and on the theta route.  A second property audits the theta route
-at |z| from 1e3 to 1e6 against the integral of the lattice sum.  A
+ratio, and on the theta route.  Two more properties audit the theta route: in
+the band crosscheck draws from (|z| in [0.2, 3], arg z^(2n) out to 0.9999 pi/2)
+against the series, and at |z| from 1e3 to 1e6 against the integral of the
+lattice sum.  A
 third holds the closed form's vector pass and its scalar loop, next to
 poles too, within their bar plus a first-order charge for the rounding of
 the kernel's arguments, which the bar does not yet include.  A seeded
@@ -31,8 +33,9 @@ mp = pytest.importorskip("mpmath").mp
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from cotlattice import (DomainError, KernelSingularError, ProductQuery, Tolerance,
-                        ToleranceError, phi, product_ratio, psi, u_closed, u_direct, u_theta)
+from cotlattice import (DomainError, KernelSingularError, ProductQuery, QuadratureFailureError,
+                        Tolerance, ToleranceError, phi, product_ratio, psi, u_closed, u_direct,
+                        u_theta)
 from cotlattice import closed
 from cotlattice.numerics import EPS
 from cotlattice.zeta_product import product_parts
@@ -142,6 +145,60 @@ def test_theta_default_tolerance_point():
     z = -2.998974576517964
     res = u_theta(3, z)
     assert abs(res.value - lattice_oracle(6, z)) <= res.err_estimate
+
+
+#: Theta points where a bar claimed too little, now pinned.  Kronrod's estimate at
+#: the default tolerance claimed 6.59e-13 for an error of 3.35e-12 at n = 3
+#: (verify failed two pairs there at 1e-10); at rel_tol 1e-13 it missed by 18.5x
+#: (n = 7) and 1.26x (n = 2).  At n = 1, s lies 0.99987 pi/2 from the real axis,
+#: where its bar covered the error with 5% to spare.
+THETA_PINS = [
+    (3, 1.4469644263943393 + 0.23662103121751407j),
+    (7, 8.978691814174192),
+    (2, 1.0393116301937393),
+    (1, 0.7936300305943262 + 0.7934650950970973j),
+]
+
+
+@pytest.mark.parametrize("n, z", THETA_PINS)
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(0.0, 1e-13)])
+def test_theta_pinned_points(n, z, tol):
+    # each holds its bar or refuses; none misses
+    try:
+        res = u_theta(n, z, tol)
+    except QuadratureFailureError:
+        return
+    miss = abs(res.value - lattice_oracle(2 * n, z))
+    assert miss <= res.err_estimate, (n, z, tol, miss, res.err_estimate)
+
+
+THETA_BAND = hypothesis.settings(max_examples=150, derandomize=True, database=None,
+                                 deadline=None)
+
+
+@THETA_BAND
+@hypothesis.given(
+    n=st.integers(1, 32),
+    r=st.floats(0.2, 3.0),
+    real=st.booleans(),
+    turn=st.floats(-0.9999, 0.9999),
+    tight=st.booleans(),
+)
+# Kronrod's estimate missed at these by 2.08x (default tolerance), 1.74x and 1.23x
+@hypothesis.example(n=16, r=1.2689152595896172, real=True, turn=0.0, tight=False)
+@hypothesis.example(n=4, r=2.5448760916723834, real=True, turn=0.0, tight=True)
+@hypothesis.example(n=3, r=1.8744263628161286, real=True, turn=0.0, tight=True)
+def test_theta_bound_holds_in_crosscheck_band(n, r, real, turn, tight):
+    # The band crosscheck draws from (theta index 1..32, |z| in [0.2, 3]), with
+    # arg z^(2n) = turn pi/2 out to 0.9999 pi/2, where e^(-t s) turns fastest.
+    z = r if real else r * cmath.exp(0.25j * math.pi * turn / n)
+    tol = Tolerance(0.0, 1e-13) if tight else Tolerance()
+    try:
+        res = u_theta(n, z, tol)
+    except QuadratureFailureError:
+        return  # a refusal, not a miss
+    miss = abs(res.value - lattice_oracle(2 * n, z))
+    assert miss <= res.err_estimate, (n, z, tight, miss, res.err_estimate)
 
 
 @AUDIT

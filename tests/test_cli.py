@@ -415,6 +415,17 @@ class TestVerifyCommand:
         assert kinds.count("verify-pair") == 6
         assert kinds[-1] == "verify-summary"
 
+    def test_theta_bar_holds_at_a_good_point(self, tmp_path, capsys):
+        # Kronrod's estimate claimed 6.59e-13 here for an error of 3.35e-12, and
+        # two pairs with theta failed at 1e-10: the certified bar holds.
+        p = tmp_path / "g.txt"
+        p.write_text("n 6 z 1.4469644263943393+0.23662103121751407i\n")
+        code, out, err = run_cli(["verify", "--grid", str(p), "--abs-tol", "1e-10",
+                                  "--rel-tol", "1e-10"], capsys)
+        assert code == 0, out
+        summary = parse_plain(out[-1])
+        assert (summary["pairs_passed"], summary["pairs_total"]) == ("3", "3")
+
     def test_domain_failures_exit_2(self, tmp_path, capsys):
         p = tmp_path / "g.txt"
         p.write_text("n 2 z 0\n")

@@ -1,4 +1,4 @@
-"""Tests for the Kronrod quadrature core and the theta-integral route."""
+"""Tests for the certified Gauss-Legendre rule and the theta-integral route."""
 
 import cmath
 import math
@@ -21,7 +21,7 @@ from cotlattice import (
 from cotlattice import quadrature, theta
 from cotlattice.cli import main
 from cotlattice.numerics import EPS
-from cotlattice.quadrature import _gk15, integrate_adaptive, kronrod_nodes
+from cotlattice.quadrature import Panels, integrate_adaptive
 from cotlattice.theta import _psi_t_array, _upper_piece
 from cotlattice.verify import DEFAULT_VERIFY_GRID
 from pairwise import pairwise
@@ -30,132 +30,165 @@ from psi_oracle import log_nome, psi_ref
 PI_COTH_PI = 3.153348094937162  # pi * coth(pi) = U_2(1)
 
 
-class TestGK15Panel:
-    """One Kronrod panel integrates low-degree polynomials exactly."""
-
-    def test_polynomial_exactness(self):
-        # The 15-point Kronrod extension of G7 is exact through degree 22.
-        for deg in (0, 5, 13, 22):
-            value, err, _ = _gk15(lambda x, d=deg: x**d, (0.0,), (1.0,))[0]
-            exact = 1.0 / (deg + 1)
-            assert abs(value - exact) < 1e-14 * exact + 1e-16
-
-    def test_error_model_covers_smooth(self):
-        value, err, _ = _gk15(np.sin, (0.0,), (1.0,))[0]
-        exact = 1.0 - math.cos(1.0)
-        assert abs(value - exact) <= err
-
-
-class TestIntegrateAdaptive:
-    """Adaptive bisection meets its target with an honest bound."""
-
-    def test_sine(self):
-        res = integrate_adaptive(np.sin, 0.0, math.pi,
-                                 abs_tol=1e-12, rel_tol=0.0, max_nodes=10_000)
-        assert abs(res.value - 2.0) <= res.err_estimate
-        assert res.err_estimate <= 1e-12
-
-    def test_integrable_endpoint_singularity(self):
-        res = integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
-                                 abs_tol=1e-8, rel_tol=0.0, max_nodes=100_000)
-        assert abs(res.value - 2.0) <= max(res.err_estimate, 1e-8)
-
-    def test_oscillatory(self):
-        res = integrate_adaptive(lambda x: np.cos(40.0 * x), 0.0, 1.0,
-                                 abs_tol=1e-10, rel_tol=0.0, max_nodes=100_000)
-        exact = math.sin(40.0) / 40.0
-        assert abs(res.value - exact) <= res.err_estimate + 1e-14
-
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(QuadratureFailureError):
-            integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
-                               abs_tol=1e-12, rel_tol=0.0, max_nodes=45)
-
-    def test_first_round_over_budget_raises(self):
-        # 4 first panels need 60 nodes: raise before any is evaluated.
-        calls = []
-        with pytest.raises(QuadratureFailureError, match="node budget 10 exhausted"):
-            integrate_adaptive(lambda xs: calls.append(xs) or np.exp(xs), 0.0, 1.0,
-                               abs_tol=1e-3, rel_tol=0.0, max_nodes=10,
-                               breaks=(0.25, 0.5, 0.75))
-        assert calls == []
-
-    def test_nan_integrand_raises(self):
-        # A nan error bound picks no panel to bisect; it must not loop forever.
-        with pytest.raises(QuadratureFailureError, match="error bound nan after 15 nodes"):
-            integrate_adaptive(lambda xs: np.where(xs < 0.3, np.nan, xs), 0.0, 1.0,
-                               abs_tol=1e-3, rel_tol=0.0, max_nodes=1_000)
-
-    def test_deterministic(self):
-        runs = [integrate_adaptive(lambda x: np.exp(-x * x), 0.0, 3.0,
-                                   abs_tol=1e-11, rel_tol=0.0, max_nodes=10_000)
-                for _ in range(2)]
-        assert runs[0].value == runs[1].value
-        assert runs[0].nodes == runs[1].nodes
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            integrate_adaptive(np.sin, 1.0, 0.0,
-                               abs_tol=1e-10, rel_tol=0.0, max_nodes=100)
-        with pytest.raises(ValueError):
-            integrate_adaptive(np.sin, 0.0, 1.0, abs_tol=1e-10, rel_tol=0.0,
-                               max_nodes=100, breaks=(1.0,))
-
-
 def wiggle(xs):
     return np.exp(-xs * xs) * np.cos(9.0 * xs)
 
 
-class TestBatchedPanels:
-    """Each round's bisections share one integrand call, and the batch
-    computes each panel as _gk15 computes it alone."""
+def box(p):
+    """Per rho of RHOS and panel of Panels p: the real parts' range and the
+    half height of the panel's ellipse box, (lo, hi, beta), each (R, P)."""
+    rho = quadrature.RHOS[:, None]
+    alpha, beta = 0.5 * (rho + 1.0 / rho) * p.h, 0.5 * (rho - 1.0 / rho) * p.h
+    return p.mid - alpha, p.mid + alpha, beta + 0.0 * p.h
 
-    @pytest.mark.parametrize("breaks", [(), (0.4,), (0.4, 2.0)])
-    def test_one_call_per_round(self, breaks, monkeypatch):
-        sizes, panels = [], []
-        batched = quadrature._gk15
-        monkeypatch.setattr(quadrature, "_gk15",
-                            lambda f, a, b: panels.append(len(a)) or batched(f, a, b))
-        res = integrate_adaptive(lambda xs: sizes.append(len(xs)) or wiggle(xs),
-                                 0.0, 6.0, abs_tol=1e-12, rel_tol=0.0,
-                                 max_nodes=10_000, breaks=breaks)
-        assert sizes[0] == 15 * (len(breaks) + 1)
-        # Each later call bisects the round's panels: two halves of 15 nodes each.
-        assert len(sizes) > 1
-        assert all(size == 15 * count and count % 2 == 0
-                   for size, count in zip(sizes[1:], panels[1:]))
-        assert sum(sizes) == res.nodes
-        # One bisection per call makes 1 + (nodes - first call) / 30 calls; no more here.
-        assert len(sizes) <= 1 + (res.nodes - sizes[0]) // 30
-        assert abs(res.value - 0.5 * math.sqrt(math.pi) * math.exp(-81.0 / 4.0)) \
-            <= res.err_estimate + 1e-16  # + the tail past 6, under 1e-16
 
-    def test_values_match_single_panels(self, monkeypatch):
-        batches = []
-        batched = quadrature._gk15
+def log_m_wiggle(p):
+    # |e^(-z^2) cos 9z| <= e^(y^2 - x^2) cosh(9y) on the box
+    lo, hi, beta = box(p)
+    min_x2 = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, np.minimum(lo * lo, hi * hi))
+    return beta ** 2 - min_x2 + np.log(np.cosh(9.0 * beta))
 
-        def spy(f, a, b):
-            out = batched(f, a, b)
-            batches.append((tuple(a), tuple(b), out))
-            return out
 
-        monkeypatch.setattr(quadrature, "_gk15", spy)
-        res = integrate_adaptive(wiggle, 0.0, 3.0, abs_tol=1e-12, rel_tol=0.0,
-                                 max_nodes=10_000, breaks=(0.4,))
-        monkeypatch.undo()
-        panels = {}
-        for lo, hi, out in batches:
-            for a, b, (value, err, resabs) in zip(lo, hi, out):
-                single = _gk15(wiggle, (a,), (b,))[0]
-                assert value == single[0]
-                assert err == single[1]
-                panels[(a, b)] = value
-        # The panels not bisected tile [0, 3]; their values make the result.
-        split = {(a, b) for a, b in panels if (a, 0.5 * (a + b)) in panels}
-        leaves = sorted(k for k in panels if k not in split)
-        assert leaves[0][0] == 0.0 and leaves[-1][1] == 3.0
-        assert all(x[1] == y[0] for x, y in zip(leaves, leaves[1:]))
-        assert res.value == pytest.approx(math.fsum(panels[k] for k in leaves), rel=1e-15)
+def log_m_cos(omega):
+    return lambda p: np.log(np.cosh(omega * box(p)[2]))
+
+
+log_m_cos40 = log_m_cos(40.0)
+
+
+def log_m_power(d):
+    # |z^d| <= (|m| + alpha)^d on the ellipse
+    return lambda p: d * np.log(np.maximum(abs(box(p)[0]), abs(box(p)[1])))
+
+
+class TestGaussLegendre:
+    """The rule's nodes and weights, and its exactness."""
+
+    @pytest.mark.parametrize("order", quadrature.ORDERS)
+    def test_tables_within_an_ulp_of_mpmath(self, order):
+        # 1 + x and w are the doubles next to the exact values; numpy's leggauss
+        # weights miss by up to 500 eps at 24 points, 5700 at 64.
+        mp = pytest.importorskip("mpmath").mp
+        shifted, weights = quadrature.gauss_legendre(order)
+        with mp.workdps(40):
+            for s, w in zip(shifted, weights):
+                x = mp.findroot(lambda t: mp.legendre(order, t), mp.mpf(s) - 1)
+                dp = mp.diff(lambda t: mp.legendre(order, t), x)
+                assert abs(s - (1 + x)) <= 0.5 * math.ulp(s), (order, s)
+                exact = 2 / ((1 - x * x) * dp * dp)
+                assert abs(w - exact) <= 0.5 * math.ulp(w), (order, w)
+
+    def test_exact_through_degree_2n_minus_1(self):
+        p = quadrature.Panels([0.5], [2.0])
+        for level, order in enumerate(quadrature.ORDERS, start=1):
+            us, ws = p.nodes(np.array([level]))
+            assert len(us) == order
+            for d in range(2 * order):
+                got = math.fsum(ws * us ** d)
+                exact = (2.0 ** (d + 1) - 0.5 ** (d + 1)) / (d + 1)
+                assert abs(got - exact) <= 1e-14 * exact, (order, d)
+        # degree 2N is the rule's first error
+        for level, order in ((1, 4), (3, 8)):
+            us, ws = quadrature.Panels([-1.0], [1.0]).nodes(np.array([level]))
+            assert abs(math.fsum(ws * us ** (2 * order)) - 2.0 / (2 * order + 1)) > 1e-6
+
+
+class TestIntegrateAdaptive:
+    """The certified rule: bounds only, one integrand call, no estimate."""
+
+    def test_sine(self):
+        # |sin z| <= cosh(Im z)
+        res = integrate_adaptive(np.sin, Panels([0.0], [math.pi]),
+                                 lambda p: np.log(np.cosh(box(p)[2])), 1e-12, 10_000)
+        assert abs(res.value - 2.0) <= res.err_estimate <= 1e-12
+
+    @pytest.mark.parametrize("target", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("panels", [1, 3])
+    def test_oscillatory(self, target, panels):
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        res = integrate_adaptive(lambda x: np.cos(40.0 * x), Panels(edges[:-1], edges[1:]),
+                                 log_m_cos40, target, 10_000)
+        assert abs(res.value - math.sin(40.0) / 40.0) <= res.err_estimate <= 1.01 * target
+
+    @pytest.mark.parametrize("target", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("panels", [1, 3])
+    def test_bound_covers_entire_integrands(self, target, panels):
+        edges = np.linspace(0.0, 6.0, panels + 1)
+        res = integrate_adaptive(wiggle, Panels(edges[:-1], edges[1:]), log_m_wiggle, target,
+                                 10_000)
+        exact = 0.5 * math.sqrt(math.pi) * math.exp(-81.0 / 4.0)  # the tail past 6 is < 1e-16
+        assert abs(res.value - exact) <= res.err_estimate + 1e-16
+        assert res.err_estimate <= 1.01 * target
+
+    def test_bound_is_close_where_the_rule_first_errs(self):
+        # x^8 at 4 points, where the error is the rule's first: 0.0116 against a
+        # bound of 0.0184 at rho = 10.  A bound a quarter of this would miss.
+        res = integrate_adaptive(lambda x: x ** 8, Panels([-1.0], [1.0]), log_m_power(8),
+                                 0.04, 1_000)  # one panel: its share is 0.02
+        assert res.nodes == 4
+        miss = abs(res.value - 2.0 / 9.0)
+        assert 0.0116 < miss <= res.err_estimate < 1.6 * miss
+
+    def test_one_integrand_call_bisections_included(self, monkeypatch):
+        calls, halves = [], []
+        split = quadrature.Panels.halves
+        monkeypatch.setattr(quadrature.Panels, "halves",
+                            lambda self, pick: halves.append(int(pick.sum())) or split(self, pick))
+        res = integrate_adaptive(lambda xs: calls.append(len(xs)) or np.cos(200.0 * xs),
+                                 Panels([0.0], [1.0]), log_m_cos(200.0), 1e-12, 10_000)
+        assert halves  # 64 points cannot resolve 32 periods of cos 200x
+        assert calls == [res.nodes]
+        assert abs(res.value - math.sin(200.0) / 200.0) <= res.err_estimate
+
+    def test_panel_that_fits_takes_no_node(self):
+        # the second panel's own bound 2h e^(-36) is under its share
+        calls = []
+        res = integrate_adaptive(lambda xs: calls.append(xs) or np.exp(-xs * xs),
+                                 Panels([0.0, 6.0], [6.0, 12.0]),
+                                 lambda p: np.log(np.exp(-np.where(box(p)[0] > 0, box(p)[0], 0) ** 2)
+                                                  * np.exp(box(p)[2] ** 2)), 1e-10, 10_000)
+        assert calls[0].max() < 6.0
+        assert abs(res.value - 0.5 * math.sqrt(math.pi)) <= res.err_estimate
+
+    def test_first_round_over_budget_raises(self):
+        # 64 nodes do not reach 1e-12 on cos 40x: raise before any is evaluated
+        calls = []
+        with pytest.raises(QuadratureFailureError, match="node budget 10 exhausted"):
+            integrate_adaptive(lambda xs: calls.append(xs) or np.cos(40.0 * xs),
+                               Panels([0.0], [1.0]), log_m_cos40, 1e-12, 10)
+        assert calls == []
+
+    def test_budget_exhaustion_raises(self):
+        # cos 200x takes two halves of 48 nodes: a budget of 90 falls short
+        calls = []
+        with pytest.raises(QuadratureFailureError, match="node budget 90 exhausted: 96"):
+            integrate_adaptive(lambda xs: calls.append(xs) or np.cos(200.0 * xs),
+                               Panels([0.0], [1.0]), log_m_cos(200.0), 1e-12, 90)
+        assert calls == []
+
+    def test_nan_integrand_raises(self):
+        with pytest.raises(QuadratureFailureError, match="not finite"):
+            integrate_adaptive(lambda xs: np.where(xs < 0.3, np.nan, xs), Panels([0.0], [1.0]),
+                               lambda p: np.zeros((len(quadrature.RHOS), p.a.size)), 1e-3, 1_000)
+
+    def test_nan_bound_raises(self):
+        with pytest.raises(QuadratureFailureError):
+            integrate_adaptive(np.cos, Panels([0.0], [1.0]),
+                               lambda p: np.full((len(quadrature.RHOS), p.a.size), np.nan),
+                               1e-3, 1_000)
+
+    def test_deterministic(self):
+        runs = [integrate_adaptive(wiggle, Panels([0.0, 0.4], [0.4, 3.0]), log_m_wiggle,
+                                   1e-11, 10_000) for _ in range(2)]
+        assert runs[0] == runs[1]
+
+    def test_bad_interval(self):
+        for a, b in (([1.0], [0.0]), ([0.0], [0.0]), ([0.0], [math.inf]), ([], []),
+                     ([0.0, 1.0], [1.0])):
+            with pytest.raises(ValueError):
+                Panels(a, b)
+        with pytest.raises(ValueError):
+            integrate_adaptive(np.sin, Panels([0.0], [1.0]), log_m_cos40, 0.0, 100)
 
 
 class TestPsiNome:
@@ -240,9 +273,9 @@ class TestPsi:
         assert abs(value - psi_ref(1, log_nome(float(q)))) <= err
 
 
-#: Panels [0, 2^-j] as the adaptive quadrature produces them next to t = 0,
-#: where the smallest node needs far more theta terms than the rest.
-T_PANELS = [kronrod_nodes((0.0,), (2.0 ** -j,))[1] for j in range(21)]
+#: 16 Gauss-Legendre nodes on each panel [0, 2^-j], as bisection next to t = 0
+#: makes them, where the smallest node needs far more theta terms than the rest.
+T_PANELS = [Panels([0.0], [2.0 ** -j]).nodes(np.array([5]))[0] for j in range(21)]
 
 
 class TestPsiTArray:
@@ -339,10 +372,9 @@ class TestPsiTArray:
             assert v == seg[0] + pairwise(seg[1:]), m
 
 
-class TestFirstRound:
-    """Where no panel edge depends on s, the first round's nodes, t and the
-    s-free factor of the integrand are built once per order: results are
-    bitwise those of evaluating that round at each call."""
+class TestPerOrder:
+    """Each order's panels, their s-free constants and, lazily, their nodes'
+    values: a result does not depend on what was built or kept before it."""
 
     @staticmethod
     def outcomes(points, tol):
@@ -355,35 +387,68 @@ class TestFirstRound:
                 out.append(f"{type(exc).__name__}: {exc}")
         return out
 
-    def test_cached_round_is_bitwise_the_computed_one(self, monkeypatch):
+    def test_results_do_not_depend_on_the_caches(self, monkeypatch):
         rng = random.Random(23)
         points = []
         for n in range(1, 33):
-            for lo, hi in ((0.02, 0.5), (0.5, 50.0)):  # |z^2n|: the cached round, then mostly not
+            for lo, hi in ((0.02, 0.5), (0.5, 50.0)):
                 r = rng.uniform(lo, hi) ** (0.5 / n)
                 arg = rng.uniform(-0.45, 0.45) * math.pi / (2 * n) if n % 3 else 0.0
                 points.append((n, cmath.rect(r, arg) * (-1) ** rng.randrange(2)))
-        hits = sum((z ** (2 * n)).real <= 1.0 - 0.5 / n for n, z in points)
-        assert hits >= 32
         for tol in (DEFAULT_VERIFY_GRID.tol, Tolerance()):
             theta._per_order.cache_clear()
             cold = self.outcomes(points, tol)
             warm = self.outcomes(points, tol)
-            per_order = theta._per_order
-            # a key no node array matches: every round evaluates its own factor
-            monkeypatch.setattr(theta, "_per_order", lambda n: (*per_order(n)[:2], None,
-                                                                *per_order(n)[3:]))
-            computed = self.outcomes(points, tol)
+            theta._per_order.cache_clear()
+            reverse = self.outcomes(points[::-1], tol)[::-1]
+            monkeypatch.setattr(theta, "_MEMO", 0)  # every call gathers its nodes afresh
+            theta._per_order.cache_clear()
+            unkept = self.outcomes(points, tol)
             monkeypatch.undo()
-            assert cold == warm == computed
+            assert cold == warm == reverse == unkept
 
-    def test_cached_arrays_are_read_only(self):
-        for n in (1, 2, 32):
-            _, _, key, ts, factor = theta._per_order(n)
-            assert len(key) == 60 * 8 and ts.shape == factor.shape == (60,)
-            for a in (ts, factor):
-                with pytest.raises(ValueError):
-                    a[0] = 1.0
+    def test_gathered_values_are_each_panels_own(self):
+        # A (panel, level) is built alone: its values are _theta_factor's there.
+        theta._per_order.cache_clear()
+        order = theta._per_order(8)
+        p = order.panels
+        levels = np.arange(p.a.size) % (len(quadrature.ORDERS) + 1)
+        us, ws, ts, factor, rel = order.gather(levels)
+        at = 0
+        for lv in range(1, len(quadrature.ORDERS) + 1):  # grouped by level, as Panels.nodes
+            for i in np.flatnonzero(levels == lv).tolist():
+                one_us, one_ws = p.nodes(np.where(p.rows == i, lv, 0))
+                k = len(one_us)
+                assert us[at:at + k].tolist() == one_us.tolist()
+                assert ws[at:at + k].tolist() == one_ws.tolist()
+                for a, b in zip((ts, factor, rel), theta._theta_factor(8, one_us)):
+                    assert a[at:at + k].tolist() == b.tolist()
+                at += k
+        assert at == len(us)
+        for a in (us, ws, ts, factor, rel):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_first_call_builds_one_order(self):
+        # The set-up's first verify of U_4 pays for order 2 alone.
+        theta._per_order.cache_clear()
+        u_theta(2, 0.7, DEFAULT_VERIFY_GRID.tol)
+        assert theta._per_order.cache_info().currsize == 1
+        order = theta._per_order(2)
+        built = sum(int(done.sum()) for _, done in order.tables.values())
+        assert 0 < built < order.panels.a.size * len(quadrature.ORDERS)
+
+    def test_ladder(self):
+        # [0, u0], where the evaluator returns the entire lead, then panels of
+        # ratio at most 1 + _RATIO/n up to 1.
+        for n in (1, 2, 7, 32, 99):
+            order = theta._per_order(n)
+            a, b = order.panels.a, order.panels.b
+            assert a[0] == 0.0 and b[0] == order.u0 and b[-1] == 1.0
+            assert (a[1:] == b[:-1]).all()
+            assert (b[1:] / a[1:] <= 1.0 + theta._RATIO / n + 1e-12).all()
+        assert theta._per_order(1).u0 == math.pi / math.sqrt(45.0)
+        assert theta._per_order(4).u0 == math.sin(math.pi / 24) / theta._Y_LEAD
 
 
 class TestUTheta:
@@ -403,16 +468,18 @@ class TestUTheta:
             assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
 
     def test_unreachable_target_raises_early(self, monkeypatch):
-        # The resolved panels' 50 eps resabs floors exceed the 1e-13
-        # relative target, which no bisection lowers: raise within a few
-        # hundred nodes, not after the whole 100,000-node budget.
-        nodes = []
-        psi_t = theta._psi_t_array
-        monkeypatch.setattr(theta, "_psi_t_array",
-                            lambda n, ts, us: nodes.append(len(ts)) or psi_t(n, ts, us))
-        with pytest.raises(QuadratureFailureError, match="floor .* of resolved panels"):
-            u_theta(4, 2.57530430523625 - 0.3921527485311234j, Tolerance(0.0, 1e-13))
-        assert sum(nodes) < 1_000
+        # The bound pass sizes every panel first: a target the budget cannot
+        # reach raises before any node's Psi is summed.
+        calls = []
+        factor = theta._theta_factor
+        monkeypatch.setattr(theta, "_theta_factor",
+                            lambda n, us: calls.append(len(us)) or factor(n, us))
+        z = 2.57530430523625 - 0.3921527485311234j
+        with pytest.raises(QuadratureFailureError, match="node budget 100 exhausted"):
+            u_theta(4, z, Tolerance(0.0, 1e-13, max_nodes=100))
+        assert calls == []
+        res = u_theta(4, z, Tolerance(0.0, 1e-13))  # 428 nodes, under the 1e-13 target
+        assert res.err_estimate <= 1e-13 * abs(res.value)
 
     def test_complex_point(self):
         z = 0.5 + 0.5j  # z^8 = 1/16, real and positive
@@ -442,12 +509,17 @@ class TestUTheta:
         ref = u_closed(198, z)
         assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
 
-    def test_peak_breakpoint_finds_narrow_mass(self):
-        # At n = 99, z = 10.47 the integrand in u is a spike of width ~5e-4
-        # at u* = 0.0955; a single first panel on (0, 1] sees none of it.
-        res = u_theta(99, 10.465838347973358)
-        assert res.value.real > 1e-201
-        assert res.err_estimate < 1e-200
+    def test_narrow_mass_found_at_a_relative_target(self):
+        # At n = 99, z = 10.47 the integrand in u is a spike of width ~5e-4 at
+        # u* = 0.0955, and U ~ 1e-200: the absolute target skips every panel,
+        # a relative one finds the spike.
+        z = 10.465838347973358
+        res = u_theta(99, z)
+        assert res.value == 0 and res.err_estimate < 1e-199
+        res = u_theta(99, z, Tolerance(0.0, 1e-10))
+        ref = u_closed(198, z)
+        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
+        assert 0 < res.err_estimate <= 1e-10 * abs(res.value)
 
     @pytest.mark.parametrize("z", ["6000", "1e5"])
     def test_large_z_u2(self, z, capsys):
