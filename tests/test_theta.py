@@ -102,9 +102,15 @@ class TestIntegrateAdaptive:
                                  lambda p: np.log(np.cosh(box(p)[2])), 1e-12, 10_000)
         assert abs(res.value - 2.0) <= res.err_estimate <= 1e-12
 
+    def test_oscillatory(self):
+        res = integrate_adaptive(lambda x: np.cos(40.0 * x), Panels([0.0], [1.0]), log_m_cos40,
+                                 1e-10, 100_000)
+        exact = math.sin(40.0) / 40.0
+        assert abs(res.value - exact) <= res.err_estimate <= 1e-10
+
     @pytest.mark.parametrize("target", [1e-4, 1e-8, 1e-12])
     @pytest.mark.parametrize("panels", [1, 3])
-    def test_oscillatory(self, target, panels):
+    def test_oscillatory_meets_each_target(self, target, panels):
         edges = np.linspace(0.0, 1.0, panels + 1)
         res = integrate_adaptive(lambda x: np.cos(40.0 * x), Panels(edges[:-1], edges[1:]),
                                  log_m_cos40, target, 10_000)
@@ -189,6 +195,57 @@ class TestIntegrateAdaptive:
                 Panels(a, b)
         with pytest.raises(ValueError):
             integrate_adaptive(np.sin, Panels([0.0], [1.0]), log_m_cos40, 0.0, 100)
+
+
+class TestBatchedPanels:
+    """Every panel's nodes, bisected halves' included, go to the integrand in
+    one call, and each panel's nodes are those it takes alone."""
+
+    @pytest.mark.parametrize("breaks", [(), (0.4,), (0.4, 2.0)])
+    def test_one_call_per_round(self, breaks, monkeypatch):
+        calls, halves = [], []
+        split = quadrature.Panels.halves
+        monkeypatch.setattr(quadrature.Panels, "halves",
+                            lambda self, pick: halves.append(int(pick.sum())) or split(self, pick))
+        edges = np.array([0.0, *breaks, 6.0])
+        res = integrate_adaptive(lambda xs: calls.append(len(xs)) or np.cos(45.0 * xs),
+                                 Panels(edges[:-1], edges[1:]), log_m_cos(45.0), 1e-12, 10_000)
+        assert halves  # 64 points cannot resolve 43 periods of cos 45x on [0, 6]
+        assert calls == [res.nodes]
+        assert abs(res.value - math.sin(270.0) / 45.0) <= res.err_estimate <= 1.01e-12
+
+    def test_values_match_single_panels(self, monkeypatch):
+        picked, calls = [], []
+        nodes = quadrature.Panels.nodes
+        monkeypatch.setattr(quadrature.Panels, "nodes",
+                            lambda self, levels: picked.append((self, levels)) or nodes(self, levels))
+        f = lambda xs: np.exp(-xs) * np.cos(45.0 * xs)  # |f| <= e^(beta - Re z) cosh(45 beta)
+        res = integrate_adaptive(lambda xs: calls.append(xs) or f(xs),
+                                 Panels([0.0, 0.4], [0.4, 6.0]),
+                                 lambda p: box(p)[2] - box(p)[0] + np.log(np.cosh(45.0 * box(p)[2])),
+                                 1e-12, 10_000)
+        monkeypatch.undo()
+        assert len(picked) > 1  # there were bisections
+        xs_batch, = calls
+        xs, ws, leaves = [], [], []
+        for p, levels in picked:
+            for i in np.flatnonzero(levels < len(quadrature.ORDERS) + 1).tolist():
+                leaves.append((float(p.a[i]), float(p.b[i])))
+            for lv in range(1, len(quadrature.ORDERS) + 1):  # grouped by level, as Panels.nodes
+                for i in np.flatnonzero(levels == lv).tolist():
+                    one_xs, one_ws = nodes(Panels([p.a[i]], [p.b[i]]), np.array([lv]))
+                    xs.append(one_xs)
+                    ws.append(one_ws)
+        assert np.concatenate(xs).tolist() == xs_batch.tolist()
+        # The panels not bisected tile [0, 6]; their sums make the result.
+        leaves.sort()
+        assert leaves[0][0] == 0.0 and leaves[-1][1] == 6.0
+        assert all(x[1] == y[0] for x, y in zip(leaves, leaves[1:]))
+        terms = [w * f(x) for x, w in zip(xs, ws)]
+        total = math.fsum(math.fsum(t) for t in terms)
+        rounding = (24 + xs_batch.size.bit_length()) * EPS * math.fsum(
+            math.fsum(abs(t)) for t in terms)
+        assert abs(res.value - total) <= rounding
 
 
 class TestPsiNome:
@@ -449,6 +506,26 @@ class TestPerOrder:
             assert (b[1:] / a[1:] <= 1.0 + theta._RATIO / n + 1e-12).all()
         assert theta._per_order(1).u0 == math.pi / math.sqrt(45.0)
         assert theta._per_order(4).u0 == math.sin(math.pi / 24) / theta._Y_LEAD
+
+
+class TestFirstRound:
+    """An order's nodes, t and s-free factor are built once and kept; what is
+    kept and handed to the integrand is read-only."""
+
+    def test_cached_arrays_are_read_only(self):
+        for n in (1, 2, 32):
+            theta._per_order.cache_clear()
+            u_theta(n, 0.7, DEFAULT_VERIFY_GRID.tol)
+            order = theta._per_order(n)
+            assert order.memo
+            for key, kept in order.memo.items():
+                levels = np.frombuffer(key, dtype=np.intp)
+                count = len(order.panels.nodes(levels)[0])
+                assert len(kept) == 5 and all(a.shape == (count,) for a in kept)
+                assert order.gather(levels) is kept
+                for a in kept:
+                    with pytest.raises(ValueError):
+                        a[0] = 1.0
 
 
 class TestUTheta:
