@@ -38,6 +38,21 @@ _LOG_RULE = np.full((len(RHOS), _BISECT + 1, 1), _BIG)
 _LOG_RULE[0, 0], _LOG_RULE[0, _BISECT] = math.log(2.0), -_BIG
 _LOG_RULE[1:, 1:_BISECT, 0] = np.log((64.0 / 15.0) * RHOS[1:, None] ** (2.0 - 2.0 * np.array(
     ORDERS)) / (RHOS[1:, None] ** 2 - 1.0))
+#: Entries a memo of :func:`kept` holds: 20,000 theta calls chose 11-186 levels vectors an order.
+MEMO = 256
+
+
+def kept(memo: dict, key: bytes, make):
+    """memo[key], else the arrays make() returns, made read-only and kept while
+    memo holds fewer than MEMO entries."""
+    hit = memo.get(key)
+    if hit is None:
+        hit = make()
+        for a in hit:
+            a.flags.writeable = False
+        if len(memo) < MEMO:
+            memo[key] = hit
+    return hit
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +98,7 @@ class Panels:
         self.a, self.b, self.mid, self.h = a, b, 0.5 * (a + b), 0.5 * (b - a)
         self.log_rule = _LOG_RULE + np.log(self.h)
         self.rows = np.arange(a.size)
+        self.memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def halves(self, pick: np.ndarray) -> Panels:
         """The two halves of each panel ``pick`` selects, in order."""
@@ -93,14 +109,19 @@ class Panels:
 
     def nodes(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights of panel i at order ORDERS[levels[i] - 1], none
-        where levels[i] is 0 (or bisects), grouped by order."""
-        xs, ws = [np.empty(0)], [np.empty(0)]
-        for lv in (np.flatnonzero(np.bincount(levels)[1:_BISECT]) + 1).tolist():
-            x, w = gauss_legendre(ORDERS[lv - 1])
-            pick = levels == lv
-            xs.append((self.a[pick, None] + self.h[pick, None] * x).ravel())
-            ws.append((self.h[pick, None] * w).ravel())
-        return np.concatenate(xs), np.concatenate(ws)
+        where levels[i] is 0 (or bisects), grouped by order: read-only, and
+        kept per levels (:func:`kept`)."""
+
+        def make():
+            xs, ws = [np.empty(0)], [np.empty(0)]
+            for lv in (np.flatnonzero(np.bincount(levels)[1:_BISECT]) + 1).tolist():
+                x, w = gauss_legendre(ORDERS[lv - 1])
+                pick = levels == lv
+                xs.append((self.a[pick, None] + self.h[pick, None] * x).ravel())
+                ws.append((self.h[pick, None] * w).ravel())
+            return np.concatenate(xs), np.concatenate(ws)
+
+        return kept(self.memo, levels.tobytes(), make)
 
 
 @dataclass(frozen=True)
@@ -112,18 +133,17 @@ class QuadratureResult:
     nodes: int
 
 
-def integrate_adaptive(f, panels: Panels, log_m, target: float, max_nodes: int,
-                       gather=None) -> QuadratureResult:
+def integrate_adaptive(f, panels: Panels, log_m, target: float,
+                       max_nodes: int) -> QuadratureResult:
     """Integrate f over ``panels`` to an error bound of at most ``target``.
 
     ``log_m(p)`` gives, per rho of RHOS and panel of Panels p, the log of a
-    bound on |f| over E_rho (+inf where f may not be analytic).  Where none is
-    bisected, ``gather(levels)``, if given, returns :meth:`Panels.nodes` for
-    ``panels``.  Of P panels, those whose own bound is at most target/2P take
-    no node and the k others target/2k each, a bisected one's halves half its
-    share.  The bar adds the values' bounds, the weights' rounding (3 u) and
-    the sum's: numpy's pairwise sum of a complex row takes a term through at
-    most 20 + log2(count) additions (tests/pairwise.py).
+    bound on |f| over E_rho (+inf where f may not be analytic).  Of P panels,
+    those whose own bound is at most target/2P take no node and the k others
+    target/2k each, a bisected one's halves half its share.  The bar adds the
+    values' bounds, the weights' rounding (3 u) and the sum's: numpy's
+    pairwise sum of a complex row takes a term through at most 20 +
+    log2(count) additions (tests/pairwise.py).
     Raises QuadratureFailureError before f is called where the nodes chosen,
     and 8 per panel left to bisect, exceed ``max_nodes`` or a panel to bisect
     has no double midpoint, and after it where f or a bound is not finite."""
@@ -151,8 +171,7 @@ def integrate_adaptive(f, panels: Panels, log_m, target: float, max_nodes: int,
         if not split:
             break
         cur, log_share = cur.halves(miss), log_share - math.log(2.0)
-    xs, ws = (gather(levels) if len(picked) == 1 and gather is not None
-              else map(np.concatenate, zip(*(p.nodes(lv) for p, lv in picked))))
+    xs, ws = map(np.concatenate, zip(*(p.nodes(lv) for p, lv in picked)))
     if not xs.size:
         return QuadratureResult(value=0j, err_estimate=bound, nodes=0)
     out = f(xs)

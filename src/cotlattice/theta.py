@@ -10,11 +10,11 @@ e^(-ta) dt),
 The piece t >= 1 is integrated term by term in closed form.  On (0, 1],
 t = u^(2n) removes the algebraic blowup Psi ~ c t^(-1/(2n)) at t -> 0, and
 Gauss-Legendre panels take the bounded integrand, each certified by a
-Bernstein-ellipse bound (:mod:`~cotlattice.quadrature`).  Per order the panels,
-their bounds' s-free constants and, lazily, their nodes' Psi_n values are
-kept; a call adds the s-dependent part of each bound and e^(-t s).  One
-evaluator sums Psi_n, with a bound per node, at the quadrature's nodes and at
-psi's one t = -log q: terms e^(-t k^(2n)) up to t k^(2n) = 45, and next to
+Bernstein-ellipse bound (:mod:`~cotlattice.quadrature`).  Per order the panels
+and their bounds' s-free constants are kept, and per node set the s-free part
+of the integrand; a call adds the s-dependent part of each bound and e^(-t s).
+One evaluator sums Psi_n, with a bound per node, at the quadrature's nodes and
+at psi's one t = -log q: terms e^(-t k^(2n)) up to t k^(2n) = 45, and next to
 t = 0 Jacobi's dual at n = 1, Poisson's lead at n >= 2; so psi's sum does not
 depend on the tolerance.
 """
@@ -56,8 +56,8 @@ _T_MIN = _EXP_CUT / sys.float_info.max
 #: (node, k) pairs per pass of _psi_t_array: memory bounded at any node count.
 _CHUNK = 1 << 14
 _IOTA = np.arange(_CHUNK)
-#: Ladder panels [a, a (1 + _RATIO/n)] in u, and the choices of orders kept per order.
-_RATIO, _MEMO = 0.7, 32
+#: Ladder panels [a, a (1 + _RATIO/n)] in u.
+_RATIO = 0.7
 
 
 def psi(n: int, q: float, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResult:
@@ -189,10 +189,8 @@ class _Order:
     u0 = sin(pi/(6n))/_Y_LEAD, and at n = 1 Jacobi's dual below u0 = pi/sqrt(45),
     where its terms past the 1 are under e^(-45).  Geometric panels
     [a, a (1 + _RATIO/n)] follow up to 1, the same shape in t at every scale.
-    Per panel and rho the s-free constants of :func:`_ellipse`; per panel and
-    order of ORDERS, built when first chosen, the nodes, weights and
-    _theta_factor there; per choice of orders, up to _MEMO of them, those
-    gathered flat."""
+    Per panel and rho the s-free constants of :func:`_ellipse`; per node set,
+    its _theta_factor (:meth:`factor`)."""
 
     def __init__(self, n: int) -> None:
         g = 0.5 / n
@@ -203,8 +201,6 @@ class _Order:
         edges = u0 ** (1.0 - np.arange(k + 1) / k)
         self.panels = Panels(np.append(0.0, edges[:-1]), edges)
         self.ellipse = _ellipse(n, u0, self.panels)
-        self.reach = float(np.abs(self.ellipse[:2]).max())
-        self.tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.memo: dict[bytes, tuple[np.ndarray, ...]] = {}
         self.gamma_c = math.gamma(1.0 + g) * math.gamma(2.0 - g)
         # On [0, u0] the lead's rest is under e^(-45) of it (2.0001 e^(-45) at n = 1),
@@ -218,37 +214,13 @@ class _Order:
         self.deep = 2 * n * _T_MIN / u0 if n > 1 else 0.0
 
     def log_m(self, p: Panels, re: float, im: float) -> np.ndarray:
-        if p is self.panels and self.reach * max(re, im) < 1e300:
-            a, b, log_c = self.ellipse
-            return log_c - a * re + b * im
         a, b, log_c = self.ellipse if p is self.panels else _ellipse(self.n, self.u0, p)
         with np.errstate(over="ignore"):  # an exponent past the double range: no bound
             return log_c - a * re + b * im
 
-    def gather(self, levels: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Nodes, weights, t, factor and relative bound of panel i at level
-        levels[i], as :meth:`Panels.nodes` orders them.  Each (panel, level)
-        is built alone, once, so that its values do not depend on what else
-        was asked for (:func:`_psi_t_array` sums in passes)."""
-        key = levels.tobytes()
-        hit = self.memo.get(key)
-        if hit is None:
-            parts, p = [], self.panels
-            for lv in (np.flatnonzero(np.bincount(levels)[1:]) + 1).tolist():
-                pick = levels == lv
-                table, built = self.tables.setdefault(lv, (
-                    np.empty((5, p.a.size, quadrature.ORDERS[lv - 1])), np.zeros(p.a.size, bool)))
-                for i in (pick & ~built).nonzero()[0].tolist():
-                    us, ws = p.nodes(np.where(p.rows == i, lv, 0))
-                    table[:, i] = us, ws, *_theta_factor(self.n, us)
-                    built[i] = True
-                parts.append(table[:, pick].reshape(5, -1))
-            flat = np.concatenate(parts, axis=1) if parts else np.empty((5, 0))
-            flat.flags.writeable = False
-            hit = tuple(flat)
-            if len(self.memo) < _MEMO:
-                self.memo[key] = hit
-        return hit
+    def factor(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_theta_factor` at ``us``, read-only, kept per node set (quadrature.kept)."""
+        return quadrature.kept(self.memo, us.tobytes(), lambda: _theta_factor(self.n, us))
 
 
 @lru_cache(maxsize=None)
@@ -340,21 +312,14 @@ def u_theta(n: int, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> EvalResul
     upper, upper_err = _upper_piece(n, s, target / 8.0)
     order = _per_order(n)
     im = abs(s.imag)
-    entry = None
-
-    def gather(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal entry
-        entry = order.gather(levels)
-        return entry[0], entry[1]
 
     def integrand_u(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hit = entry is not None and us is entry[0]
-        ts, factor, rel_u = entry[2:] if hit else _theta_factor(n, us)
+        ts, factor, rel_u = order.factor(us)
         ys = factor * np.exp(ts * -s)  # |e^(-t s)| <= 1: t <= 1 and Re s > 0
         return ys, np.abs(ys) * (rel_u + ((2 + 3 * n) * EPS * size) * ts)
 
     quad = integrate_adaptive(integrand_u, order.panels, lambda p: order.log_m(p, r, im),
-                              target / 4.0, int(tol.max_nodes), gather)
+                              target / 4.0, int(tol.max_nodes))
     # power_in_range leaves |ds| <= rel |s|.  Near s, |dU/ds| = |s^-2 +
     # 2 sum_k (k^2n + s)^-2| <= 1.01 |s|^-2 + 2 sum_k (k^2n + rho)^-2, rho = Re s -
     # |ds|: under 4 zeta(4) = 4.33 for rho > -1/2, its integral for rho >= 1.

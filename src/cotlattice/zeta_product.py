@@ -226,10 +226,10 @@ def _lhs_series(n: int, x: float, y: float, tol: Tolerance,
     so the terms beyond the cutoff K are a combination of zeta tails,
     summed by :func:`series_tail` with |c_m| <= |c_1| y^(p (m-1)).  K
     starts at 16 and doubles until the tail bound meets
-    0.25 * tol.target(scale) or the term budget is exhausted; a budget
-    stop is not an error, it just leaves a larger (honest) err_estimate
-    on the cross-check.  The first block of 16 pairs always runs, so
-    ``work`` is at least 33 whatever the budget.
+    0.25 * tol.target(scale) or a doubling's 2(2K) + 1 terms would exceed
+    the budget; a budget stop is not an error, it just leaves a larger
+    (honest) err_estimate on the cross-check.  The first block of 16
+    pairs always runs, so ``work`` is at least 33 whatever the budget.
     """
     xn, yn = x ** n, y ** n
     # the pair term is f log1p((b - a) / (k^p + a))
@@ -254,7 +254,7 @@ def _lhs_series(n: int, x: float, y: float, tol: Tolerance,
         pair_sum += f * logs
         cond += f * conds
         tail, bound = series_tail(_log_coeffs(f, a, b), p, cutoff, f * abs(b - a), y)
-        if bound <= target or 2 * cutoff > int(tol.max_terms):
+        if bound <= target or 2 * (2 * cutoff) + 1 > int(tol.max_terms):
             break
         lo, cutoff = cutoff + 1, 2 * cutoff
     log_lhs = 2.0 * (n * (math.log(y) - math.log(x)) + pair_sum + tail.real)

@@ -4,8 +4,10 @@
 included.  ``psi`` sums its one node first, at most 185 terms for any
 double q, and then checks the count against the budget.
 
-``product_ratio`` is not among them: its series side is a cross-check
-whose budget stop is documented as not an error.
+``product_ratio``'s series side is a cross-check whose budget stop is
+documented as not an error: it always sums its first block of 33 terms,
+and then doubles only within the budget, so its work is at most
+max(33, max_terms).
 """
 
 import math
@@ -17,6 +19,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from cotlattice import (DomainError, NonConvergentError, Tolerance, psi,
                         u_direct, unit_circle_parts, zeta_even)
+from cotlattice.zeta_product import ProductQuery, product_parts
 
 BUDGET = hypothesis.settings(max_examples=200, derandomize=True, database=None,
                              deadline=None)
@@ -63,3 +66,20 @@ def test_unit_circle_parts_first_block_within_max_terms(n, max_terms, theta):
     except (NonConvergentError, DomainError):  # DomainError: sin(n theta) = 0
         return
     assert max_terms >= 33, (n, max_terms, theta)
+
+
+@BUDGET
+@hypothesis.given(
+    n=st.integers(1, 8),
+    max_terms=st.integers(1, 300),
+    x=st.floats(0.01, 0.999),
+    y=st.floats(0.01, 0.999),
+    log_rel=st.floats(-16.0, -6.0),
+)
+def test_product_series_within_max_terms(n, max_terms, x, y, log_rel):
+    # The series side stops at its budget without raising: its first 33
+    # terms always run, and a doubling of K only where its 2(2K) + 1 fit.
+    x, y = sorted((x, y))
+    tol = Tolerance(0.0, 10.0 ** log_rel, max_terms=max_terms)
+    lhs, _ = product_parts(ProductQuery(n, x, y), tol)
+    assert lhs.work <= max(33, max_terms), (n, max_terms, x, y, log_rel, lhs.work)

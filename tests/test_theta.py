@@ -430,8 +430,8 @@ class TestPsiTArray:
 
 
 class TestPerOrder:
-    """Each order's panels, their s-free constants and, lazily, their nodes'
-    values: a result does not depend on what was built or kept before it."""
+    """Each order's panels, their s-free constants and, per node set, the
+    integrand's s-free factor: a result does not depend on what was kept before it."""
 
     @staticmethod
     def outcomes(points, tol):
@@ -458,42 +458,44 @@ class TestPerOrder:
             warm = self.outcomes(points, tol)
             theta._per_order.cache_clear()
             reverse = self.outcomes(points[::-1], tol)[::-1]
-            monkeypatch.setattr(theta, "_MEMO", 0)  # every call gathers its nodes afresh
+            monkeypatch.setattr(quadrature, "MEMO", 0)  # nodes and factor built afresh each call
             theta._per_order.cache_clear()
             unkept = self.outcomes(points, tol)
             monkeypatch.undo()
             assert cold == warm == reverse == unkept
 
-    def test_gathered_values_are_each_panels_own(self):
-        # A (panel, level) is built alone: its values are _theta_factor's there.
+    def test_first_call_builds_one_order(self, monkeypatch):
+        # The set-up's first verify of U_4 pays for order 2 alone, and sums
+        # Psi_n only at the nodes the bound pass chose.
         theta._per_order.cache_clear()
-        order = theta._per_order(8)
-        p = order.panels
-        levels = np.arange(p.a.size) % (len(quadrature.ORDERS) + 1)
-        us, ws, ts, factor, rel = order.gather(levels)
-        at = 0
-        for lv in range(1, len(quadrature.ORDERS) + 1):  # grouped by level, as Panels.nodes
-            for i in np.flatnonzero(levels == lv).tolist():
-                one_us, one_ws = p.nodes(np.where(p.rows == i, lv, 0))
-                k = len(one_us)
-                assert us[at:at + k].tolist() == one_us.tolist()
-                assert ws[at:at + k].tolist() == one_ws.tolist()
-                for a, b in zip((ts, factor, rel), theta._theta_factor(8, one_us)):
-                    assert a[at:at + k].tolist() == b.tolist()
-                at += k
-        assert at == len(us)
-        for a in (us, ws, ts, factor, rel):
-            with pytest.raises(ValueError):
-                a[0] = 1.0
-
-    def test_first_call_builds_one_order(self):
-        # The set-up's first verify of U_4 pays for order 2 alone.
-        theta._per_order.cache_clear()
-        u_theta(2, 0.7, DEFAULT_VERIFY_GRID.tol)
+        calls = []
+        factor = theta._theta_factor
+        monkeypatch.setattr(theta, "_theta_factor",
+                            lambda n, us: calls.append((n, us.copy())) or factor(n, us))
+        res = u_theta(2, 0.7, DEFAULT_VERIFY_GRID.tol)
         assert theta._per_order.cache_info().currsize == 1
         order = theta._per_order(2)
-        built = sum(int(done.sum()) for _, done in order.tables.values())
-        assert 0 < built < order.panels.a.size * len(quadrature.ORDERS)
+        (us, _), = order.panels.memo.values()  # one round: no panel bisected
+        assert [n for n, _ in calls] == [2]
+        assert calls[0][1].tolist() == us.tolist() and len(us) == res.work > 0
+        assert list(order.memo) == [us.tobytes()]
+
+    def test_memos_stay_under_the_cap(self, monkeypatch):
+        # Fed more choices of levels than the cap, neither memo grows past it,
+        # and every result stays bitwise the one of a run with room to spare.
+        rng = random.Random(29)
+        points = [(n, cmath.rect(rng.uniform(0.2, 3.0), rng.uniform(-0.9, 0.9) * math.pi / (4 * n)))
+                  for n in (2, 8) for _ in range(40)]
+        tol = DEFAULT_VERIFY_GRID.tol
+        theta._per_order.cache_clear()
+        roomy = self.outcomes(points, tol)
+        assert min(len(theta._per_order(n).panels.memo) for n in (2, 8)) > 3
+        monkeypatch.setattr(quadrature, "MEMO", 3)
+        theta._per_order.cache_clear()
+        assert self.outcomes(points, tol) == roomy
+        for n in (2, 8):
+            order = theta._per_order(n)
+            assert len(order.panels.memo) == len(order.memo) == 3
 
     def test_ladder(self):
         # [0, u0], where the evaluator returns the entire lead, then panels of
@@ -509,21 +511,33 @@ class TestPerOrder:
 
 
 class TestFirstRound:
-    """An order's nodes, t and s-free factor are built once and kept; what is
-    kept and handed to the integrand is read-only."""
+    """What an order keeps, nodes per choice of levels and the s-free factor
+    per node set, is bitwise what a fresh build gives, and read-only."""
+
+    def test_nodes_are_kept_per_levels(self):
+        p = theta._per_order(3).panels
+        levels = np.arange(p.a.size) % (len(quadrature.ORDERS) + 2)
+        xs, ws = p.nodes(levels)
+        again = p.nodes(levels.copy())
+        assert again[0] is xs and again[1] is ws
+        fresh = Panels(p.a, p.b).nodes(levels)
+        assert xs.tolist() == fresh[0].tolist() and ws.tolist() == fresh[1].tolist()
+        for a in (xs, ws):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
     def test_cached_arrays_are_read_only(self):
-        for n in (1, 2, 32):
+        for n, z in ((1, 0.7), (2, 0.7), (32, 0.9)):
             theta._per_order.cache_clear()
-            u_theta(n, 0.7, DEFAULT_VERIFY_GRID.tol)
+            u_theta(n, z, DEFAULT_VERIFY_GRID.tol)
             order = theta._per_order(n)
             assert order.memo
             for key, kept in order.memo.items():
-                levels = np.frombuffer(key, dtype=np.intp)
-                count = len(order.panels.nodes(levels)[0])
-                assert len(kept) == 5 and all(a.shape == (count,) for a in kept)
-                assert order.gather(levels) is kept
-                for a in kept:
+                us = np.frombuffer(key)
+                assert len(kept) == 3 and all(a.shape == us.shape for a in kept)
+                assert order.factor(us.copy()) is kept
+                for a, b in zip(kept, theta._theta_factor(n, us)):
+                    assert a.tolist() == b.tolist()
                     with pytest.raises(ValueError):
                         a[0] = 1.0
 
